@@ -15,7 +15,7 @@ from . import formulas, oracle, verify
 from .cyclotomic import embed
 from .field import prime_context
 from .oracle import Budget, BudgetExceeded
-from .quadform import NONSQ, SQ, FormClass, all_classes, canonical_matrix, classify
+from .quadform import NONSQ, SQ, FormClass, all_classes, canonical_matrix, classify, sym_matrix
 
 _DISC_NAMES = {SQ: "sq", NONSQ: "nonsq"}
 _DISC_VALUES = {"sq": SQ, "nonsq": NONSQ}
@@ -53,26 +53,15 @@ def _parse_matrix(ctx, text):
         rows = json.loads(text)
     except json.JSONDecodeError as e:
         raise UsageError(f"malformed matrix JSON: {e}")
-    if not isinstance(rows, list) or not rows:
+    if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise UsageError("matrix must be a nonempty list of rows")
-    n = len(rows)
-    mat = []
-    for row in rows:
-        if not isinstance(row, list) or len(row) != n:
-            raise UsageError("matrix must be square")
-        if not all(isinstance(x, int) for x in row):
-            raise UsageError("matrix entries must be integers")
-        mat.append(tuple(x % ctx.p for x in row))
-    mat = tuple(mat)
-    for i in range(n):
-        for j in range(n):
-            if mat[i][j] != mat[j][i]:
-                raise UsageError("matrix must be symmetric")
-    return mat
-
-
-def _qv_json(v):
-    return {"a": str(v.a), "b": str(v.b)}
+    # type(), not isinstance(): JSON true/false arrive as bool, an int subclass
+    if not all(type(x) is int for row in rows for x in row):
+        raise UsageError("matrix entries must be integers")
+    try:
+        return sym_matrix(ctx, rows)
+    except ValueError as e:
+        raise UsageError(str(e))
 
 
 def cmd_eval(args) -> int:
@@ -109,7 +98,7 @@ def cmd_eval(args) -> int:
         "d": cls.d,
         "disc": _DISC_NAMES[cls.disc],
         "restrict": r,
-        "value": _qv_json(value),
+        "value": value.to_json(),
         "embedding": [str(c) for c in emb.coeffs],
         "oracle": None,
         "match": None,

@@ -39,9 +39,6 @@ from .quadform import (
     sym_matrix,
 )
 
-# exact rational scalar; lemma54_h legitimately carries p^(-b)
-RationalValue = Fraction
-
 
 def _odd_product(p: int, count: int) -> int:
     # (p^1 - 1)(p^3 - 1) ... (p^(2*count-1) - 1)

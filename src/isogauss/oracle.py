@@ -15,12 +15,13 @@ from itertools import combinations
 import numpy as np
 
 from .cyclotomic import CycInt, cyc_zero, reduce_exponent_vector
-from .field import PrimeContext, prime_context
+from .field import PrimeContext
 from .quadform import (
     NONSQ,
     SQ,
     classify_batch,
     digits_block,
+    int_dtype,
     sym_matrix,
     upper_positions,
 )
@@ -41,10 +42,9 @@ def _env_max_terms() -> int:
 
 @dataclass(frozen=True)
 class Budget:
-    """Cap on enumeration work, plus a suggested parallel split count."""
+    """Cap on enumeration work."""
 
     max_terms: int = field(default_factory=_env_max_terms)
-    parallel_chunks: int = 0
 
     def __post_init__(self):
         if self.max_terms <= 0:
@@ -63,8 +63,9 @@ def _resolve(budget) -> Budget:
 
 
 def _mats_from_digits(n: int, digits: np.ndarray) -> np.ndarray:
-    """Inflate upper-triangle digit rows into symmetric matrices."""
-    m = np.empty((digits.shape[0], n, n), np.int16)
+    """Inflate upper-triangle digit rows into symmetric matrices, in the
+    integer type digits_block chose for p."""
+    m = np.empty((digits.shape[0], n, n), digits.dtype)
     for k, (i, j) in enumerate(upper_positions(n)):
         m[:, i, j] = digits[:, k]
         if i != j:
@@ -72,68 +73,60 @@ def _mats_from_digits(n: int, digits: np.ndarray) -> np.ndarray:
     return m
 
 
-def _exp_weights(ctx: PrimeContext, T) -> np.ndarray:
-    # weight vector w with  2*trace(T S) = digits(S) . w  (mod p)
-    n = len(T)
-    w = np.empty(n * (n + 1) // 2, np.int64)
-    for k, (i, j) in enumerate(upper_positions(n)):
-        w[k] = (2 * T[i][j] if i == j else 4 * T[i][j]) % ctx.p
-    return w
+def _exp_weights(ctx: PrimeContext, Ts) -> np.ndarray:
+    # column t is w with  2*trace(Ts[t] S) = digits(S) . w  (mod p)
+    pos = upper_positions(len(Ts[0]))
+    w = [[(2 if i == j else 4) * T[i][j] % ctx.p for T in Ts] for i, j in pos]
+    return np.array(w, np.int64)
 
 
-# classification of the full symmetric space, cached per (p, n)
+def _ranges(total: int, jobs: int):
+    """Split 0..total-1 into at least `jobs` ranges of at most _CHUNK."""
+    tasks = max(jobs, -(-total // _CHUNK))
+    step = -(-total // tasks)
+    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
+
+
+def _class_codes(ctx: PrimeContext, n: int, lo: int, hi: int) -> np.ndarray:
+    """Class code rank*2 + is_nonsquare of enumeration indices lo..hi-1."""
+    digits = digits_block(ctx.p, n * (n + 1) // 2, lo, hi)
+    rank, disc = classify_batch(ctx, _mats_from_digits(n, digits))
+    return (rank * 2 + (disc == -1)).astype(np.uint8)
+
+
+# class codes of the full symmetric space, cached per (p, n)
 _class_cache: dict = {}
 
 
-def _classified(ctx: PrimeContext, n: int):
+def _classified(ctx: PrimeContext, n: int, jobs=None) -> np.ndarray:
+    """Class codes of every symmetric n x n matrix, in enumeration order.
+
+    The first call for a (p, n) cell classifies it, through a process
+    pool when jobs > 1; later calls return the cached codes.
+    """
     key = (ctx.p, n)
-    hit = _class_cache.get(key)
-    if hit is not None:
-        return hit
-    K = n * (n + 1) // 2
-    total = ctx.p**K
-    rank = np.empty(total, np.uint8)
-    disc = np.empty(total, np.int8)
-    for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        mats = _mats_from_digits(n, digits_block(ctx.p, K, lo, hi))
-        r, d = classify_batch(ctx, mats)
-        rank[lo:hi] = r
-        disc[lo:hi] = d
-    _class_cache[key] = (rank, disc)
-    return rank, disc
+    codes = _class_cache.get(key)
+    if codes is not None:
+        return codes
+    total = ctx.p ** (n * (n + 1) // 2)
+    codes = np.empty(total, np.uint8)
+    if jobs and jobs > 1:
+        ranges = _ranges(total, jobs)
+        with ProcessPoolExecutor(max_workers=jobs) as ex:
+            futs = [ex.submit(_class_codes, ctx, n, lo, hi) for lo, hi in ranges]
+            for (lo, hi), f in zip(ranges, futs):
+                codes[lo:hi] = f.result()
+    else:
+        for lo, hi in _ranges(total, 1):
+            codes[lo:hi] = _class_codes(ctx, n, lo, hi)
+    codes.flags.writeable = False  # shared by every later caller
+    _class_cache[key] = codes
+    return codes
 
 
 def clear_caches():
     _class_cache.clear()
     _rep_memo.clear()
-
-
-def _count_chunk(ctx, n, Ts, lo, hi, codes=None):
-    """Per-class, per-exponent counts over one enumeration range.
-
-    Returns an (len(Ts), (2n+2)*p) int64 array; row layout is
-    (rank*2 + is_nonsquare)*p + exponent.
-    """
-    p = ctx.p
-    K = n * (n + 1) // 2
-    digits = digits_block(p, K, lo, hi)
-    if codes is None:
-        mats = _mats_from_digits(n, digits)
-        rank, disc = classify_batch(ctx, mats)
-        codes = rank.astype(np.int64) * 2 + (disc == -1)
-    nbins = (2 * n + 2) * p
-    out = np.empty((len(Ts), nbins), np.int64)
-    base = codes * p
-    for row, T in enumerate(Ts):
-        e = (digits.astype(np.int64) @ _exp_weights(ctx, T)) % p
-        out[row] = np.bincount(base + e, minlength=nbins)
-    return out
-
-
-def _table_worker(p, n, Ts, lo, hi):
-    ctx = prime_context(p)
-    return _count_chunk(ctx, n, Ts, lo, hi).tolist()
 
 
 def class_character_tables(ctx: PrimeContext, Ts, budget=None, jobs=None):
@@ -149,26 +142,20 @@ def class_character_tables(ctx: PrimeContext, Ts, budget=None, jobs=None):
     n = len(Ts[0])
     if any(len(T) != n for T in Ts):
         raise ValueError("all matrices must share one size")
-    total = p ** (n * (n + 1) // 2)
+    K = n * (n + 1) // 2
+    total = p**K
     bud = _resolve(budget)
     if total > bud.max_terms:
         raise BudgetExceeded(total, bud.max_terms, "symmetric enumeration")
+    codes = _classified(ctx, n, jobs)
+    W = _exp_weights(ctx, Ts)
     nbins = (2 * n + 2) * p
     acc = np.zeros((len(Ts), nbins), np.int64)
-    if jobs and jobs > 1:
-        nchunks = bud.parallel_chunks or 4 * jobs
-        step = max(1, -(-total // nchunks))
-        ranges = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            futs = [ex.submit(_table_worker, p, n, Ts, lo, hi) for lo, hi in ranges]
-            for f in futs:
-                acc += np.asarray(f.result(), np.int64)
-    else:
-        rank, disc = _classified(ctx, n)
-        for lo in range(0, total, _CHUNK):
-            hi = min(lo + _CHUNK, total)
-            codes = rank[lo:hi].astype(np.int64) * 2 + (disc[lo:hi] == -1)
-            acc += _count_chunk(ctx, n, Ts, lo, hi, codes)
+    for lo, hi in _ranges(total, 1):
+        exps = (digits_block(p, K, lo, hi).astype(np.int64) @ W) % p
+        base = codes[lo:hi].astype(np.int64) * p
+        for row, e in enumerate(exps.T):
+            acc[row] += np.bincount(base + e, minlength=nbins)
     tables = []
     for row in acc:
         mat = row.reshape(n + 1, 2, p)
@@ -290,7 +277,9 @@ def rep_count_bf(ctx: PrimeContext, X, Y, primitive: bool = False, budget=None) 
     vecs = digits_block(p, t, 0, V)
     Xa = np.array(X, np.int64)
     W = (vecs.astype(np.int64) @ Xa) % p
-    M = np.empty((V, V), np.int8)
+    # entries are residues: int8 holds them below p = 128 and keeps the
+    # row gathers below at half the memory traffic of int16
+    M = np.empty((V, V), np.int8 if p < 128 else int_dtype(p))
     step = max(1, (1 << 22) // V)
     vt = vecs.T.astype(np.int64)
     for lo in range(0, V, step):

@@ -138,6 +138,16 @@ def classify(ctx: PrimeContext, T: Sequence[Sequence[int]]) -> FormClass:
     return FormClass(n, rank, disc)
 
 
+def int_dtype(p: int):
+    """Narrowest of int16, int32 and int64 that holds (p-1)^2, the
+    largest product of two residues mod p."""
+    if (p - 1) ** 2 <= np.iinfo(np.int16).max:
+        return np.int16
+    if (p - 1) ** 2 <= np.iinfo(np.int32).max:
+        return np.int32
+    return np.int64
+
+
 def classify_batch(ctx: PrimeContext, mats: np.ndarray):
     """Vectorized classify over a batch of symmetric matrices.
 
@@ -146,11 +156,12 @@ def classify_batch(ctx: PrimeContext, mats: np.ndarray):
     Mirrors the scalar classify step for step.
     """
     p = ctx.p
-    a = mats.astype(np.int16, copy=True)
+    dt = int_dtype(p)
+    a = mats.astype(dt, copy=True)
     B, n, _ = a.shape
     rank = np.zeros(B, dtype=np.int16)
-    prod = np.ones(B, dtype=np.int16)
-    invtab = np.array(ctx.inv, dtype=np.int16)
+    prod = np.ones(B, dtype=dt)
+    invtab = np.array(ctx.inv, dtype=dt)
 
     for k in range(n):
         need = a[:, k, k] == 0
@@ -255,7 +266,7 @@ def enumerate_symmetric(
 def digits_block(p: int, K: int, lo: int, hi: int) -> np.ndarray:
     """Base-p digits (most significant first) of indices lo..hi-1: (hi-lo, K)."""
     idx = np.arange(lo, hi, dtype=np.int64)
-    out = np.empty((hi - lo, K), dtype=np.int16)
+    out = np.empty((hi - lo, K), dtype=int_dtype(p))
     for pos in range(K):
         out[:, K - 1 - pos] = idx % p
         idx = idx // p

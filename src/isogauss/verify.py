@@ -103,14 +103,14 @@ def _cyc_from_diff(ctx, plus, minus) -> CycInt:
     return CycInt(ctx.p, reduce_exponent_vector(ctx.p, diff))
 
 
-def _skip(suite, instance, exc) -> VerifyReport:
+def _skip(suite, instance, exc, elapsed=0.0) -> VerifyReport:
     return VerifyReport(
         suite=suite,
         instance=instance,
         lhs="",
         rhs="",
         match=False,
-        elapsed=0.0,
+        elapsed=elapsed,
         skipped=True,
         reason=str(exc),
     )
@@ -318,6 +318,7 @@ def _suite_lemma53(primes, max_n, budget, jobs):
                 for f, _ in forms
                 for ell in range(d)
             ]
+            t0 = perf_counter()
             try:
                 tabs = oracle.class_character_tables(
                     ctx, mats, budget, _jobs_for(p, d, jobs)
@@ -325,6 +326,7 @@ def _suite_lemma53(primes, max_n, budget, jobs):
             except BudgetExceeded as e:
                 reports.extend(_skip("lemma53", i, e) for i in insts)
                 continue
+            shared = (perf_counter() - t0) / len(insts)
             for (form, disc), x_mat, tab in zip(forms, mats, tabs):
                 for ell in range(d):
                     inst = {"p": p, "d": d, "form": form, "ell": ell}
@@ -340,12 +342,12 @@ def _suite_lemma53(primes, max_n, budget, jobs):
                     try:
                         rhs = _lemma53_rhs(ctx, x_mat, ell, budget)
                     except BudgetExceeded as e:
-                        reports.append(_skip("lemma53", inst, e))
+                        reports.append(_skip("lemma53", inst, e, shared))
                         continue
                     reports.append(
                         VerifyReport(
                             "lemma53", inst, _ser(lhs), _ser(rhs),
-                            lhs == rhs, perf_counter() - t0,
+                            lhs == rhs, shared + perf_counter() - t0,
                         )
                     )
     return reports

@@ -61,6 +61,8 @@ def test_eval_usage_errors(capsys):
         ("eval", "--p", "3", "--matrix", "[[1,2]]"),
         ("eval", "--p", "3", "--matrix", "[[1,"),
         ("eval", "--p", "3", "--matrix", "[]"),
+        ("eval", "--p", "3", "--matrix", "[[true]]"),
+        ("eval", "--p", "3", "--matrix", "[1]"),
         ("eval", "--p", "3", "--n", "2"),
         ("eval", "--p", "3", "--n", "2", "--rank", "3"),
         ("eval", "--p", "3", "--n", "0", "--rank", "0"),
@@ -85,6 +87,13 @@ def test_eval_budget_skip(capsys):
     assert data["value"] == {"a": "0", "b": "-9"}
     assert data["oracle"] is None and data["match"] is None
     assert "budget" in data["skipped"]
+
+
+def test_eval_past_int16(capsys):
+    # (p-1)^2 overflows 16 bits from p = 191 on
+    code, out, _ = run(capsys, "eval", "--p", "191", "--n", "2", "--rank", "2")
+    assert code == 0
+    assert json.loads(out)["match"] is True
 
 
 def test_eval_mismatch_exit(capsys, monkeypatch):

@@ -25,7 +25,8 @@ from isogauss import (
     qfunc,
     rep_count_bf,
 )
-from isogauss.oracle import clear_caches
+from isogauss import oracle
+from isogauss.oracle import _CHUNK, _ranges, clear_caches
 
 
 def _zero(n):
@@ -87,12 +88,37 @@ def test_parallel_equals_serial(ctx3, ctx5):
     )]
     clear_caches()
     serial = class_character_tables(ctx3, mats3, None, None)
+    clear_caches()  # else the pooled call would reuse the serial classes
     parallel = class_character_tables(ctx3, mats3, None, 2)
     assert serial == parallel
     mats5 = [canonical_matrix(ctx5, FormClass(2, 2, SQ))]
-    assert class_character_tables(ctx5, mats5, None, 3) == class_character_tables(
-        ctx5, mats5, None, None
-    )
+    clear_caches()
+    parallel = class_character_tables(ctx5, mats5, None, 3)
+    clear_caches()
+    assert parallel == class_character_tables(ctx5, mats5, None, None)
+
+
+def test_pooled_classes_are_cached(ctx5, monkeypatch):
+    T = [canonical_matrix(ctx5, FormClass(2, 1, NONSQ))]
+    clear_caches()
+    first = class_character_tables(ctx5, T, None, 2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cell was classified again")
+
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(oracle, "classify_batch", refuse)
+    assert class_character_tables(ctx5, T, None, 2) == first
+
+
+def test_ranges_split_at_least_jobs_ways():
+    for total, jobs in ((3, 2), (125, 2), (_CHUNK, 2), (3**15, 2), (5**10, 3)):
+        got = _ranges(total, jobs)
+        assert len(got) >= min(jobs, total)
+        assert got[0][0] == 0 and got[-1][1] == total
+        assert all(a[1] == b[0] for a, b in zip(got, got[1:]))
+        assert all(0 < hi - lo <= _CHUNK for lo, hi in got)
+    assert _ranges(10, 1) == [(0, 10)]
 
 
 def test_gauss_sum_is_congruence_invariant(ctx3):
@@ -146,6 +172,15 @@ def test_rep_count_rectangular_targets(ctx3):
     # inside anisotropic I_3 the second column has nowhere to go
     I3 = canonical_matrix(ctx3, FormClass(3, 3, SQ))
     assert rep_count_bf(ctx3, I3, Y, primitive=True) == 0
+
+
+def test_rep_count_past_int8():
+    # Gram entries reach p - 1 >= 128 at p = 131; x^2 = c against a loop
+    ctx = prime_context(131)
+    assert rep_count_bf(ctx, ((1,),), ((129,),)) == 2
+    for c in (0, 1, 2, 3, 127, 128, 130):
+        want = sum(1 for x in range(131) if x * x % 131 == c)
+        assert rep_count_bf(ctx, ((1,),), ((c,),)) == want
 
 
 def test_rep_count_gram_mismatch_rejected(ctx3):

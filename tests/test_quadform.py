@@ -19,6 +19,7 @@ from isogauss.quadform import (
     block_diag,
     classify_batch,
     digits_block,
+    int_dtype,
     symmetric_from_digits,
     upper_positions,
 )
@@ -139,6 +140,41 @@ def test_classify_batch_agrees_with_scalar():
                 c = classify(ctx, tuple(tuple(int(x) for x in row) for row in M))
                 assert ranks[k] == c.d
                 assert discs[k] == (-1 if c.disc == NONSQ else 1)
+
+
+def test_int_dtype_boundaries():
+    assert int_dtype(3) is np.int16 and int_dtype(181) is np.int16
+    assert int_dtype(191) is np.int32 and int_dtype(46337) is np.int32
+    assert int_dtype(46349) is np.int64
+
+
+@pytest.mark.parametrize("p", [127, 131, 181, 191, 1009, 32771])
+def test_classify_batch_agrees_across_dtype_boundaries(p):
+    ctx = prime_context(p)
+    rng = random.Random(p)
+    mats = []
+    for _ in range(100):
+        n = rng.choice((2, 3))
+        M = np.zeros((n, n), dtype=np.int64)
+        for i in range(n):
+            for j in range(i, n):
+                M[i, j] = M[j, i] = rng.randrange(p)
+        # degenerate rows exercise the pivot swaps and the off-diagonal fixup
+        if rng.random() < 0.3:
+            M[0, 0] = 0
+        mats.append(M)
+    for n in (2, 3):
+        group = [M for M in mats if len(M) == n]
+        ranks, discs = classify_batch(ctx, np.stack(group))
+        for k, M in enumerate(group):
+            c = classify(ctx, tuple(tuple(int(x) for x in row) for row in M))
+            assert (ranks[k], discs[k]) == (c.d, -1 if c.disc == NONSQ else 1)
+
+
+def test_digits_block_wide_primes():
+    p = 100003
+    block = digits_block(p, 2, 40000 * p + 39999, 40000 * p + 40002)
+    assert block.tolist() == [[40000, 39999], [40000, 40000], [40000, 40001]]
 
 
 def test_enumerate_symmetric_is_exhaustive(ctx3):

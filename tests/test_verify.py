@@ -1,6 +1,8 @@
+import time
+
 import pytest
 
-from isogauss import Budget, SUITES, VerifyReport, max_dim_for, run_suite
+from isogauss import SUITES, Budget, VerifyReport, max_dim_for, oracle, run_suite
 
 
 def test_suite_names():
@@ -111,3 +113,20 @@ def test_deterministic_ordering():
     assert [r.instance for r in a] == [r.instance for r in b]
     assert [(r.lhs, r.rhs, r.match) for r in a] == [(r.lhs, r.rhs, r.match) for r in b]
     assert len(a) == 5  # odd/even_match at m = 0, all three at m = 1
+
+
+def test_lemma53_reports_carry_the_shared_table_time(monkeypatch):
+    orig = oracle.class_character_tables
+    spent = []
+
+    def slow(*args, **kwargs):
+        t0 = time.perf_counter()
+        time.sleep(0.2)
+        out = orig(*args, **kwargs)
+        spent.append(time.perf_counter() - t0)
+        return out
+
+    monkeypatch.setattr(oracle, "class_character_tables", slow)
+    reports = run_suite("lemma53", primes=(3,), max_n=2)
+    assert len(spent) == 2 and all(r.match for r in reports)
+    assert sum(r.elapsed for r in reports) >= sum(spent)
