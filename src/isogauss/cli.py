@@ -30,7 +30,10 @@ def _budget(args) -> Budget:
         if args.max_terms <= 0:
             raise UsageError("--max-terms must be positive")
         return Budget(max_terms=args.max_terms)
-    return Budget()
+    try:
+        return Budget()
+    except ValueError as e:  # a malformed ISOGAUSS_MAX_TERMS
+        raise UsageError(str(e))
 
 
 def _jobs(args) -> int:
@@ -104,6 +107,7 @@ def cmd_eval(args) -> int:
         "match": None,
     }
     code = 0
+    jobs = oracle.jobs_for(ctx.p, cls.n, jobs)
     try:
         if r is None:
             orc = oracle.gauss_twisted_bf(ctx, mat, budget, jobs)

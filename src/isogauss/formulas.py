@@ -17,11 +17,9 @@ from . import counts, oracle
 from .cyclotomic import (
     CycInt,
     QuadValue,
-    cyc_add,
     cyc_const,
     cyc_mul,
     cyc_pow,
-    cyc_scale,
     embed,
     g_star_one,
     quad_mul,
@@ -32,7 +30,6 @@ from .quadform import (
     NONSQ,
     SQ,
     FormClass,
-    all_classes,
     block_diag,
     canonical_matrix,
     classify,
@@ -315,8 +312,8 @@ def lemma54_target(ctx: PrimeContext, d: int, form: str, ell: int) -> Fraction:
 def lemma54_sum(ctx: PrimeContext, d: int, form: str, ell: int, budget=None) -> Fraction:
     """Sum of r*(form_d, Y)/o(Y) * h_Y over the dimension-ell classes.
 
-    r* comes from the brute-force oracle (the closed formulas cover
-    only scalar and zero targets), o from the closed group orders.
+    r*(X, Y)/o(Y) is the number of ell-dimensional subspaces on which
+    X restricts to the class Y, counted by the brute-force census.
     """
     if form not in ("I", "J"):
         raise ValueError(f"form must be I or J, got {form!r}")
@@ -324,18 +321,11 @@ def lemma54_sum(ctx: PrimeContext, d: int, form: str, ell: int, budget=None) -> 
         raise ValueError(f"need 0 < ell <= d, got ell={ell}, d={d}")
     disc = SQ if form == "I" else NONSQ
     x_mat = canonical_matrix(ctx, FormClass(d, d, disc))
-    total = Fraction(0)
-    for cls in all_classes(ell):
-        h = lemma54_h(ctx, ell, cls.d, cls.disc)
-        if h == 0:
-            continue
-        rstar = oracle.rep_count_bf(
-            ctx, x_mat, canonical_matrix(ctx, cls), primitive=True, budget=budget
-        )
-        if rstar == 0:
-            continue
-        total += Fraction(rstar, counts.orth_order(ctx, cls)) * h
-    return total
+    census = oracle.subspace_census(ctx, x_mat, ell, budget)
+    return sum(
+        (count * lemma54_h(ctx, ell, cls.d, cls.disc) for cls, count in census.items()),
+        Fraction(0),
+    )
 
 
 def lemma52_check(ctx: PrimeContext, m: int, variant: str):

@@ -19,6 +19,7 @@ from .field import PrimeContext
 from .quadform import (
     NONSQ,
     SQ,
+    FormClass,
     classify_batch,
     digits_block,
     int_dtype,
@@ -33,11 +34,17 @@ _COL_CAP = 10_000  # hard cap on p^t column tables in rep_count_bf
 
 def _env_max_terms() -> int:
     raw = os.environ.get("ISOGAUSS_MAX_TERMS", "")
+    if not raw:
+        return DEFAULT_MAX_TERMS
     try:
         val = int(raw)
+        if val <= 0:
+            raise ValueError
     except ValueError:
-        return DEFAULT_MAX_TERMS
-    return val if val > 0 else DEFAULT_MAX_TERMS
+        raise ValueError(
+            f"ISOGAUSS_MAX_TERMS must be a positive integer, got {raw!r}"
+        ) from None
+    return val
 
 
 @dataclass(frozen=True)
@@ -87,11 +94,24 @@ def _ranges(total: int, jobs: int):
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
-def _class_codes(ctx: PrimeContext, n: int, lo: int, hi: int) -> np.ndarray:
-    """Class code rank*2 + is_nonsquare of enumeration indices lo..hi-1."""
-    digits = digits_block(ctx.p, n * (n + 1) // 2, lo, hi)
-    rank, disc = classify_batch(ctx, _mats_from_digits(n, digits))
+def jobs_for(p: int, n: int, jobs) -> int:
+    """Pool size for classifying the (p, n) symmetric space: a process
+    pool pays off only on cells of at least 2^21 matrices."""
+    if jobs and jobs > 1 and p ** (n * (n + 1) // 2) >= (1 << 21):
+        return jobs
+    return 0
+
+
+def _codes(ctx: PrimeContext, mats: np.ndarray) -> np.ndarray:
+    """Class code rank*2 + is_nonsquare of each matrix in a batch."""
+    rank, disc = classify_batch(ctx, mats)
     return (rank * 2 + (disc == -1)).astype(np.uint8)
+
+
+def _class_codes(ctx: PrimeContext, n: int, lo: int, hi: int) -> np.ndarray:
+    """Class codes of enumeration indices lo..hi-1."""
+    digits = digits_block(ctx.p, n * (n + 1) // 2, lo, hi)
+    return _codes(ctx, _mats_from_digits(n, digits))
 
 
 # class codes of the full symmetric space, cached per (p, n)
@@ -126,7 +146,6 @@ def _classified(ctx: PrimeContext, n: int, jobs=None) -> np.ndarray:
 
 def clear_caches():
     _class_cache.clear()
-    _rep_memo.clear()
 
 
 def class_character_tables(ctx: PrimeContext, Ts, budget=None, jobs=None):
@@ -227,8 +246,6 @@ def gauss_untwisted_bf(ctx: PrimeContext, A, B, budget=None) -> CycInt:
 
 # representation counts ------------------------------------------------
 
-_rep_memo: dict = {}
-
 
 def rep_count_bf(ctx: PrimeContext, X, Y, primitive: bool = False, budget=None) -> int:
     """Count matrices C with ^tC X C = Y; rank C = s when primitive.
@@ -236,10 +253,10 @@ def rep_count_bf(ctx: PrimeContext, X, Y, primitive: bool = False, budget=None) 
     Columns are chosen one at a time subject to the Gram constraints
     against the earlier columns, keeping the whole frontier of partial
     solutions as index arrays. In the primitive case each frontier row
-    also carries the span of its columns and new columns are drawn from
-    the complement, so exactly the full-rank C survive. The budget
-    charges frontier rows processed plus rows materialized, not the
-    nominal p^(t*s) search space, which the frontier never visits.
+    also excludes the span of its earlier columns, so exactly the
+    full-rank C survive. The budget charges frontier rows processed plus
+    rows materialized, not the nominal p^(t*s) search space, which the
+    frontier never visits.
     """
     X = sym_matrix(ctx, X)
     Y = sym_matrix(ctx, Y)
@@ -251,79 +268,60 @@ def rep_count_bf(ctx: PrimeContext, X, Y, primitive: bool = False, budget=None) 
         if primitive:
             return 0
         return 1 if all(v == 0 for row in Y for v in row) else 0
-    key = (p, X, Y, primitive)
-    hit = _rep_memo.get(key)
-    if hit is not None:
-        return hit
     limit = _resolve(budget).max_terms
     if all(v == 0 for row in X for v in row):
         # Gram form is identically zero
         if any(v for row in Y for v in row):
-            result = 0
-        elif not primitive:
-            result = p ** (t * s)
-        elif s > t:
-            result = 0
-        else:
-            result = 1
-            for i in range(s):
-                result *= p**t - p**i
-        _rep_memo[key] = result
+            return 0
+        if not primitive:
+            return p ** (t * s)
+        result = 1
+        for i in range(s):
+            result *= p**t - p**i  # 0 once s > t
         return result
 
     V = p**t
     if V > _COL_CAP:
         raise BudgetExceeded(V, _COL_CAP, "column table")
-    vecs = digits_block(p, t, 0, V)
+    vecs = digits_block(p, t, 0, V).astype(np.int64)
     Xa = np.array(X, np.int64)
-    W = (vecs.astype(np.int64) @ Xa) % p
+    W = (vecs @ Xa) % p
     # entries are residues: int8 holds them below p = 128 and keeps the
     # row gathers below at half the memory traffic of int16
     M = np.empty((V, V), np.int8 if p < 128 else int_dtype(p))
     step = max(1, (1 << 22) // V)
-    vt = vecs.T.astype(np.int64)
     for lo in range(0, V, step):
-        M[lo : lo + step] = (W[lo : lo + step] @ vt) % p
+        M[lo : lo + step] = (W[lo : lo + step] @ vecs.T) % p
     qdiag = np.ascontiguousarray(M.diagonal())
-
-    # span bookkeeping (primitive only): members, bitmask, dedupe keys
     pw = p ** np.arange(t - 1, -1, -1, dtype=np.int64)
-    SCL = None
-    ADD = None
-    members = [np.array([0], np.int64)]
-    masks = [np.zeros(V, bool)]
-    masks[0][0] = True
-    span_key: dict = {}
-    if primitive:
-        SCL = (
-            ((np.arange(p, dtype=np.int64)[:, None, None] * vecs) % p) @ pw
-        ).astype(np.int64)
 
     cols = np.zeros((1, 0), np.int32)
-    span_ids = np.zeros(1, np.int64)
     nodes = 0
-    result = 0
     for j in range(s):
         final = j == s - 1
         R = cols.shape[0]
         if R == 0:
-            break
+            return 0
         nodes += R
         if nodes > limit:
             raise BudgetExceeded(nodes, limit, "representation count")
         base = qdiag == Y[j][j]
-        mask_arr = np.stack(masks) if primitive else None
+        chunk = 8192
+        if primitive:
+            # coefficients of every combination of the j earlier columns;
+            # the chunk keeps each span array near 4M entries
+            coef = digits_block(p, j, 0, p**j).astype(np.int64)
+            chunk = max(1, min(chunk, (1 << 22) // (len(coef) * t)))
         parts = []
-        parents = []
         total = 0
-        for lo in range(0, R, 8192):
-            ch = slice(lo, min(lo + 8192, R))
-            rows = cols[ch]
+        for lo in range(0, R, chunk):
+            rows = cols[lo : lo + chunk]
             m = np.tile(base, (rows.shape[0], 1))
             for i in range(j):
                 m &= M[rows[:, i]] == Y[i][j]
             if primitive:
-                m &= ~mask_arr[span_ids[ch]]
+                span = ((coef @ vecs[rows]) % p) @ pw
+                m[np.arange(rows.shape[0])[:, None], span] = False
             cnt = int(m.sum())
             if final:
                 total += cnt
@@ -333,77 +331,32 @@ def rep_count_bf(ctx: PrimeContext, X, Y, primitive: bool = False, budget=None) 
                 raise BudgetExceeded(nodes, limit, "representation count")
             rr, vv = np.nonzero(m)
             parts.append(np.column_stack([rows[rr], vv.astype(np.int32)]))
-            if primitive:
-                parents.append(span_ids[ch][rr])
         if final:
-            result = total
-            break
-        cols = (
-            np.vstack(parts) if parts else np.zeros((0, j + 1), np.int32)
-        )
-        if primitive and cols.shape[0]:
-            if ADD is None:
-                ADD = np.empty((V, V), np.int32)
-                blk = max(1, (1 << 21) // V)
-                for lo in range(0, V, blk):
-                    hi = min(lo + blk, V)
-                    ADD[lo:hi] = (
-                        ((vecs[lo:hi, None, :] + vecs[None, :, :]) % p) @ pw
-                    ).astype(np.int32)
-            par = np.concatenate(parents)
-            pairs = par * V + cols[:, -1]
-            uniq, inv = np.unique(pairs, return_inverse=True)
-            pair_ids = np.empty(len(uniq), np.int64)
-            usid = uniq // V
-            uvv = uniq % V
-            for sid in np.unique(usid):
-                sel = np.nonzero(usid == sid)[0]
-                vs = uvv[sel].astype(np.int64)
-                mem = members[sid]
-                lines = SCL[1:, vs].reshape(-1)
-                block = ADD[np.ix_(mem, lines)]
-                # smallest vector index outside the old span pins the
-                # new span down uniquely, giving a cheap dedupe key
-                canon = block.min(axis=0).reshape(p - 1, len(vs)).min(axis=0)
-                for pos, v, cv in zip(sel, vs, canon):
-                    k2 = (int(sid), int(cv))
-                    sid_new = span_key.get(k2)
-                    if sid_new is None:
-                        grown = [mem] + [
-                            ADD[mem, SCL[a, v]].astype(np.int64)
-                            for a in range(1, p)
-                        ]
-                        newmem = np.unique(np.concatenate(grown))
-                        msk = np.zeros(V, bool)
-                        msk[newmem] = True
-                        sid_new = len(members)
-                        members.append(newmem)
-                        masks.append(msk)
-                        span_key[k2] = sid_new
-                    pair_ids[pos] = sid_new
-            span_ids = pair_ids[inv]
-    _rep_memo[key] = result
-    return result
+            return total
+        cols = np.vstack(parts) if parts else np.zeros((0, j + 1), np.int32)
 
 
-def iso_subspaces_bf(ctx: PrimeContext, X, j: int, budget=None) -> int:
-    """Count j-dimensional totally isotropic subspaces by enumerating
-    reduced-row-echelon bases per pivot-column pattern."""
+# subspace counts ------------------------------------------------------
+
+
+def _subspace_grams(ctx: PrimeContext, X, ell: int, budget):
+    """Gram matrices B X ^tB, in batches, of one reduced-row-echelon basis
+    B per ell-dimensional subspace of F_p^t, pivot pattern by pattern.
+
+    The budget charges each subspace before its pattern is enumerated.
+    """
     X = sym_matrix(ctx, X)
     p = ctx.p
     t = len(X)
-    if not 0 <= j <= t:
-        raise ValueError(f"subspace dimension {j} out of range")
-    if j == 0:
-        return 1
+    if not 0 <= ell <= t:
+        raise ValueError(f"subspace dimension {ell} out of range")
     limit = _resolve(budget).max_terms
     Xa = np.array(X, np.int64)
-    total = 0
     nodes = 0
-    for pivots in combinations(range(t), j):
+    for pivots in combinations(range(t), ell):
         free = [
             (r, c)
-            for r in range(j)
+            for r in range(ell)
             for c in range(pivots[r] + 1, t)
             if c not in pivots
         ]
@@ -413,16 +366,36 @@ def iso_subspaces_bf(ctx: PrimeContext, X, j: int, budget=None) -> int:
             raise BudgetExceeded(nodes, limit, "subspace enumeration")
         for lo in range(0, cnt, 1 << 16):
             hi = min(lo + (1 << 16), cnt)
-            if free:
-                digits = digits_block(p, len(free), lo, hi)
-            else:
-                digits = np.zeros((1, 0), np.int16)
-            B = np.zeros((hi - lo, j, t), np.int64)
-            for r in range(j):
+            digits = digits_block(p, len(free), lo, hi)
+            B = np.zeros((hi - lo, ell, t), np.int64)
+            for r in range(ell):
                 B[:, r, pivots[r]] = 1
             for k, (r, c) in enumerate(free):
                 B[:, r, c] = digits[:, k]
             E = (B @ Xa) % p
-            G = np.einsum("ajt,akt->ajk", E, B) % p
-            total += int((G == 0).all(axis=(1, 2)).sum())
-    return total
+            yield np.einsum("ajt,akt->ajk", E, B) % p
+
+
+def iso_subspaces_bf(ctx: PrimeContext, X, j: int, budget=None) -> int:
+    """Count j-dimensional totally isotropic subspaces."""
+    return sum(
+        int((G == 0).all(axis=(1, 2)).sum())
+        for G in _subspace_grams(ctx, X, j, budget)
+    )
+
+
+def subspace_census(ctx: PrimeContext, X, ell: int, budget=None) -> dict:
+    """Count ell-dimensional subspaces W by the class of X restricted to W.
+
+    Returns {FormClass(ell, rank, disc): count}, leaving out empty
+    classes. The count of class Y is r*(X, Y)/|O(Y)|: the bases of W
+    with Gram matrix Y form one O(Y)-torsor.
+    """
+    acc = np.zeros(2 * ell + 2, np.int64)
+    for G in _subspace_grams(ctx, X, ell, budget):
+        acc += np.bincount(_codes(ctx, G), minlength=len(acc))
+    return {
+        FormClass(ell, code // 2, NONSQ if code % 2 else SQ): int(cnt)
+        for code, cnt in enumerate(acc)
+        if cnt
+    }

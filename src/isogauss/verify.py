@@ -12,7 +12,6 @@ are linear in everything a suite needs.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from time import perf_counter
 
 from . import counts, formulas, oracle
@@ -91,13 +90,6 @@ def _cells(primes, max_n, budget):
             yield p, n
 
 
-def _jobs_for(p: int, n: int, jobs) -> int:
-    # process pools only pay off on the big cells
-    if jobs and jobs > 1 and p ** (n * (n + 1) // 2) >= (1 << 21):
-        return jobs
-    return 0
-
-
 def _cyc_from_diff(ctx, plus, minus) -> CycInt:
     diff = [a - b for a, b in zip(plus, minus)]
     return CycInt(ctx.p, reduce_exponent_vector(ctx.p, diff))
@@ -132,7 +124,7 @@ def _suite_thm11(primes, max_n, budget, jobs):
                 ctx,
                 [canonical_matrix(ctx, c) for c in classes],
                 budget,
-                _jobs_for(p, n, jobs),
+                oracle.jobs_for(p, n, jobs),
             )
         except BudgetExceeded as e:
             reports.extend(_skip("thm11", i, e) for i in insts)
@@ -204,7 +196,7 @@ def _suite_prop41(primes, max_n, budget, jobs):
                 ctx,
                 [canonical_matrix(ctx, c) for c in classes],
                 budget,
-                _jobs_for(p, n, jobs),
+                oracle.jobs_for(p, n, jobs),
             )
         except BudgetExceeded as e:
             for inst in insts:
@@ -321,7 +313,7 @@ def _suite_lemma53(primes, max_n, budget, jobs):
             t0 = perf_counter()
             try:
                 tabs = oracle.class_character_tables(
-                    ctx, mats, budget, _jobs_for(p, d, jobs)
+                    ctx, mats, budget, oracle.jobs_for(p, d, jobs)
                 )
             except BudgetExceeded as e:
                 reports.extend(_skip("lemma53", i, e) for i in insts)
@@ -354,26 +346,13 @@ def _suite_lemma53(primes, max_n, budget, jobs):
 
 
 def _lemma53_rhs(ctx, x_mat, ell, budget) -> CycInt:
-    if ell == 0:
-        return cyc_const(ctx, 1)
-    a_part = Fraction(0)
-    b_part = Fraction(0)
-    for cls in all_classes(ell):
-        rstar = oracle.rep_count_bf(
-            ctx, x_mat, canonical_matrix(ctx, cls), primitive=True, budget=budget
-        )
-        if rstar == 0:
-            continue
-        w = Fraction(rstar, counts.orth_order(ctx, cls))
+    # each ell-dimensional subspace W contributes the closed G* of X|_W
+    a_part = b_part = 0
+    for cls, count in oracle.subspace_census(ctx, x_mat, ell, budget).items():
         gv = _gauss_star_closed(ctx, cls)
-        a_part += w * gv.a
-        b_part += w * gv.b
-    if a_part.denominator != 1 or b_part.denominator != 1:
-        raise ArithmeticError("orbit decomposition sum not integral")
-    return cyc_add(
-        cyc_const(ctx, int(a_part)),
-        cyc_scale(int(b_part), g_star_one(ctx)),
-    )
+        a_part += count * gv.a
+        b_part += count * gv.b
+    return cyc_add(cyc_const(ctx, a_part), cyc_scale(b_part, g_star_one(ctx)))
 
 
 def _suite_lemma54(primes, max_n, budget, jobs):
@@ -479,7 +458,7 @@ def _suite_zero_forms(primes, max_n, budget, jobs):
         t0 = perf_counter()
         try:
             tab = oracle.class_character_table(
-                ctx, zero, budget, _jobs_for(p, n, jobs)
+                ctx, zero, budget, oracle.jobs_for(p, n, jobs)
             )
         except BudgetExceeded as e:
             reports.append(_skip("zero_forms", {"p": p, "n": n}, e))

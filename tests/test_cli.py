@@ -96,6 +96,20 @@ def test_eval_past_int16(capsys):
     assert json.loads(out)["match"] is True
 
 
+def test_eval_small_cell_forks_no_pool(capsys, monkeypatch):
+    # a 27-matrix cell is classified in process whatever --jobs says
+    from isogauss import oracle
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    oracle.clear_caches()
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", refuse)
+    code, out, _ = run(capsys, "eval", "--p", "3", "--n", "2", "--rank", "2", "--jobs", "2")
+    assert code == 0
+    assert json.loads(out)["match"] is True
+
+
 def test_eval_mismatch_exit(capsys, monkeypatch):
     from isogauss import formulas
 
@@ -204,6 +218,13 @@ def test_verify_usage(capsys):
     assert code == 2
     code, _, _ = run(capsys, "verify", "--suites", "scalars", "--primes", "6")
     assert code == 2
+
+
+def test_malformed_env_budget_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("ISOGAUSS_MAX_TERMS", "abc")
+    code, out, err = run(capsys, "verify", "--suites", "scalars", "--primes", "3")
+    assert code == 2
+    assert out == "" and "ISOGAUSS_MAX_TERMS" in err
 
 
 def test_verify_multiple_suites(capsys):

@@ -25,8 +25,9 @@ from isogauss import (
     qfunc,
     rep_count_bf,
 )
+from isogauss import all_classes, counts, orth_order, run_suite
 from isogauss import oracle
-from isogauss.oracle import _CHUNK, _ranges, clear_caches
+from isogauss.oracle import _CHUNK, _ranges, clear_caches, subspace_census
 
 
 def _zero(n):
@@ -188,7 +189,7 @@ def test_rep_count_gram_mismatch_rejected(ctx3):
         rep_count_bf(ctx3, ((1, 0), (0, 1)), ((0, 1), (0, 0)))
 
 
-def test_rep_count_memoized(ctx3):
+def test_rep_count_is_repeatable(ctx3):
     X = canonical_matrix(ctx3, FormClass(4, 4, SQ))
     Y = ((1, 0), (0, 1))
     a = rep_count_bf(ctx3, X, Y, primitive=True)
@@ -218,6 +219,52 @@ def test_iso_subspaces_small(ctx3, ctx5):
     assert iso_subspaces_bf(ctx3, _zero(2), 2) == 1
     with pytest.raises(ValueError):
         iso_subspaces_bf(ctx3, _zero(2), 3)
+
+
+def test_census_counts_every_subspace(ctx3, ctx5):
+    # the class counts of all ell-subspaces of F_p^t add up to [t, ell]_p
+    for ctx in (ctx3, ctx5):
+        for t in range(1, 4):
+            for c in all_classes(t):
+                X = canonical_matrix(ctx, c)
+                for ell in range(t + 1):
+                    census = subspace_census(ctx, X, ell)
+                    assert all(Y.n == ell for Y in census)
+                    assert sum(census.values()) == qfunc(ctx, "beta", t, ell)
+
+
+def test_census_times_group_order_is_primitive_count(ctx3):
+    # the bases of W with Gram matrix Y form one O(Y)-torsor
+    for t in range(1, 4):
+        for c in all_classes(t):
+            X = canonical_matrix(ctx3, c)
+            for ell in range(1, t + 1):
+                census = subspace_census(ctx3, X, ell)
+                for Y in all_classes(ell):
+                    want = rep_count_bf(
+                        ctx3, X, canonical_matrix(ctx3, Y), primitive=True
+                    )
+                    assert census.get(Y, 0) * orth_order(ctx3, Y) == want
+
+
+def test_census_budget(ctx3):
+    assert subspace_census(ctx3, _zero(2), 0) == {FormClass(0, 0, SQ): 1}
+    assert subspace_census(ctx3, _zero(2), 2) == {FormClass(2, 0, SQ): 1}
+    with pytest.raises(BudgetExceeded):
+        subspace_census(ctx3, _zero(4), 2, Budget(max_terms=5))
+    with pytest.raises(ValueError):
+        subspace_census(ctx3, _zero(2), 3)
+
+
+def test_weighted_class_sums_use_neither_rep_count_nor_group_orders(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the weighted class sums must come from the census")
+
+    monkeypatch.setattr(oracle, "rep_count_bf", refuse)
+    monkeypatch.setattr(counts, "orth_order", refuse)
+    for suite in ("lemma53", "lemma54"):
+        reports = run_suite(suite, primes=(3,))
+        assert reports and all(r.match and not r.skipped for r in reports)
 
 
 def test_unsigned_character_totals(ctx3):
@@ -266,8 +313,10 @@ def test_env_budget(monkeypatch):
     monkeypatch.setenv("ISOGAUSS_MAX_TERMS", "123")
     assert Budget().max_terms == 123
     monkeypatch.setenv("ISOGAUSS_MAX_TERMS", "not a number")
-    assert Budget().max_terms == 20_000_000
+    with pytest.raises(ValueError, match="ISOGAUSS_MAX_TERMS"):
+        Budget()
     monkeypatch.setenv("ISOGAUSS_MAX_TERMS", "-5")
-    assert Budget().max_terms == 20_000_000
+    with pytest.raises(ValueError, match="ISOGAUSS_MAX_TERMS"):
+        Budget()
     monkeypatch.delenv("ISOGAUSS_MAX_TERMS")
     assert Budget().max_terms == 20_000_000

@@ -1,7 +1,9 @@
+import functools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isogauss import (
     NONSQ,
@@ -169,6 +171,26 @@ def test_classify_batch_agrees_across_dtype_boundaries(p):
         for k, M in enumerate(group):
             c = classify(ctx, tuple(tuple(int(x) for x in row) for row in M))
             assert (ranks[k], discs[k]) == (c.d, -1 if c.disc == NONSQ else 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _context(p):
+    return prime_context(p)  # O(p) tables: build each once
+
+
+@given(st.data())
+@settings(max_examples=200)
+def test_classify_batch_matches_classify(data):
+    # primes on both sides of the int16 and int32 boundaries of int_dtype
+    p = data.draw(st.sampled_from((3, 5, 181, 191, 46337, 46349)))
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    entry = st.integers(min_value=0, max_value=p - 1)
+    upper = data.draw(st.lists(entry, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))
+    T = symmetric_from_digits(n, upper)
+    ctx = _context(p)
+    ranks, discs = classify_batch(ctx, np.array([T], dtype=np.int64))
+    c = classify(ctx, T)
+    assert (ranks[0], discs[0]) == (c.d, -1 if c.disc == NONSQ else 1)
 
 
 def test_digits_block_wide_primes():
