@@ -117,20 +117,15 @@ def cyc_mul(x: CycInt, y: CycInt) -> CycInt:
 def cyc_pow(x: CycInt, k: int) -> CycInt:
     if k < 0:
         raise ValueError("negative power")
-    out = cyc_const_like(x, 1)
+    out = CycInt(x.p, (1,) + (0,) * (x.p - 2))
     base = x
     while k:
         if k & 1:
             out = cyc_mul(out, base)
-        base_needed = k > 1
-        if base_needed:
+        if k > 1:
             base = cyc_mul(base, base)
         k >>= 1
     return out
-
-
-def cyc_const_like(x: CycInt, k: int) -> CycInt:
-    return CycInt(x.p, (k,) + (0,) * (x.p - 2))
 
 
 def g_star_one(ctx: PrimeContext) -> CycInt:

@@ -7,6 +7,7 @@ argument; contexts are immutable and safe to share.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 
 def _is_prime(p: int) -> bool:
@@ -33,8 +34,14 @@ class PrimeContext:
     inv: tuple = field(repr=False)
 
 
+@lru_cache(maxsize=32, typed=True)
 def prime_context(p: int) -> PrimeContext:
-    """Build the context for an odd prime p."""
+    """The context for an odd prime p.
+
+    Building one costs O(p) (the chi and inv tables), and contexts are
+    immutable, so each p is built once and shared by later calls. A
+    non-prime raises ValueError on every call.
+    """
     if not _is_prime(p) or p < 3:
         raise ValueError(f"p must be an odd prime >= 3, got {p}")
     squares = {(a * a) % p for a in range(1, p)}

@@ -148,6 +148,20 @@ def clear_caches():
     _class_cache.clear()
 
 
+def _digit_exponents(p: int, W: np.ndarray, dt) -> np.ndarray:
+    """Row t holds sum_k W[k, t] * d_k mod p for every digit string d of
+    length len(W), in enumeration order (first digit most significant).
+
+    Built as an iterated outer sum, one broadcast per digit, so the work
+    is one add per entry and no digit matrix is formed.
+    """
+    e = np.zeros((W.shape[1], 1), np.int64)
+    for w in W:
+        term = np.multiply.outer(w, np.arange(p, dtype=np.int64))
+        e = (e[:, :, None] + term[:, None, :]).reshape(len(e), -1)
+    return (e % p).astype(dt)
+
+
 def class_character_tables(ctx: PrimeContext, Ts, budget=None, jobs=None):
     """For each T, count symmetric S by (class of S, 2*trace(TS) mod p).
 
@@ -155,6 +169,14 @@ def class_character_tables(ctx: PrimeContext, Ts, budget=None, jobs=None):
     counts. Every signed or restricted character sum over symmetric
     matrices against T is a linear functional of this table, so one
     enumeration pass serves all of them.
+
+    The exponent 2*trace(TS) is sum_k w_k * d_k mod p, one term per
+    upper-triangle digit d_k of S. The digits split into a low part of
+    at most _CHUNK entries (a single digit when p alone exceeds it) and
+    a high prefix. The low part's exponents are built once per T; each
+    high prefix then owns one contiguous block of the cached class
+    codes, is counted by one bincount of code*p + low exponent per T,
+    and adds its own exponent by rotating those counts.
     """
     p = ctx.p
     Ts = [sym_matrix(ctx, T) for T in Ts]
@@ -169,20 +191,27 @@ def class_character_tables(ctx: PrimeContext, Ts, budget=None, jobs=None):
     codes = _classified(ctx, n, jobs)
     W = _exp_weights(ctx, Ts)
     nbins = (2 * n + 2) * p
-    acc = np.zeros((len(Ts), nbins), np.int64)
-    for lo, hi in _ranges(total, 1):
-        exps = (digits_block(p, K, lo, hi).astype(np.int64) @ W) % p
-        base = codes[lo:hi].astype(np.int64) * p
-        for row, e in enumerate(exps.T):
-            acc[row] += np.bincount(base + e, minlength=nbins)
+    dt = np.min_scalar_type(nbins - 1)  # holds every bin index
+    k_low = 1
+    while k_low < K and p ** (k_low + 1) <= _CHUNK:
+        k_low += 1
+    low = _digit_exponents(p, W[K - k_low :], dt)
+    high = _digit_exponents(p, W[: K - k_low], np.int64)
+    size = low.shape[1]
+    acc = np.zeros((len(Ts), 2 * n + 2, p), np.int64)
+    for h in range(high.shape[1]):
+        base = codes[h * size : (h + 1) * size].astype(dt) * p
+        for row, e in enumerate(low):
+            cnt = np.bincount(base + e, minlength=nbins).reshape(-1, p)
+            shift = high[row, h]
+            acc[row] += np.roll(cnt, shift, axis=1) if shift else cnt
     tables = []
-    for row in acc:
-        mat = row.reshape(n + 1, 2, p)
+    for mat in acc:
         tab = {}
         for d in range(n + 1):
-            tab[(d, SQ)] = tuple(int(x) for x in mat[d, 0])
+            tab[(d, SQ)] = tuple(mat[2 * d].tolist())
             if d >= 1:
-                tab[(d, NONSQ)] = tuple(int(x) for x in mat[d, 1])
+                tab[(d, NONSQ)] = tuple(mat[2 * d + 1].tolist())
         tables.append(tab)
     return tables
 

@@ -54,6 +54,15 @@ def test_eval_restricted(capsys):
     assert data["match"] is True
 
 
+def test_eval_non_prime_stays_a_usage_error(capsys):
+    # prime_context memoizes its contexts; a non-prime must still be
+    # refused on every request, also after a good one
+    assert run(capsys, "eval", "--p", "3", "--n", "1", "--rank", "1")[0] == 0
+    for _ in range(2):
+        code, _, err = run(capsys, "eval", "--p", "4", "--n", "1", "--rank", "1")
+        assert code == 2 and "odd prime" in err
+
+
 def test_eval_usage_errors(capsys):
     bad = [
         ("eval", "--p", "4", "--n", "1", "--rank", "1"),

@@ -49,3 +49,12 @@ def test_chi_table(ctx7):
 def test_inverse_table(ctx7):
     for a in range(1, 7):
         assert (a * ctx7.inv[a]) % 7 == 1
+
+
+def test_contexts_are_built_once_per_prime():
+    assert prime_context(100003) is prime_context(100003)
+    assert prime_context(7) is not prime_context(11)
+    # a failed build is not cached: a non-prime raises on every call
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            prime_context(4)

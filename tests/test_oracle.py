@@ -26,6 +26,7 @@ from isogauss import (
     rep_count_bf,
 )
 from isogauss import all_classes, counts, orth_order, run_suite
+from isogauss import classify, enumerate_symmetric
 from isogauss import oracle
 from isogauss.oracle import _CHUNK, _ranges, clear_caches, subspace_census
 
@@ -120,6 +121,75 @@ def test_ranges_split_at_least_jobs_ways():
         assert all(a[1] == b[0] for a, b in zip(got, got[1:]))
         assert all(0 < hi - lo <= _CHUNK for lo, hi in got)
     assert _ranges(10, 1) == [(0, 10)]
+
+
+def _scalar_tables(ctx, n, Ts):
+    """class_character_tables by a plain loop: classify each S, and take
+    2*trace(TS) straight from the entries."""
+    p = ctx.p
+    classes = [(S, classify(ctx, S)) for S in enumerate_symmetric(ctx, n)]
+    out = []
+    for T in Ts:
+        tab = {(d, SQ): [0] * p for d in range(n + 1)}
+        tab.update({(d, NONSQ): [0] * p for d in range(1, n + 1)})
+        for S, c in classes:
+            tr = sum(T[i][j] * S[j][i] for i in range(n) for j in range(n))
+            tab[(c.d, c.disc)][2 * tr % p] += 1
+        out.append({k: tuple(v) for k, v in tab.items()})
+    return out
+
+
+def _random_symmetric(rng, p, n):
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a[i][j] = a[j][i] = rng.randrange(p)
+    return tuple(map(tuple, a))
+
+
+def test_tables_match_a_scalar_loop():
+    rng = random.Random(11)
+    # (7, 3) is left out: its 7^6 scalar classifications take seconds
+    for p, n in ((3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (5, 3), (7, 1), (7, 2)):
+        ctx = prime_context(p)
+        Ts = [_random_symmetric(rng, p, n) for _ in range(4)]
+        Ts.append(tuple(tuple(0 for _ in range(n)) for _ in range(n)))
+        assert class_character_tables(ctx, Ts) == _scalar_tables(ctx, n, Ts)
+
+
+@pytest.mark.parametrize("p", [61, 67, 181, 191, 16381, 16411, 46337, 46349])
+def test_tables_match_a_scalar_loop_across_dtype_boundaries(p):
+    # at n = 1 the bin indices code*p + exponent fit 8 bits up to p = 61
+    # and 16 bits up to p = 16381; int_dtype widens past 181 and 46337
+    ctx = prime_context(p)
+    rng = random.Random(p)
+    Ts = [((rng.randrange(1, p),),), ((p - 1,),), ((0,),)]
+    assert class_character_tables(ctx, Ts) == _scalar_tables(ctx, 1, Ts)
+
+
+def test_tables_across_many_prefix_blocks(ctx3, ctx5, monkeypatch):
+    rng = random.Random(5)
+    for ctx, n, chunk in ((ctx3, 3, 9), (ctx3, 3, 2), (ctx5, 2, 3)):
+        Ts = [_random_symmetric(rng, ctx.p, n) for _ in range(3)]
+        want = class_character_tables(ctx, Ts)  # also caches the classes
+        with monkeypatch.context() as m:
+            # a small _CHUNK leaves a high prefix above the low digits;
+            # below p it still keeps one low digit
+            m.setattr(oracle, "_CHUNK", chunk)
+            assert class_character_tables(ctx, Ts) == want
+
+
+def test_counting_pass_expands_no_digits(ctx5, monkeypatch):
+    T = [canonical_matrix(ctx5, FormClass(3, 2, NONSQ)), _zero(3)]
+    want = class_character_tables(ctx5, T)  # classifies and caches the cell
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the counting pass expanded digits")
+
+    monkeypatch.setattr(oracle, "digits_block", refuse)
+    assert class_character_tables(ctx5, T) == want
+    monkeypatch.setattr(oracle, "_CHUNK", 25)
+    assert class_character_tables(ctx5, T) == want
 
 
 def test_gauss_sum_is_congruence_invariant(ctx3):
