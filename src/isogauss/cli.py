@@ -67,6 +67,13 @@ def _parse_matrix(ctx, text):
         raise UsageError(str(e))
 
 
+def _coeff_strings(coeffs) -> list:
+    """str() of each coefficient, converting each distinct value once:
+    an embedding a + b*g* has at most three."""
+    text = {c: str(c) for c in set(coeffs)}
+    return list(map(text.__getitem__, coeffs))
+
+
 def cmd_eval(args) -> int:
     ctx = _context(args.p)
     budget = _budget(args)
@@ -102,7 +109,7 @@ def cmd_eval(args) -> int:
         "disc": _DISC_NAMES[cls.disc],
         "restrict": r,
         "value": value.to_json(),
-        "embedding": [str(c) for c in emb.coeffs],
+        "embedding": _coeff_strings(emb.coeffs),
         "oracle": None,
         "match": None,
     }
@@ -113,8 +120,9 @@ def cmd_eval(args) -> int:
             orc = oracle.gauss_twisted_bf(ctx, mat, budget, jobs)
         else:
             orc = oracle.gauss_restricted_bf(ctx, mat, r, budget, jobs)
-        out["oracle"] = [str(c) for c in orc.coeffs]
         out["match"] = emb == orc
+        # equal coefficients print alike: reuse the embedding's strings
+        out["oracle"] = out["embedding"] if out["match"] else _coeff_strings(orc.coeffs)
         code = 0 if out["match"] else 1
     except BudgetExceeded as e:
         out["skipped"] = str(e)

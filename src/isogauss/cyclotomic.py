@@ -11,9 +11,13 @@ use that convention on both the closed-form and oracle sides.
 """
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import mul
 from typing import Tuple
 
-from .field import PrimeContext
+import numpy as np
+
+from .field import PrimeContext, per_prime
 
 
 @dataclass(frozen=True)
@@ -92,12 +96,17 @@ def reduce_exponent_vector(p: int, counts) -> Tuple[int, ...]:
     """Collapse integer weights on zeta^0..zeta^(p-1) to the power basis.
 
     counts[e] multiplies zeta^e for e in 0..p-1; the zeta^(p-1) weight is
-    folded in via zeta^(p-1) = -(sum of lower powers).
+    folded in via zeta^(p-1) = -(sum of lower powers). An integer
+    ndarray is reduced by one vectorised subtraction, so its entries
+    and their differences must fit its dtype; anything else is reduced
+    in Python integers.
     """
     if len(counts) != p:
         raise ValueError(f"need {p} exponent weights")
-    top = counts[p - 1]
-    return tuple(int(counts[e]) - int(top) for e in range(p - 1))
+    if isinstance(counts, np.ndarray):
+        return tuple((counts[: p - 1] - counts[p - 1]).tolist())
+    top = int(counts[p - 1])
+    return tuple(int(c) - top for c in counts[: p - 1])
 
 
 def cyc_mul(x: CycInt, y: CycInt) -> CycInt:
@@ -128,12 +137,16 @@ def cyc_pow(x: CycInt, k: int) -> CycInt:
     return out
 
 
+@per_prime
 def g_star_one(ctx: PrimeContext) -> CycInt:
-    """The scalar twisted sum: sum over s != 0 of chi(s) * zeta^(2s)."""
+    """The scalar twisted sum: sum over s != 0 of chi(s) * zeta^(2s).
+
+    Built once per prime; later calls return the same object.
+    """
     p = ctx.p
-    acc = [0] * p
-    for s in range(1, p):
-        acc[(2 * s) % p] += ctx.chi[s]
+    s = np.arange(1, p, dtype=np.int64)
+    acc = np.zeros(p, np.int64)
+    acc[2 * s % p] = np.array(ctx.chi[1:], np.int64)  # s -> 2s is a bijection
     return CycInt(p, reduce_exponent_vector(p, acc))
 
 
@@ -166,5 +179,8 @@ def quad_pow(u: QuadValue, k: int, ctx: PrimeContext) -> QuadValue:
 
 
 def embed(u: QuadValue, ctx: PrimeContext) -> CycInt:
-    """Image of a + b*g in Z[zeta_p]."""
-    return cyc_add(cyc_const(ctx, u.a), cyc_scale(u.b, g_star_one(ctx)))
+    """Image of a + b*g in Z[zeta_p]: b times g*, plus a on zeta^0."""
+    g = g_star_one(ctx).coeffs
+    coeffs = list(map(mul, repeat(u.b, len(g)), g))
+    coeffs[0] += u.a
+    return CycInt(ctx.p, tuple(coeffs))

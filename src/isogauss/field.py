@@ -6,8 +6,16 @@ epsilon = chi(-1). Everything downstream takes the context as first
 argument; contexts are immutable and safe to share.
 """
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
+
+import numpy as np
+
+# how many primes' O(p) tables each per-prime cache keeps
+CACHED_PRIMES = 32
+# the tables are built in int64: every product of two residues must fit
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def _is_prime(p: int) -> bool:
@@ -34,21 +42,66 @@ class PrimeContext:
     inv: tuple = field(repr=False)
 
 
-@lru_cache(maxsize=32, typed=True)
+@lru_cache(maxsize=CACHED_PRIMES, typed=True)
 def prime_context(p: int) -> PrimeContext:
     """The context for an odd prime p.
 
     Building one costs O(p) (the chi and inv tables), and contexts are
     immutable, so each p is built once and shared by later calls. A
-    non-prime raises ValueError on every call.
+    non-prime, or a p with (p-1)^2 past the int64 range the tables are
+    built in, raises ValueError on every call.
     """
+    if p >= 3 and (p - 1) ** 2 > _INT64_MAX:
+        raise ValueError(
+            f"p must satisfy (p-1)^2 <= 2^63-1 (p <= 3037000500), got {p}"
+        )
     if not _is_prime(p) or p < 3:
         raise ValueError(f"p must be an odd prime >= 3, got {p}")
-    squares = {(a * a) % p for a in range(1, p)}
-    chi = tuple(0 if a == 0 else (1 if a in squares else -1) for a in range(p))
-    omega = next(a for a in range(2, p) if chi[a] == -1)
-    inv = tuple(0 if a == 0 else pow(a, p - 2, p) for a in range(p))
-    return PrimeContext(p=p, omega=omega, epsilon=chi[p - 1], chi=chi, inv=inv)
+    a = np.arange(p, dtype=np.int64)
+    chi = np.full(p, -1, np.int8)
+    chi[a[1 : (p + 1) // 2] ** 2 % p] = 1  # a and p-a share a square
+    chi[0] = 0
+    # inv[a] = a^(p-2) by square-and-multiply over the whole table;
+    # every product is below (p-1)^2, inside int64
+    inv = np.ones(p, np.int64)
+    e = p - 2
+    while e:
+        if e & 1:
+            inv = inv * a % p
+        e >>= 1
+        if e:
+            a = a * a % p
+    omega = int(np.argmax(chi == -1))
+    return PrimeContext(
+        p=p,
+        omega=omega,
+        epsilon=int(chi[p - 1]),
+        chi=tuple(chi.tolist()),
+        inv=tuple(inv.tolist()),
+    )
+
+
+def per_prime(build):
+    """Memoize build(ctx) on ctx.p, for the last CACHED_PRIMES primes.
+
+    The key is p, not the context: hashing a context hashes its two
+    O(p) tables. The cached value is shared by every caller, so it must
+    not be mutated.
+    """
+    cache = OrderedDict()
+
+    @wraps(build)
+    def cached(ctx: PrimeContext):
+        value = cache.get(ctx.p)
+        if value is None:
+            value = cache[ctx.p] = build(ctx)
+            if len(cache) > CACHED_PRIMES:
+                cache.popitem(last=False)
+        else:
+            cache.move_to_end(ctx.p)
+        return value
+
+    return cached
 
 
 def legendre(ctx: PrimeContext, a: int) -> int:

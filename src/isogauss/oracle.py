@@ -220,16 +220,22 @@ def class_character_table(ctx: PrimeContext, T, budget=None, jobs=None):
     return class_character_tables(ctx, [T], budget, jobs)[0]
 
 
-def _from_exponents(ctx: PrimeContext, counts) -> CycInt:
-    return CycInt(ctx.p, reduce_exponent_vector(ctx.p, list(counts)))
+def signed_sum(ctx: PrimeContext, plus, minus) -> CycInt:
+    """sum over e of (plus[e] - minus[e]) * zeta^e, for two length-p
+    count vectors of one table.
+
+    The counts are nonnegative and share one total below 2^63, so the
+    int64 differences, and those taken by the reduction, cannot overflow.
+    """
+    diff = np.subtract(plus, minus, dtype=np.int64)
+    return CycInt(ctx.p, reduce_exponent_vector(ctx.p, diff))
 
 
 def gauss_twisted_bf(ctx: PrimeContext, T, budget=None, jobs=None) -> CycInt:
     """Sum of legendre(det S) * character(trace(TS)) over symmetric S."""
     tab = class_character_table(ctx, T, budget, jobs)
     n = len(T)
-    plus, minus = tab[(n, SQ)], tab[(n, NONSQ)]
-    return _from_exponents(ctx, [a - b for a, b in zip(plus, minus)])
+    return signed_sum(ctx, tab[(n, SQ)], tab[(n, NONSQ)])
 
 
 def gauss_restricted_bf(ctx: PrimeContext, T, r: int, budget=None, jobs=None) -> CycInt:
@@ -244,8 +250,7 @@ def gauss_restricted_bf(ctx: PrimeContext, T, r: int, budget=None, jobs=None) ->
     if r == 0:
         return cyc_zero(ctx)
     tab = class_character_table(ctx, T, budget, jobs)
-    plus, minus = tab[(r, SQ)], tab[(r, NONSQ)]
-    return _from_exponents(ctx, [a - b for a, b in zip(plus, minus)])
+    return signed_sum(ctx, tab[(r, SQ)], tab[(r, NONSQ)])
 
 
 def gauss_untwisted_bf(ctx: PrimeContext, A, B, budget=None) -> CycInt:
@@ -270,7 +275,7 @@ def gauss_untwisted_bf(ctx: PrimeContext, A, B, budget=None) -> CycInt:
         V = (V @ Bb) % p
         e = (2 * (U * V).sum(axis=(1, 2))) % p
         acc += np.bincount(e, minlength=p)
-    return _from_exponents(ctx, acc.tolist())
+    return CycInt(p, reduce_exponent_vector(p, acc))
 
 
 # representation counts ------------------------------------------------

@@ -11,7 +11,7 @@ from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .field import PrimeContext
+from .field import PrimeContext, per_prime
 
 SQ = "sq"
 NONSQ = "nonsq"
@@ -148,6 +148,16 @@ def int_dtype(p: int):
     return np.int64
 
 
+@per_prime
+def _batch_lookups(ctx: PrimeContext):
+    """classify_batch's inverse and character tables as read-only
+    arrays, built once per prime."""
+    inv = np.array(ctx.inv, dtype=int_dtype(ctx.p))
+    chi = np.array(ctx.chi, dtype=np.int8)
+    inv.flags.writeable = chi.flags.writeable = False
+    return inv, chi
+
+
 def classify_batch(ctx: PrimeContext, mats: np.ndarray):
     """Vectorized classify over a batch of symmetric matrices.
 
@@ -161,7 +171,7 @@ def classify_batch(ctx: PrimeContext, mats: np.ndarray):
     B, n, _ = a.shape
     rank = np.zeros(B, dtype=np.int16)
     prod = np.ones(B, dtype=dt)
-    invtab = np.array(ctx.inv, dtype=dt)
+    invtab, chitab = _batch_lookups(ctx)
 
     for k in range(n):
         need = a[:, k, k] == 0
@@ -218,7 +228,7 @@ def classify_batch(ctx: PrimeContext, mats: np.ndarray):
             f[:, : k + 1] = 0
             f[~act] = 0
             a = (a - f[:, :, None] * a[:, k : k + 1, :]) % p
-    disc = np.array([ctx.chi[v] for v in range(p)], dtype=np.int8)[prod]
+    disc = chitab[prod]
     disc = np.where(rank == 0, np.int8(1), disc)
     return rank.astype(np.int64), disc.astype(np.int8)
 

@@ -21,8 +21,6 @@ from .cyclotomic import (
     cyc_const,
     cyc_mul,
     cyc_neg,
-    cyc_scale,
-    cyc_add,
     embed,
     g_star_one,
     reduce_exponent_vector,
@@ -90,11 +88,6 @@ def _cells(primes, max_n, budget):
             yield p, n
 
 
-def _cyc_from_diff(ctx, plus, minus) -> CycInt:
-    diff = [a - b for a, b in zip(plus, minus)]
-    return CycInt(ctx.p, reduce_exponent_vector(ctx.p, diff))
-
-
 def _skip(suite, instance, exc, elapsed=0.0) -> VerifyReport:
     return VerifyReport(
         suite=suite,
@@ -132,7 +125,7 @@ def _suite_thm11(primes, max_n, budget, jobs):
         shared = (perf_counter() - t0) / len(classes)
         for c, inst, tab in zip(classes, insts, tabs):
             t1 = perf_counter()
-            rhs = _cyc_from_diff(ctx, tab[(n, SQ)], tab[(n, NONSQ)])
+            rhs = oracle.signed_sum(ctx, tab[(n, SQ)], tab[(n, NONSQ)])
             lhs = embed(formulas.thm11_value(ctx, n, c.d, c.disc), ctx)
             reports.append(
                 VerifyReport(
@@ -211,7 +204,7 @@ def _suite_prop41(primes, max_n, budget, jobs):
                 if r == 0:
                     rhs = cyc_const(ctx, 0)
                 else:
-                    rhs = _cyc_from_diff(ctx, tab[(r, SQ)], tab[(r, NONSQ)])
+                    rhs = oracle.signed_sum(ctx, tab[(r, SQ)], tab[(r, NONSQ)])
                 lhs = embed(formulas.prop41_value(ctx, n, c.d, c.disc, r), ctx)
                 reports.append(
                     VerifyReport(
@@ -330,7 +323,7 @@ def _suite_lemma53(primes, max_n, budget, jobs):
                             p, reduce_exponent_vector(p, list(tab[(0, SQ)]))
                         )
                     else:
-                        lhs = _cyc_from_diff(ctx, tab[(ell, SQ)], tab[(ell, NONSQ)])
+                        lhs = oracle.signed_sum(ctx, tab[(ell, SQ)], tab[(ell, NONSQ)])
                     try:
                         rhs = _lemma53_rhs(ctx, x_mat, ell, budget)
                     except BudgetExceeded as e:
@@ -352,7 +345,7 @@ def _lemma53_rhs(ctx, x_mat, ell, budget) -> CycInt:
         gv = _gauss_star_closed(ctx, cls)
         a_part += count * gv.a
         b_part += count * gv.b
-    return cyc_add(cyc_const(ctx, a_part), cyc_scale(b_part, g_star_one(ctx)))
+    return embed(QuadValue(a_part, b_part), ctx)
 
 
 def _suite_lemma54(primes, max_n, budget, jobs):
@@ -465,7 +458,7 @@ def _suite_zero_forms(primes, max_n, budget, jobs):
             continue
         shared = (perf_counter() - t0) / (n + 1)
         t1 = perf_counter()
-        rhs = _cyc_from_diff(ctx, tab[(n, SQ)], tab[(n, NONSQ)])
+        rhs = oracle.signed_sum(ctx, tab[(n, SQ)], tab[(n, NONSQ)])
         lhs = embed(
             formulas.gauss_zero_even(ctx, n // 2) if n % 2 == 0 else QuadValue(0, 0),
             ctx,
@@ -480,7 +473,7 @@ def _suite_zero_forms(primes, max_n, budget, jobs):
         # restricted sums of the zero form: pure orbit-size differences
         for r in range(1, n):
             t1 = perf_counter()
-            rhs = _cyc_from_diff(ctx, tab[(r, SQ)], tab[(r, NONSQ)])
+            rhs = oracle.signed_sum(ctx, tab[(r, SQ)], tab[(r, NONSQ)])
             lhs = embed(formulas.prop41_value(ctx, n, 0, SQ, r), ctx)
             reports.append(
                 VerifyReport(

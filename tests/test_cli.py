@@ -2,7 +2,24 @@ import json
 
 import pytest
 
-from isogauss import QuadValue, cli
+from isogauss import (
+    CycInt,
+    FormClass,
+    QuadValue,
+    SQ,
+    NONSQ,
+    Budget,
+    BudgetExceeded,
+    canonical_matrix,
+    cli,
+    cyc_add,
+    cyc_const,
+    cyc_scale,
+    formulas,
+    oracle,
+    prime_context,
+)
+from isogauss.cyclotomic import reduce_exponent_vector
 
 
 def run(capsys, *argv):
@@ -66,6 +83,7 @@ def test_eval_non_prime_stays_a_usage_error(capsys):
 def test_eval_usage_errors(capsys):
     bad = [
         ("eval", "--p", "4", "--n", "1", "--rank", "1"),
+        ("eval", "--p", str(2**61 - 1), "--n", "1", "--rank", "1"),  # (p-1)^2 > 2^63-1
         ("eval", "--p", "3", "--matrix", "[[1,2],[3,4]]"),
         ("eval", "--p", "3", "--matrix", "[[1,2]]"),
         ("eval", "--p", "3", "--matrix", "[[1,"),
@@ -107,8 +125,6 @@ def test_eval_past_int16(capsys):
 
 def test_eval_small_cell_forks_no_pool(capsys, monkeypatch):
     # a 27-matrix cell is classified in process whatever --jobs says
-    from isogauss import oracle
-
     def refuse(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
@@ -120,14 +136,66 @@ def test_eval_small_cell_forks_no_pool(capsys, monkeypatch):
 
 
 def test_eval_mismatch_exit(capsys, monkeypatch):
-    from isogauss import formulas
-
     monkeypatch.setattr(formulas, "thm11_value", lambda *a: QuadValue(5, 7))
     code, out, _ = run(
         capsys, "eval", "--p", "3", "--n", "1", "--rank", "1", "--jobs", "1"
     )
     assert code == 1
-    assert json.loads(out)["match"] is False
+    data = json.loads(out)
+    assert data["match"] is False
+    # the oracle's own coefficients, not a copy of the embedding
+    orc = oracle.gauss_twisted_bf(prime_context(3), ((1,),))
+    assert data["oracle"] == [str(c) for c in orc.coeffs]
+    assert data["oracle"] != data["embedding"]
+
+
+def _eval_output_by_loops(p, n, d, r):
+    """eval's stdout for the square class (n, d), built without the
+    per-prime caches: g* by its defining loop, the embedding as
+    const + scale, the oracle's signed sum in Python integers, and
+    str() of every coefficient."""
+    ctx = prime_context(p)
+    mat = canonical_matrix(ctx, FormClass(n, d, SQ))
+    if r is None:
+        value = formulas.thm11_value(ctx, n, d, SQ)
+    else:
+        value = formulas.prop41_value(ctx, n, d, SQ, r)
+    acc = [0] * p
+    for s in range(1, p):
+        acc[(2 * s) % p] += ctx.chi[s]
+    g = CycInt(p, reduce_exponent_vector(p, acc))
+    emb = cyc_add(cyc_const(ctx, value.a), cyc_scale(value.b, g))
+    out = {
+        "p": p, "n": n, "d": d, "disc": "sq", "restrict": r,
+        "value": {"a": str(value.a), "b": str(value.b)},
+        "embedding": [str(c) for c in emb.coeffs],
+        "oracle": None,
+        "match": None,
+    }
+    rank = n if r is None else r
+    try:
+        tab = oracle.class_character_table(ctx, mat, Budget(), None)
+    except BudgetExceeded as e:
+        out["skipped"] = str(e)
+    else:
+        diff = [a - b for a, b in zip(tab[(rank, SQ)], tab[(rank, NONSQ)])]
+        orc = CycInt(p, reduce_exponent_vector(p, diff))
+        out["oracle"] = [str(c) for c in orc.coeffs]
+        out["match"] = emb == orc
+    return json.dumps(out) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, cell",
+    [
+        (("--n", "1", "--rank", "1", "--jobs", "1"), (1, 1, None)),
+        (("--n", "3", "--rank", "2", "--restrict", "2"), (3, 2, 2)),
+    ],
+)
+def test_eval_output_is_unchanged_at_large_p(capsys, argv, cell):
+    code, out, _ = run(capsys, "eval", "--p", "100003", *argv)
+    assert code == 0
+    assert out == _eval_output_by_loops(100003, *cell)
 
 
 def test_table_csv(capsys):
@@ -227,6 +295,8 @@ def test_verify_usage(capsys):
     assert code == 2
     code, _, _ = run(capsys, "verify", "--suites", "scalars", "--primes", "6")
     assert code == 2
+    code, _, err = run(capsys, "verify", "--suites", "scalars", "--primes", "3,3037000507")
+    assert code == 2 and "2^63-1" in err
 
 
 def test_malformed_env_budget_is_a_usage_error(capsys, monkeypatch):

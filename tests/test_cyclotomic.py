@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -87,6 +88,50 @@ def test_reduce_exponent_vector_drops_top_power():
     assert reduce_exponent_vector(3, [0, 0, 1]) == (-1, -1)
     assert reduce_exponent_vector(3, [2, 5, 0]) == (2, 5)
     assert reduce_exponent_vector(5, [1, 0, 0, 0, 3]) == (-2, -3, -3, -3)
+
+
+def test_reduce_exponent_vector_list_and_ndarray_agree():
+    rng = np.random.default_rng(7)
+    for p in (3, 5, 101, 10007):
+        counts = rng.integers(-(10**12), 10**12, size=p, dtype=np.int64)
+        want = reduce_exponent_vector(p, counts.tolist())
+        got = reduce_exponent_vector(p, counts)
+        assert got == want
+        assert all(type(c) is int for c in got)
+
+
+def _g_star_by_loop(ctx):
+    # the defining sum, one exponent at a time
+    p = ctx.p
+    acc = [0] * p
+    for s in range(1, p):
+        acc[(2 * s) % p] += ctx.chi[s]
+    return CycInt(p, reduce_exponent_vector(p, acc))
+
+
+def test_g_star_matches_the_defining_loop():
+    for p in (3, 5, 7, 13, 101, 10007, 100003):
+        ctx = prime_context(p)
+        assert g_star_one(ctx) == _g_star_by_loop(ctx)
+
+
+def test_g_star_is_built_once_per_prime():
+    ctx = prime_context(101)
+    assert g_star_one(ctx) is g_star_one(ctx)
+    assert g_star_one(ctx) is g_star_one(prime_context(101))
+    assert g_star_one(ctx) is not g_star_one(prime_context(103))
+
+
+big_int = st.integers(min_value=-(10**60), max_value=10**60)
+
+
+# p = 1 mod 4 at 5, 13, 101; p = 3 mod 4 at 3, 7, 10007, 100003
+@given(st.sampled_from((3, 5, 7, 13, 101, 10007, 100003)), big_int, big_int)
+@settings(max_examples=40, deadline=None)
+def test_embed_matches_sum_of_scaled_g_star(p, a, b):
+    ctx = prime_context(p)
+    want = cyc_add(cyc_const(ctx, a), cyc_scale(b, g_star_one(ctx)))
+    assert embed(QuadValue(a, b), ctx) == want
 
 
 def test_g_at_three():

@@ -1,6 +1,6 @@
 import pytest
 
-from isogauss import prime_context, legendre, epsilon, canonical_nonsquare
+from isogauss import field, prime_context, legendre, epsilon, canonical_nonsquare
 
 
 def test_rejects_non_primes():
@@ -58,3 +58,32 @@ def test_contexts_are_built_once_per_prime():
     for _ in range(3):
         with pytest.raises(ValueError):
             prime_context(4)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 181, 191, 46337, 46349, 100003))
+def test_tables_match_the_scalar_definitions(p):
+    ctx = prime_context(p)
+    squares = {(a * a) % p for a in range(1, p)}
+    assert ctx.chi == tuple(
+        0 if a == 0 else (1 if a in squares else -1) for a in range(p)
+    )
+    assert ctx.inv == tuple(0 if a == 0 else pow(a, p - 2, p) for a in range(p))
+    assert ctx.omega == next(a for a in range(2, p) if a not in squares)
+    assert ctx.epsilon == (1 if p - 1 in squares else -1)
+
+
+class _NoTables:
+    def __getattr__(self, name):
+        raise AssertionError(f"built a table with np.{name}")
+
+
+def test_refuses_p_past_the_int64_products(monkeypatch):
+    # (p-1)^2 <= 2^63-1 holds up to p = 3037000500; no table is built
+    # on the way to the refusal, so a huge p fails at once
+    monkeypatch.setattr(field, "np", _NoTables())
+    for p in (3037000501, 3037000507, 2**61 - 1, 2**127 - 1):
+        with pytest.raises(ValueError, match=r"2\^63-1"):
+            prime_context(p)
+    # the largest p inside the limit gets as far as the primality test
+    with pytest.raises(ValueError, match="odd prime"):
+        prime_context(3037000500)
