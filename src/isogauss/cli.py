@@ -77,7 +77,7 @@ def _coeff_strings(coeffs) -> list:
 def cmd_eval(args) -> int:
     ctx = _context(args.p)
     budget = _budget(args)
-    jobs = _jobs(args)
+    _jobs(args)  # checked only: large cells recurse on dimension, no pool
     if args.matrix is not None:
         mat = _parse_matrix(ctx, args.matrix)
         cls = classify(ctx, mat)
@@ -114,12 +114,11 @@ def cmd_eval(args) -> int:
         "match": None,
     }
     code = 0
-    jobs = oracle.jobs_for(ctx.p, cls.n, jobs)
     try:
         if r is None:
-            orc = oracle.gauss_twisted_bf(ctx, mat, budget, jobs)
+            orc = oracle.gauss_twisted_bf(ctx, mat, budget)
         else:
-            orc = oracle.gauss_restricted_bf(ctx, mat, r, budget, jobs)
+            orc = oracle.gauss_restricted_bf(ctx, mat, r, budget)
         out["match"] = emb == orc
         # equal coefficients print alike: reuse the embedding's strings
         out["oracle"] = out["embedding"] if out["match"] else _coeff_strings(orc.coeffs)

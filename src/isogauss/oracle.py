@@ -3,14 +3,16 @@
 Every closed formula in this package is checked against the functions
 here, which evaluate sums and counts by full enumeration with no
 number-theoretic shortcuts. numpy does the batch work; all
-accumulation is exact integer arithmetic, so chunked, parallel, and
-single-pass evaluations agree bit for bit.
+accumulation is exact integer arithmetic. Large spaces of symmetric
+matrices are classified by recursion on dimension (the Witt
+decomposition) rather than matrix by matrix; the recursive, chunked and
+pooled classifications give the same class codes bit for bit.
 """
 
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -94,14 +96,6 @@ def _ranges(total: int, jobs: int):
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
-def jobs_for(p: int, n: int, jobs) -> int:
-    """Pool size for classifying the (p, n) symmetric space: a process
-    pool pays off only on cells of at least 2^21 matrices."""
-    if jobs and jobs > 1 and p ** (n * (n + 1) // 2) >= (1 << 21):
-        return jobs
-    return 0
-
-
 def _codes(ctx: PrimeContext, mats: np.ndarray) -> np.ndarray:
     """Class code rank*2 + is_nonsquare of each matrix in a batch."""
     rank, disc = classify_batch(ctx, mats)
@@ -114,6 +108,88 @@ def _class_codes(ctx: PrimeContext, n: int, lo: int, hi: int) -> np.ndarray:
     return _codes(ctx, _mats_from_digits(n, digits))
 
 
+def _restriction(ctx: PrimeContext, s1) -> np.ndarray:
+    """C with digits(N^T S' N) = digits(S') @ C mod p, where the columns
+    of N are a basis of the kernel of the nonzero row s1.
+
+    Digits are upper-triangle entries in enumeration order, so C has one
+    row per digit of S' and one column per digit of N^T S' N.
+    """
+    p = ctx.p
+    m = len(s1)
+    piv = next(i for i, v in enumerate(s1) if v)
+    N = np.zeros((m, m - 1), np.int64)
+    for col, i in enumerate(i for i in range(m) if i != piv):
+        N[i, col] = 1
+        N[piv, col] = -s1[i] * ctx.inv[s1[piv]] % p
+    I, J = np.array(upper_positions(m), np.int64).reshape(-1, 2).T
+    A, B = np.array(upper_positions(m - 1), np.int64).reshape(-1, 2).T
+    # digit (i, j) of S' stands for E_ij + E_ji, or E_ii on the diagonal
+    C = N[I][:, A] * N[J][:, B]
+    C += np.where((I != J)[:, None], N[J][:, A] * N[I][:, B], 0)
+    return C % p
+
+
+def _recursed(ctx: PrimeContext, n: int) -> np.ndarray:
+    """Class codes of the (p, n) cell built from the (p, n-1) and
+    (p, n-2) cells, by splitting off the first basis vector (Witt
+    decomposition).
+
+    Write S with first row (s11, s1) and lower-right block S'. Each
+    prefix (s11, s1) owns one contiguous block of codes, indexed by the
+    digits of S' in (p, n-1) enumeration order:
+    - s11 != 0: S = <s11> perp (S' - s1 s1^T / s11), so the block is the
+      (p, n-1) codes rolled by the digits of s1 s1^T / s11, with rank + 1
+      and the class flipped when chi(s11) = -1;
+    - s11 = 0, s1 = 0: S = <0> perp S', the (p, n-1) codes as they are;
+    - s11 = 0, s1 != 0: S = H perp (S' restricted to ker s1), H a
+      hyperbolic plane of discriminant -1, so the block looks up the
+      (p, n-2) codes at the digits of N^T S' N, with rank + 2 and the
+      class flipped when chi(-1) = -1.
+
+    Prefixes with the same block, (l^2 s11, l s1) for every l != 0 in the
+    first case and every multiple of s1 in the last, build it once and
+    copy it.
+    """
+    p = ctx.p
+    k1 = n * (n - 1) // 2
+    k2 = (n - 1) * (n - 2) // 2
+    sub = _classified(ctx, n - 1)
+    raised = (sub + 2).reshape((p,) * k1)
+    aniso = {1: raised, -1: raised ^ 1}
+    hyper = (_classified(ctx, n - 2) + 4) ^ int(ctx.chi[p - 1] == -1)
+    pos = upper_positions(n - 1)
+    axes = tuple(range(k1))
+    digits = digits_block(p, k1, 0, p**k1).astype(np.int64)
+    powers = p ** np.arange(k2 - 1, -1, -1, dtype=np.int64)
+    size = p**k1
+    codes = np.empty(p**n * size, np.uint8)
+    seen = {}  # block key -> first prefix holding that block
+    for h, (s11, *s1) in enumerate(product(range(p), repeat=n)):
+        block = codes[h * size : (h + 1) * size]
+        if s11:
+            # (l^2 s11, l s1) gives the same block for every l != 0
+            inv = ctx.inv[s11]
+            key = (ctx.chi[s11], *(s1[i] * s1[j] * inv % p for i, j in pos))
+        elif any(s1):
+            # N, and so the block, depends only on the line of s1; the
+            # leading 0 keeps these keys apart from the chi(s11) = +-1 ones
+            inv = ctx.inv[next(v for v in s1 if v)]
+            key = (0, *(v * inv % p for v in s1))
+        else:
+            block[:] = sub
+            continue
+        if key in seen:
+            block[:] = codes[seen[key] * size : (seen[key] + 1) * size]
+            continue
+        seen[key] = h
+        if s11:
+            block[:] = np.roll(aniso[key[0]], key[1:], axes).ravel()
+        else:
+            block[:] = hyper[(digits @ _restriction(ctx, key[1:])) % p @ powers]
+    return codes
+
+
 # class codes of the full symmetric space, cached per (p, n)
 _class_cache: dict = {}
 
@@ -121,22 +197,29 @@ _class_cache: dict = {}
 def _classified(ctx: PrimeContext, n: int, jobs=None) -> np.ndarray:
     """Class codes of every symmetric n x n matrix, in enumeration order.
 
-    The first call for a (p, n) cell classifies it, through a process
-    pool when jobs > 1; later calls return the cached codes.
+    The first call for a (p, n) cell builds its codes and caches them;
+    later calls return the cached codes. A cell with n >= 2 of more than
+    _CHUNK matrices is built by recursion on dimension (_recursed) from
+    the cached (p, n-1) and (p, n-2) cells. Every other cell, n = 1 at
+    any p included, is classified matrix by matrix, through a process
+    pool when jobs > 1.
     """
     key = (ctx.p, n)
     codes = _class_cache.get(key)
     if codes is not None:
         return codes
     total = ctx.p ** (n * (n + 1) // 2)
-    codes = np.empty(total, np.uint8)
-    if jobs and jobs > 1:
+    if n >= 2 and total > _CHUNK:
+        codes = _recursed(ctx, n)
+    elif jobs and jobs > 1:
+        codes = np.empty(total, np.uint8)
         ranges = _ranges(total, jobs)
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             futs = [ex.submit(_class_codes, ctx, n, lo, hi) for lo, hi in ranges]
             for (lo, hi), f in zip(ranges, futs):
                 codes[lo:hi] = f.result()
     else:
+        codes = np.empty(total, np.uint8)
         for lo, hi in _ranges(total, 1):
             codes[lo:hi] = _class_codes(ctx, n, lo, hi)
     codes.flags.writeable = False  # shared by every later caller

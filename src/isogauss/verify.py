@@ -117,7 +117,6 @@ def _suite_thm11(primes, max_n, budget, jobs):
                 ctx,
                 [canonical_matrix(ctx, c) for c in classes],
                 budget,
-                oracle.jobs_for(p, n, jobs),
             )
         except BudgetExceeded as e:
             reports.extend(_skip("thm11", i, e) for i in insts)
@@ -189,7 +188,6 @@ def _suite_prop41(primes, max_n, budget, jobs):
                 ctx,
                 [canonical_matrix(ctx, c) for c in classes],
                 budget,
-                oracle.jobs_for(p, n, jobs),
             )
         except BudgetExceeded as e:
             for inst in insts:
@@ -305,9 +303,7 @@ def _suite_lemma53(primes, max_n, budget, jobs):
             ]
             t0 = perf_counter()
             try:
-                tabs = oracle.class_character_tables(
-                    ctx, mats, budget, oracle.jobs_for(p, d, jobs)
-                )
+                tabs = oracle.class_character_tables(ctx, mats, budget)
             except BudgetExceeded as e:
                 reports.extend(_skip("lemma53", i, e) for i in insts)
                 continue
@@ -450,9 +446,7 @@ def _suite_zero_forms(primes, max_n, budget, jobs):
         zero = tuple(tuple(0 for _ in range(n)) for _ in range(n))
         t0 = perf_counter()
         try:
-            tab = oracle.class_character_table(
-                ctx, zero, budget, oracle.jobs_for(p, n, jobs)
-            )
+            tab = oracle.class_character_table(ctx, zero, budget)
         except BudgetExceeded as e:
             reports.append(_skip("zero_forms", {"p": p, "n": n}, e))
             continue

@@ -192,6 +192,72 @@ def test_counting_pass_expands_no_digits(ctx5, monkeypatch):
     assert class_character_tables(ctx5, T) == want
 
 
+def _direct_codes(ctx, n):
+    return oracle._class_codes(ctx, n, 0, ctx.p ** (n * (n + 1) // 2))
+
+
+def _counting_classify_batch(monkeypatch):
+    """Wrap oracle.classify_batch; the returned list collects the shape
+    of every batch it is given."""
+    seen = []
+    orig = oracle.classify_batch
+
+    def counted(ctx, mats):
+        seen.append(mats.shape)
+        return orig(ctx, mats)
+
+    monkeypatch.setattr(oracle, "classify_batch", counted)
+    return seen
+
+
+def test_recursion_matches_direct_classification(monkeypatch):
+    # with _CHUNK = 1 every cell with n >= 2 recurses down to n = 1 and
+    # n = 0; p = 3, 7, 11 have chi(-1) = -1, where the hyperbolic case
+    # flips the class, and p = 5, 13 have chi(-1) = +1
+    for p in (3, 5, 7, 11, 13):
+        ctx = prime_context(p)
+        n = 0
+        while p ** (n * (n + 1) // 2) <= 10**6:
+            clear_caches()
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "_CHUNK", 1)
+                seen = _counting_classify_batch(m)
+                got = oracle._classified(ctx, n)
+            assert all(shape[1] <= 1 for shape in seen)
+            assert np.array_equal(got, _direct_codes(ctx, n)), (p, n)
+            n += 1
+    # cells that exceed one chunk on their own, both residues mod 4
+    for p in (101, 103):
+        ctx = prime_context(p)
+        clear_caches()
+        assert np.array_equal(oracle._classified(ctx, 2), _direct_codes(ctx, 2))
+    clear_caches()
+
+
+def test_large_cells_use_no_pool(ctx5, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", refuse)
+    seen = _counting_classify_batch(monkeypatch)
+    clear_caches()
+    Ts = [canonical_matrix(ctx5, c) for c in all_classes(4)]
+    tabs = class_character_tables(ctx5, Ts, None, 2)
+    assert all(sum(sum(v) for v in tab.values()) == 5**10 for tab in tabs)
+    # only the two leaf sub-cells, (5, 3) and (5, 2), are classified
+    assert sum(shape[0] for shape in seen) <= 5**6 + 5**3
+
+    # n = 1 is classified directly at any p, never by recursion
+    del seen[:]
+    ctx = prime_context(1000003)
+    codes = oracle._classified(ctx, 1)
+    assert sum(shape[0] for shape in seen) == ctx.p
+    want = 2 + (np.array(ctx.chi) == -1)
+    want[0] = 0
+    assert np.array_equal(codes, want)
+    clear_caches()
+
+
 def test_gauss_sum_is_congruence_invariant(ctx3):
     rng = random.Random(7)
     T = ((1, 2), (2, 0))
