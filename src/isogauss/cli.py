@@ -195,12 +195,10 @@ def cmd_verify(args) -> int:
         for p in primes:
             _context(p)
     budget = _budget(args)
-    jobs = _jobs(args)
+    _jobs(args)  # checked only: no suite starts a pool
     passed = failed = skipped = 0
     for name in names:
-        reports = verify.run_suite(
-            name, primes=primes, max_n=args.max_n, budget=budget, jobs=jobs
-        )
+        reports = verify.run_suite(name, primes=primes, max_n=args.max_n, budget=budget)
         for rep in reports:
             if rep.skipped:
                 skipped += 1

@@ -86,7 +86,7 @@ def gauss_zero_even(ctx: PrimeContext, m: int) -> QuadValue:
     return QuadValue(ctx.epsilon**m * ctx.p ** (m * m) * int(val), 0)
 
 
-def cor12_check(ctx: PrimeContext, T, use_oracle: bool = False, budget=None, jobs=None):
+def cor12_check(ctx: PrimeContext, T, use_oracle: bool = False, budget=None):
     """Both sides of the isotropic-subspace expansion of g^n * G*_T.
 
     lhs: g^n times the twisted sum of T, either via the closed form or
@@ -101,7 +101,7 @@ def cor12_check(ctx: PrimeContext, T, use_oracle: bool = False, budget=None, job
     if use_oracle:
         lhs = cyc_mul(
             cyc_pow(g_star_one(ctx), n),
-            oracle.gauss_twisted_bf(ctx, T, budget, jobs),
+            oracle.gauss_twisted_bf(ctx, T, budget),
         )
     else:
         cls = classify(ctx, T)

@@ -1,10 +1,10 @@
 """Identity-checking suites.
 
-Each suite enumerates a deterministic grid of instances, evaluates
-both sides of one family of identities (closed form vs brute force,
-or displayed sum vs counting identity), and returns one VerifyReport
-per instance. Enumeration too large for the budget marks instances
-skipped rather than failed.
+Each suite enumerates a deterministic grid of instances, each with a
+check of both sides of one family of identities (closed form vs brute
+force, or displayed sum vs counting identity). One runner, _run, turns
+them into one VerifyReport per instance. Enumeration too large for the
+budget marks instances skipped rather than failed.
 
 One enumeration pass per (p, dimension) cell feeds every instance in
 that cell: the per-class, per-exponent tables from the oracle module
@@ -12,6 +12,7 @@ are linear in everything a suite needs.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from time import perf_counter
 
 from . import counts, formulas, oracle
@@ -89,312 +90,256 @@ def _cells(primes, max_n, budget):
 
 
 def _skip(suite, instance, exc, elapsed=0.0) -> VerifyReport:
-    return VerifyReport(
-        suite=suite,
-        instance=instance,
-        lhs="",
-        rhs="",
-        match=False,
-        elapsed=elapsed,
-        skipped=True,
-        reason=str(exc),
-    )
+    return VerifyReport(suite, instance, "", "", False, elapsed, True, str(exc))
 
 
-def _suite_thm11(primes, max_n, budget, jobs):
-    primes = primes or _GAUSS_PRIMES
-    max_n = max_n if max_n is not None else 5
+def _run(suite, groups) -> list:
+    """Turn a suite's groups into reports, in order.
+
+    Each group is (shared, items). shared is None or a thunk for the
+    work its reports have in common; each item is (instance, check),
+    and check(data) returns (lhs, rhs, match) given data = shared()
+    (None without a shared step). Every report's elapsed is its own
+    check plus an even share of shared(). A BudgetExceeded from
+    shared() skips the whole group; one from a check skips only its
+    report.
+
+    A check must bind everything it reads (functools.partial or
+    default arguments): a group's items may be built lazily, and a
+    suite must not count on its group being used up before its
+    generator moves on.
+    """
     reports = []
-    for p, n in _cells(primes, max_n, budget):
-        ctx = prime_context(p)
-        classes = all_classes(n)
-        insts = [
-            {"p": p, "n": n, "d": c.d, "disc": c.disc} for c in classes
-        ]
+    for shared, items in groups:
+        items = list(items)
         t0 = perf_counter()
         try:
-            tabs = oracle.class_character_tables(
-                ctx,
-                [canonical_matrix(ctx, c) for c in classes],
-                budget,
-            )
+            data = shared() if shared is not None else None
         except BudgetExceeded as e:
-            reports.extend(_skip("thm11", i, e) for i in insts)
+            reports.extend(_skip(suite, instance, e) for instance, _ in items)
             continue
-        shared = (perf_counter() - t0) / len(classes)
-        for c, inst, tab in zip(classes, insts, tabs):
+        share = (perf_counter() - t0) / max(len(items), 1)
+        for instance, check in items:
             t1 = perf_counter()
-            rhs = oracle.signed_sum(ctx, tab[(n, SQ)], tab[(n, NONSQ)])
-            lhs = embed(formulas.thm11_value(ctx, n, c.d, c.disc), ctx)
+            try:
+                lhs, rhs, match = check(data)
+            except BudgetExceeded as e:
+                reports.append(_skip(suite, instance, e, share + perf_counter() - t1))
+                continue
             reports.append(
                 VerifyReport(
-                    "thm11", inst, _ser(lhs), _ser(rhs), lhs == rhs,
-                    shared + perf_counter() - t1,
+                    suite, instance, _ser(lhs), _ser(rhs), match,
+                    share + perf_counter() - t1,
                 )
             )
     return reports
 
 
-def _suite_cor12(primes, max_n, budget, jobs):
-    primes = primes or _GAUSS_PRIMES
+def _class_tables(ctx, classes, budget):
+    mats = [canonical_matrix(ctx, c) for c in classes]
+    return oracle.class_character_tables(ctx, mats, budget)
+
+
+def _closed_vs_table(ctx, closed, i, r, tabs):
+    """lhs: the closed value closed() embedded; rhs: the signed sum of
+    the rank-r counts of table i (zero at r = 0)."""
+    tab = tabs[i]
+    if r == 0:
+        rhs = cyc_const(ctx, 0)
+    else:
+        rhs = oracle.signed_sum(ctx, tab[(r, SQ)], tab[(r, NONSQ)])
+    lhs = embed(closed(), ctx)
+    return lhs, rhs, lhs == rhs
+
+
+def _class_inst(p, c):
+    return {"p": p, "n": c.n, "d": c.d, "disc": c.disc}
+
+
+def _suite_thm11(primes, max_n, budget):
     max_n = max_n if max_n is not None else 5
-    reports = []
-    for p, n in _cells(primes, max_n, budget):
+    for p, n in _cells(primes or _GAUSS_PRIMES, max_n, budget):
+        ctx = prime_context(p)
+        classes = all_classes(n)
+        yield partial(_class_tables, ctx, classes, budget), [
+            (
+                _class_inst(p, c),
+                partial(
+                    _closed_vs_table, ctx,
+                    partial(formulas.thm11_value, ctx, n, c.d, c.disc), i, n,
+                ),
+            )
+            for i, c in enumerate(classes)
+        ]
+
+
+def _cor12_count(ctx, ext, a, budget, ext_cls):
+    bf = oracle.iso_subspaces_bf(ctx, ext, a, budget)
+    cf = counts.iso_count(ctx, ext_cls, a)
+    return cf, bf, cf == bf
+
+
+def _suite_cor12(primes, max_n, budget):
+    max_n = max_n if max_n is not None else 5
+    for p, n in _cells(primes or _GAUSS_PRIMES, max_n, budget):
         ctx = prime_context(p)
         for c in all_classes(n):
-            inst = {"p": p, "n": n, "d": c.d, "disc": c.disc}
+            inst = _class_inst(p, c)
             T = canonical_matrix(ctx, c)
-            t0 = perf_counter()
-            lhs, rhs, ok = formulas.cor12_check(ctx, T)
-            reports.append(
-                VerifyReport(
-                    "cor12", inst, _ser(lhs), _ser(rhs), ok,
-                    perf_counter() - t0,
-                )
-            )
             # the subspace counts feeding the right side, re-counted
             # by direct enumeration over echelon bases
             ext = block_diag(T, ((1,),))
-            ext_cls = classify(ctx, ext)
-            for a in range(n + 1):
-                inst2 = {"p": p, "n": n, "d": c.d, "disc": c.disc, "a": a}
-                t1 = perf_counter()
-                try:
-                    bf = oracle.iso_subspaces_bf(ctx, ext, a, budget)
-                except BudgetExceeded as e:
-                    reports.append(_skip("cor12", inst2, e))
-                    continue
-                cf = counts.iso_count(ctx, ext_cls, a)
-                reports.append(
-                    VerifyReport(
-                        "cor12", inst2, str(cf), str(bf), cf == bf,
-                        perf_counter() - t1,
-                    )
-                )
-    return reports
+            yield partial(classify, ctx, ext), [
+                (inst, lambda _, ctx=ctx, T=T: formulas.cor12_check(ctx, T)),
+                *(
+                    (dict(inst, a=a), partial(_cor12_count, ctx, ext, a, budget))
+                    for a in range(n + 1)
+                ),
+            ]
 
 
-def _suite_prop41(primes, max_n, budget, jobs):
-    primes = primes or _GAUSS_PRIMES
+def _suite_prop41(primes, max_n, budget):
     max_n = max_n if max_n is not None else 4
-    reports = []
-    for p, n in _cells(primes, max_n, budget):
+    for p, n in _cells(primes or _GAUSS_PRIMES, max_n, budget):
         ctx = prime_context(p)
         classes = all_classes(n)
-        insts = [{"p": p, "n": n, "d": c.d, "disc": c.disc} for c in classes]
-        t0 = perf_counter()
-        try:
-            tabs = oracle.class_character_tables(
-                ctx,
-                [canonical_matrix(ctx, c) for c in classes],
-                budget,
+        yield partial(_class_tables, ctx, classes, budget), [
+            (
+                dict(_class_inst(p, c), r=r),
+                partial(
+                    _closed_vs_table, ctx,
+                    partial(formulas.prop41_value, ctx, n, c.d, c.disc, r), i, r,
+                ),
             )
-        except BudgetExceeded as e:
-            for inst in insts:
-                reports.extend(
-                    _skip("prop41", dict(inst, r=r), e) for r in range(n + 1)
-                )
-            continue
-        shared = (perf_counter() - t0) / (len(classes) * (n + 1))
-        for c, inst, tab in zip(classes, insts, tabs):
-            for r in range(n + 1):
-                t1 = perf_counter()
-                if r == 0:
-                    rhs = cyc_const(ctx, 0)
-                else:
-                    rhs = oracle.signed_sum(ctx, tab[(r, SQ)], tab[(r, NONSQ)])
-                lhs = embed(formulas.prop41_value(ctx, n, c.d, c.disc, r), ctx)
-                reports.append(
-                    VerifyReport(
-                        "prop41", dict(inst, r=r), _ser(lhs), _ser(rhs),
-                        lhs == rhs, shared + perf_counter() - t1,
-                    )
-                )
-    return reports
+            for i, c in enumerate(classes)
+            for r in range(n + 1)
+        ]
 
 
-def _lemma51_instances(primes, max_size):
-    for p in primes:
-        for size in range(2, max_size + 1):
-            if size == 5 and p != 3:
-                continue  # scalar targets stay cheap, zero targets do not
-            if size > 5:
-                continue
-            for form in ("I", "J"):
-                targets = [("one", "one"), ("omega", "omega")]
-                targets += [(f"zeros{d}", ("zeros", d)) for d in range(1, size + 1)]
-                for label, target in targets:
-                    yield p, size, form, label, target
+def _lemma51(ctx, size, form, target, budget, _):
+    lhs = counts.rep_star_lemma51(ctx, form, size, target)
+    disc = SQ if form == "I" else NONSQ
+    x_mat = canonical_matrix(ctx, FormClass(size, size, disc))
+    if target == "one":
+        y = ((1,),)
+    elif target == "omega":
+        y = ((ctx.omega,),)
+    else:
+        d = target[1]
+        y = tuple(tuple(0 for _ in range(d)) for _ in range(d))
+    rhs = oracle.rep_count_bf(ctx, x_mat, y, primitive=True, budget=budget)
+    return lhs, rhs, lhs == rhs
 
 
-def _suite_lemma51(primes, max_n, budget, jobs):
-    primes = primes or _GAUSS_PRIMES
+def _suite_lemma51(primes, max_n, budget):
     max_size = max_n if max_n is not None else 5
-    reports = []
-    for p, size, form, label, target in _lemma51_instances(primes, max_size):
+    for p in primes or _GAUSS_PRIMES:
         ctx = prime_context(p)
-        inst = {"p": p, "size": size, "form": form, "target": label}
-        t0 = perf_counter()
-        lhs = counts.rep_star_lemma51(ctx, form, size, target)
-        disc = SQ if form == "I" else NONSQ
-        x_mat = canonical_matrix(ctx, FormClass(size, size, disc))
-        if target == "one":
-            y = ((1,),)
-        elif target == "omega":
-            y = ((ctx.omega,),)
-        else:
-            d = target[1]
-            y = tuple(tuple(0 for _ in range(d)) for _ in range(d))
-        try:
-            rhs = oracle.rep_count_bf(ctx, x_mat, y, primitive=True, budget=budget)
-        except BudgetExceeded as e:
-            reports.append(_skip("lemma51", inst, e))
-            continue
-        reports.append(
-            VerifyReport(
-                "lemma51", inst, str(lhs), str(rhs), lhs == rhs,
-                perf_counter() - t0,
-            )
-        )
-    return reports
-
-
-def _suite_lemma52(primes, max_n, budget, jobs):
-    primes = primes or _GAUSS_PRIMES
-    max_m = max_n if max_n is not None else 2
-    reports = []
-    for p in primes:
-        ctx = prime_context(p)
-        for m in range(0, max_m + 1):
-            for variant in ("odd", "even_match", "even_cross"):
-                if variant == "even_cross" and m == 0:
-                    continue
-                inst = {"p": p, "m": m, "variant": variant}
-                t0 = perf_counter()
-                lhs, rhs, ok = formulas.lemma52_check(ctx, m, variant)
-                reports.append(
-                    VerifyReport(
-                        "lemma52", inst, str(lhs), str(rhs), ok,
-                        perf_counter() - t0,
-                    )
+        # size 5 only at p = 3: scalar targets stay cheap, zero targets do not
+        for size in range(2, min(max_size, 5 if p == 3 else 4) + 1):
+            targets = [("one", "one"), ("omega", "omega")]
+            targets += [(f"zeros{d}", ("zeros", d)) for d in range(1, size + 1)]
+            yield None, [
+                (
+                    {"p": p, "size": size, "form": form, "target": label},
+                    partial(_lemma51, ctx, size, form, target, budget),
                 )
-    return reports
-
-
-def _gauss_star_closed(ctx, cls: FormClass) -> QuadValue:
-    if cls.n == 0:
-        return QuadValue(1, 0)
-    return formulas.thm11_value(ctx, cls.n, cls.d, cls.disc)
-
-
-def _suite_lemma53(primes, max_n, budget, jobs):
-    primes = primes or (3, 5)
-    max_d = max_n if max_n is not None else 4
-    reports = []
-    for p in primes:
-        ctx = prime_context(p)
-        for d in range(1, max_d + 1):
-            forms = [("I", SQ), ("J", NONSQ)]
-            mats = [canonical_matrix(ctx, FormClass(d, d, disc)) for _, disc in forms]
-            insts = [
-                {"p": p, "d": d, "form": f, "ell": ell}
-                for f, _ in forms
-                for ell in range(d)
+                for form in ("I", "J")
+                for label, target in targets
             ]
-            t0 = perf_counter()
-            try:
-                tabs = oracle.class_character_tables(ctx, mats, budget)
-            except BudgetExceeded as e:
-                reports.extend(_skip("lemma53", i, e) for i in insts)
-                continue
-            shared = (perf_counter() - t0) / len(insts)
-            for (form, disc), x_mat, tab in zip(forms, mats, tabs):
-                for ell in range(d):
-                    inst = {"p": p, "d": d, "form": form, "ell": ell}
-                    t0 = perf_counter()
-                    if ell == 0:
-                        # the NonSquare rank-0 orbit is empty: the left
-                        # side is the bare zero-matrix term
-                        lhs = CycInt(
-                            p, reduce_exponent_vector(p, list(tab[(0, SQ)]))
-                        )
-                    else:
-                        lhs = oracle.signed_sum(ctx, tab[(ell, SQ)], tab[(ell, NONSQ)])
-                    try:
-                        rhs = _lemma53_rhs(ctx, x_mat, ell, budget)
-                    except BudgetExceeded as e:
-                        reports.append(_skip("lemma53", inst, e, shared))
-                        continue
-                    reports.append(
-                        VerifyReport(
-                            "lemma53", inst, _ser(lhs), _ser(rhs),
-                            lhs == rhs, shared + perf_counter() - t0,
-                        )
-                    )
-    return reports
 
 
-def _lemma53_rhs(ctx, x_mat, ell, budget) -> CycInt:
+def _suite_lemma52(primes, max_n, budget):
+    max_m = max_n if max_n is not None else 2
+    for p in primes or _GAUSS_PRIMES:
+        ctx = prime_context(p)
+        yield None, [
+            (
+                {"p": p, "m": m, "variant": variant},
+                lambda _, ctx=ctx, m=m, v=variant: formulas.lemma52_check(ctx, m, v),
+            )
+            for m in range(0, max_m + 1)
+            for variant in ("odd", "even_match", "even_cross")
+            if not (variant == "even_cross" and m == 0)
+        ]
+
+
+def _lemma53(ctx, cls, i, ell, budget, tabs):
+    tab = tabs[i]
+    if ell == 0:
+        # the NonSquare rank-0 orbit is empty: the left side is the
+        # bare zero-matrix term
+        lhs = CycInt(ctx.p, reduce_exponent_vector(ctx.p, list(tab[(0, SQ)])))
+    else:
+        lhs = oracle.signed_sum(ctx, tab[(ell, SQ)], tab[(ell, NONSQ)])
     # each ell-dimensional subspace W contributes the closed G* of X|_W
     a_part = b_part = 0
-    for cls, count in oracle.subspace_census(ctx, x_mat, ell, budget).items():
-        gv = _gauss_star_closed(ctx, cls)
+    census = oracle.subspace_census(ctx, canonical_matrix(ctx, cls), ell, budget)
+    for w, count in census.items():
+        gv = QuadValue(1, 0) if w.n == 0 else formulas.thm11_value(ctx, w.n, w.d, w.disc)
         a_part += count * gv.a
         b_part += count * gv.b
-    return embed(QuadValue(a_part, b_part), ctx)
+    rhs = embed(QuadValue(a_part, b_part), ctx)
+    return lhs, rhs, lhs == rhs
 
 
-def _suite_lemma54(primes, max_n, budget, jobs):
-    primes = primes or _GAUSS_PRIMES
+def _suite_lemma53(primes, max_n, budget):
     max_d = max_n if max_n is not None else 4
-    reports = []
-    for p in primes:
+    for p in primes or (3, 5):
         ctx = prime_context(p)
         for d in range(1, max_d + 1):
-            for form in ("I", "J"):
-                for ell in range(1, d + 1):
-                    inst = {"p": p, "d": d, "form": form, "ell": ell}
-                    t0 = perf_counter()
-                    try:
-                        lhs = formulas.lemma54_sum(ctx, d, form, ell, budget)
-                    except BudgetExceeded as e:
-                        reports.append(_skip("lemma54", inst, e))
-                        continue
-                    rhs = formulas.lemma54_target(ctx, d, form, ell)
-                    reports.append(
-                        VerifyReport(
-                            "lemma54", inst, str(lhs), str(rhs),
-                            lhs == rhs, perf_counter() - t0,
-                        )
-                    )
-    return reports
+            forms = (("I", FormClass(d, d, SQ)), ("J", FormClass(d, d, NONSQ)))
+            yield partial(_class_tables, ctx, [c for _, c in forms], budget), [
+                (
+                    {"p": p, "d": d, "form": form, "ell": ell},
+                    partial(_lemma53, ctx, cls, i, ell, budget),
+                )
+                for i, (form, cls) in enumerate(forms)
+                for ell in range(d)
+            ]
 
 
-def _suite_scalars(primes, max_n, budget, jobs):
-    primes = primes or _SCALAR_PRIMES
-    reports = []
-    for p in primes:
+def _lemma54(ctx, d, form, ell, budget, _):
+    lhs = formulas.lemma54_sum(ctx, d, form, ell, budget)
+    rhs = formulas.lemma54_target(ctx, d, form, ell)
+    return lhs, rhs, lhs == rhs
+
+
+def _suite_lemma54(primes, max_n, budget):
+    max_d = max_n if max_n is not None else 4
+    for p in primes or _GAUSS_PRIMES:
         ctx = prime_context(p)
-        t0 = perf_counter()
-        g = g_star_one(ctx)
-        lhs = cyc_mul(g, g)
-        rhs = cyc_const(ctx, ctx.epsilon * p)
-        reports.append(
-            VerifyReport(
-                "scalars", {"p": p, "fact": "g_squared"},
-                _ser(lhs), _ser(rhs), lhs == rhs, perf_counter() - t0,
+        yield None, [
+            (
+                {"p": p, "d": d, "form": form, "ell": ell},
+                partial(_lemma54, ctx, d, form, ell, budget),
             )
-        )
-        t0 = perf_counter()
-        lhs = oracle.gauss_twisted_bf(ctx, ((ctx.omega,),), budget)
-        rhs = cyc_neg(oracle.gauss_twisted_bf(ctx, ((1,),), budget))
-        reports.append(
-            VerifyReport(
-                "scalars", {"p": p, "fact": "omega_negates"},
-                _ser(lhs), _ser(rhs), lhs == rhs, perf_counter() - t0,
-            )
-        )
-    return reports
+            for d in range(1, max_d + 1)
+            for form in ("I", "J")
+            for ell in range(1, d + 1)
+        ]
+
+
+def _g_squared(ctx, _):
+    g = g_star_one(ctx)
+    lhs = cyc_mul(g, g)
+    rhs = cyc_const(ctx, ctx.epsilon * ctx.p)
+    return lhs, rhs, lhs == rhs
+
+
+def _omega_negates(ctx, budget, _):
+    lhs = oracle.gauss_twisted_bf(ctx, ((ctx.omega,),), budget)
+    rhs = cyc_neg(oracle.gauss_twisted_bf(ctx, ((1,),), budget))
+    return lhs, rhs, lhs == rhs
+
+
+def _suite_scalars(primes, max_n, budget):
+    for p in primes or _SCALAR_PRIMES:
+        ctx = prime_context(p)
+        yield None, [
+            ({"p": p, "fact": "g_squared"}, partial(_g_squared, ctx)),
+            ({"p": p, "fact": "omega_negates"}, partial(_omega_negates, ctx, budget)),
+        ]
 
 
 _UNTWISTED_AB = {
@@ -405,78 +350,43 @@ _UNTWISTED_AB = {
 }
 
 
-def _suite_untwisted(primes, max_n, budget, jobs):
-    primes = primes or _SCALAR_PRIMES
+def _untwisted(ctx, n, which, budget, _):
+    da, db = _UNTWISTED_AB[which]
+    A = canonical_matrix(ctx, FormClass(n, n, da))
+    B = canonical_matrix(ctx, FormClass(n, n, db))
+    rhs = oracle.gauss_untwisted_bf(ctx, A, B, budget)
+    lhs = embed(formulas.untwisted_closed(ctx, n, which), ctx)
+    return lhs, rhs, lhs == rhs
+
+
+def _suite_untwisted(primes, max_n, budget):
     cap = max_n if max_n is not None else 3
-    reports = []
-    for p in primes:
+    for p in primes or _SCALAR_PRIMES:
         ctx = prime_context(p)
-        for n in range(1, cap + 1):
-            if n == 3 and p != 3:
-                continue
-            if n > 3:
-                continue
-            for which in ("G_I", "G_J", "Gbar_I", "Gbar_J"):
-                inst = {"p": p, "n": n, "which": which}
-                t0 = perf_counter()
-                da, db = _UNTWISTED_AB[which]
-                A = canonical_matrix(ctx, FormClass(n, n, da))
-                B = canonical_matrix(ctx, FormClass(n, n, db))
-                try:
-                    rhs = oracle.gauss_untwisted_bf(ctx, A, B, budget)
-                except BudgetExceeded as e:
-                    reports.append(_skip("untwisted", inst, e))
-                    continue
-                lhs = embed(formulas.untwisted_closed(ctx, n, which), ctx)
-                reports.append(
-                    VerifyReport(
-                        "untwisted", inst, _ser(lhs), _ser(rhs),
-                        lhs == rhs, perf_counter() - t0,
-                    )
-                )
-    return reports
+        yield None, [
+            ({"p": p, "n": n, "which": which}, partial(_untwisted, ctx, n, which, budget))
+            for n in range(1, min(cap, 3 if p == 3 else 2) + 1)
+            for which in _UNTWISTED_AB
+        ]
 
 
-def _suite_zero_forms(primes, max_n, budget, jobs):
-    primes = primes or _GAUSS_PRIMES
+def _suite_zero_forms(primes, max_n, budget):
     max_n = max_n if max_n is not None else 5
-    reports = []
-    for p, n in _cells(primes, max_n, budget):
+    for p, n in _cells(primes or _GAUSS_PRIMES, max_n, budget):
         ctx = prime_context(p)
-        zero = tuple(tuple(0 for _ in range(n)) for _ in range(n))
-        t0 = perf_counter()
-        try:
-            tab = oracle.class_character_table(ctx, zero, budget)
-        except BudgetExceeded as e:
-            reports.append(_skip("zero_forms", {"p": p, "n": n}, e))
-            continue
-        shared = (perf_counter() - t0) / (n + 1)
-        t1 = perf_counter()
-        rhs = oracle.signed_sum(ctx, tab[(n, SQ)], tab[(n, NONSQ)])
-        lhs = embed(
-            formulas.gauss_zero_even(ctx, n // 2) if n % 2 == 0 else QuadValue(0, 0),
-            ctx,
-        )
-        reports.append(
-            VerifyReport(
-                "zero_forms", {"p": p, "n": n, "r": n},
-                _ser(lhs), _ser(rhs), lhs == rhs,
-                shared + perf_counter() - t1,
-            )
-        )
-        # restricted sums of the zero form: pure orbit-size differences
-        for r in range(1, n):
-            t1 = perf_counter()
-            rhs = oracle.signed_sum(ctx, tab[(r, SQ)], tab[(r, NONSQ)])
-            lhs = embed(formulas.prop41_value(ctx, n, 0, SQ, r), ctx)
-            reports.append(
-                VerifyReport(
-                    "zero_forms", {"p": p, "n": n, "r": r},
-                    _ser(lhs), _ser(rhs), lhs == rhs,
-                    shared + perf_counter() - t1,
-                )
-            )
-    return reports
+        # the full sum first, then the restricted sums of the zero form:
+        # pure orbit-size differences
+        if n % 2 == 0:
+            full = partial(formulas.gauss_zero_even, ctx, n // 2)
+        else:
+            full = partial(QuadValue, 0, 0)
+        closed = [(n, full)] + [
+            (r, partial(formulas.prop41_value, ctx, n, 0, SQ, r)) for r in range(1, n)
+        ]
+        yield partial(_class_tables, ctx, [FormClass(n, 0, SQ)], budget), [
+            ({"p": p, "n": n, "r": r}, partial(_closed_vs_table, ctx, value, 0, r))
+            for r, value in closed
+        ]
 
 
 SUITES = {
@@ -498,11 +408,12 @@ def run_suite(suite: str, primes=None, max_n=None, budget=None, jobs=None):
 
     primes/max_n default per suite to the standard verification grid;
     the budget clamps every cell, so oversized requests degrade to
-    skipped reports instead of long enumerations.
+    skipped reports instead of long enumerations. jobs is accepted
+    and ignored: no suite starts a process pool.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
     budget = budget if budget is not None else Budget()
     if primes is not None:
         primes = tuple(primes)
-    return SUITES[suite](primes, max_n, budget, jobs)
+    return _run(suite, SUITES[suite](primes, max_n, budget))

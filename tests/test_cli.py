@@ -297,6 +297,9 @@ def test_verify_usage(capsys):
     assert code == 2
     code, _, err = run(capsys, "verify", "--suites", "scalars", "--primes", "3,3037000507")
     assert code == 2 and "2^63-1" in err
+    # --jobs reaches no suite, but it is still checked
+    code, _, err = run(capsys, "verify", "--suites", "scalars", "--primes", "3", "--jobs", "0")
+    assert code == 2 and "--jobs" in err
 
 
 def test_malformed_env_budget_is_a_usage_error(capsys, monkeypatch):

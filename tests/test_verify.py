@@ -1,4 +1,6 @@
+import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -115,7 +117,8 @@ def test_deterministic_ordering():
     assert len(a) == 5  # odd/even_match at m = 0, all three at m = 1
 
 
-def test_lemma53_reports_carry_the_shared_table_time(monkeypatch):
+@pytest.mark.parametrize("suite", ["thm11", "prop41", "zero_forms", "lemma53"])
+def test_reports_carry_the_shared_table_time(monkeypatch, suite):
     orig = oracle.class_character_tables
     spent = []
 
@@ -127,6 +130,50 @@ def test_lemma53_reports_carry_the_shared_table_time(monkeypatch):
         return out
 
     monkeypatch.setattr(oracle, "class_character_tables", slow)
-    reports = run_suite("lemma53", primes=(3,), max_n=2)
-    assert len(spent) == 2 and all(r.match for r in reports)
+    reports = run_suite(suite, primes=(3,), max_n=2)
+    # at least one table call per (p, n) or (p, d) cell
+    assert len(spent) >= 2 and all(r.match for r in reports)
     assert sum(r.elapsed for r in reports) >= sum(spent)
+
+
+def test_a_shared_table_over_budget_skips_its_whole_group():
+    # lemma53's d = 2 tables need 27 terms: all four d = 2 reports skip,
+    # with the table's reason; the d = 1 group runs
+    reports = run_suite("lemma53", primes=(3,), max_n=2, budget=Budget(max_terms=20))
+    assert [(r.instance["d"], r.skipped) for r in reports] == [
+        (1, False), (1, False), (2, True), (2, True), (2, True), (2, True)
+    ]
+    assert all(r.match for r in reports[:2])
+    assert {r.reason for r in reports[2:]} == {
+        "symmetric enumeration needs 27 terms, budget is 20"
+    }
+
+
+_PINNED = Path(__file__).with_name("verify_reports_p3_n2.json")
+
+
+@pytest.mark.parametrize("key, budget", [("default", None), ("max_terms_30", Budget(max_terms=30))])
+def test_every_suite_keeps_its_reports(key, budget):
+    """(suite, instance, lhs, rhs, match, skipped, reason) of every report
+    of every suite at primes=(3,), max_n=2, as recorded before the ten
+    suites shared one runner: instances, their order, both sides and
+    skip reasons are pinned; elapsed is not."""
+    got = [
+        [r.suite, r.instance, r.lhs, r.rhs, r.match, r.skipped, r.reason]
+        for suite in SUITES
+        for r in run_suite(suite, primes=(3,), max_n=2, budget=budget)
+    ]
+    assert got == json.loads(_PINNED.read_text())[key]
+
+
+def test_scalars_over_budget_skip_instead_of_raising():
+    # omega_negates enumerates p one-by-one matrices: past the budget it
+    # is a skipped report, as in every other suite
+    reports = run_suite("scalars", primes=(3, 7), budget=Budget(max_terms=5))
+    assert [(r.instance["fact"], r.match, r.skipped) for r in reports] == [
+        ("g_squared", True, False),
+        ("omega_negates", True, False),
+        ("g_squared", True, False),
+        ("omega_negates", False, True),
+    ]
+    assert reports[-1].reason == "symmetric enumeration needs 7 terms, budget is 5"
