@@ -86,14 +86,17 @@ def gauss_zero_even(ctx: PrimeContext, m: int) -> QuadValue:
     return QuadValue(ctx.epsilon**m * ctx.p ** (m * m) * int(val), 0)
 
 
-def cor12_check(ctx: PrimeContext, T, use_oracle: bool = False, budget=None):
+def cor12_check(
+    ctx: PrimeContext, T, use_oracle: bool = False, budget=None, ext_cls=None
+):
     """Both sides of the isotropic-subspace expansion of g^n * G*_T.
 
     lhs: g^n times the twisted sum of T, either via the closed form or
     via the brute-force oracle (use_oracle=True). rhs: the alternating
     sum over a of p^(n(n+1)/2 + a(a-n)) times the number of a-dim
-    totally isotropic subspaces of T perp <1>. Returns (lhs, rhs,
-    match) with both sides as CycInt.
+    totally isotropic subspaces of T perp <1>, whose class a caller
+    that has it already may pass as ext_cls. Returns (lhs, rhs, match)
+    with both sides as CycInt.
     """
     T = sym_matrix(ctx, T)
     n = len(T)
@@ -106,7 +109,7 @@ def cor12_check(ctx: PrimeContext, T, use_oracle: bool = False, budget=None):
     else:
         cls = classify(ctx, T)
         lhs = embed(quad_mul(quad_pow(g, n, ctx), thm11_value(ctx, n, cls.d, cls.disc), ctx), ctx)
-    ext = classify(ctx, block_diag(T, ((1,),)))
+    ext = ext_cls if ext_cls is not None else classify(ctx, block_diag(T, ((1,),)))
     rhs = 0
     for a in range(n + 1):
         e = n * (n + 1) // 2 + a * (a - n)

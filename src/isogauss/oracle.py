@@ -231,9 +231,10 @@ def clear_caches():
     _class_cache.clear()
 
 
-def _digit_exponents(p: int, W: np.ndarray, dt) -> np.ndarray:
-    """Row t holds sum_k W[k, t] * d_k mod p for every digit string d of
-    length len(W), in enumeration order (first digit most significant).
+def _digit_exponents(p: int, W: np.ndarray, dt, mod=None) -> np.ndarray:
+    """Row t holds sum_k W[k, t] * d_k mod `mod` (default p) for every
+    digit string d of length len(W), in enumeration order (first digit
+    most significant).
 
     Built as an iterated outer sum, one broadcast per digit, so the work
     is one add per entry and no digit matrix is formed.
@@ -242,7 +243,57 @@ def _digit_exponents(p: int, W: np.ndarray, dt) -> np.ndarray:
     for w in W:
         term = np.multiply.outer(w, np.arange(p, dtype=np.int64))
         e = (e[:, :, None] + term[:, None, :]).reshape(len(e), -1)
-    return (e % p).astype(dt)
+    return (e % (mod or p)).astype(dt)
+
+
+def _tables_per_t(p, codes, W, rows, k_low):
+    """Counts (T, class code, exponent): one bincount per T and block."""
+    K = len(W)
+    nbins = rows * p
+    dt = np.min_scalar_type(nbins - 1)  # holds every bin index
+    low = _digit_exponents(p, W[K - k_low :], dt)
+    high = _digit_exponents(p, W[: K - k_low], np.int64)
+    size = low.shape[1]
+    acc = np.zeros((W.shape[1], rows, p), np.int64)
+    for h in range(high.shape[1]):
+        base = codes[h * size : (h + 1) * size].astype(dt) * p
+        for row, e in enumerate(low):
+            cnt = np.bincount(base + e, minlength=nbins).reshape(-1, p)
+            shift = high[row, h]
+            acc[row] += np.roll(cnt, shift, axis=1) if shift else cnt
+    return acc
+
+
+def _tables_from_live_digits(p, codes, W, rows, k_low, live):
+    """Counts (T, class code, exponent) from one histogram of the class
+    code and the live digits, those that some T weights.
+
+    The key of S is its live digits read as a base-p number. Each block
+    of codes is counted by one bincount over (code, key of its low live
+    digits); its high live digits fix where those counts land. Each T's
+    table is then read off the histogram through its exponent on every
+    key.
+    """
+    K = len(W)
+    L = int(live.sum())
+    nkeys = p**L
+    nlow = p ** int(live[K - k_low :].sum())
+    place = np.zeros((K, 1), np.int64)  # place value of each digit in the key
+    place[live, 0] = p ** np.arange(L - 1, -1, -1, dtype=np.int64)
+    dt = np.min_scalar_type(rows * nlow - 1)  # holds every bin index
+    # every key is below nkeys, so reducing by it leaves keys whole
+    low = _digit_exponents(p, place[K - k_low :], dt, nkeys)[0]
+    high = _digit_exponents(p, place[: K - k_low], np.int64, nkeys)[0]
+    size = len(low)
+    hist = np.zeros((rows, nkeys), np.int64)
+    for h, key in enumerate(high.tolist()):
+        base = codes[h * size : (h + 1) * size].astype(dt) * nlow
+        cnt = np.bincount(base + low, minlength=rows * nlow).reshape(rows, -1)
+        hist[:, key : key + nlow] += cnt
+    acc = np.zeros((W.shape[1], rows, p), np.int64)
+    for tab, e in zip(acc, _digit_exponents(p, W[live], np.int64)):
+        np.add.at(tab, (slice(None), e), hist)
+    return acc
 
 
 def class_character_tables(ctx: PrimeContext, Ts, budget=None, jobs=None):
@@ -256,10 +307,20 @@ def class_character_tables(ctx: PrimeContext, Ts, budget=None, jobs=None):
     The exponent 2*trace(TS) is sum_k w_k * d_k mod p, one term per
     upper-triangle digit d_k of S. The digits split into a low part of
     at most _CHUNK entries (a single digit when p alone exceeds it) and
-    a high prefix. The low part's exponents are built once per T; each
-    high prefix then owns one contiguous block of the cached class
-    codes, is counted by one bincount of code*p + low exponent per T,
-    and adds its own exponent by rotating those counts.
+    a high prefix, and each high prefix owns one contiguous block of the
+    cached class codes. Call a digit live if some T gives it a nonzero
+    weight; for a diagonal T only the n diagonal digits are live. Two
+    passes count the blocks, both exactly in int64:
+    - when some digit is dead and the histogram over (class code, live
+      digits) has at most _CHUNK bins, one bincount per block builds
+      that histogram whatever the number of T, and each T's table is
+      read off it with np.add.at;
+    - otherwise (as at n = 1, or for a T without zero entries) the low
+      part's exponents are built once per T, each block is counted by
+      one bincount of code*p + low exponent per T, and the prefix adds
+      its own exponent by rotating those counts.
+    The choice rests on the T alone. Neither pass diagonalises T or
+    uses congruence invariance; summing out dead digits is counting.
     """
     p = ctx.p
     Ts = [sym_matrix(ctx, T) for T in Ts]
@@ -273,21 +334,16 @@ def class_character_tables(ctx: PrimeContext, Ts, budget=None, jobs=None):
         raise BudgetExceeded(total, bud.max_terms, "symmetric enumeration")
     codes = _classified(ctx, n, jobs)
     W = _exp_weights(ctx, Ts)
-    nbins = (2 * n + 2) * p
-    dt = np.min_scalar_type(nbins - 1)  # holds every bin index
+    rows = 2 * n + 2
     k_low = 1
     while k_low < K and p ** (k_low + 1) <= _CHUNK:
         k_low += 1
-    low = _digit_exponents(p, W[K - k_low :], dt)
-    high = _digit_exponents(p, W[: K - k_low], np.int64)
-    size = low.shape[1]
-    acc = np.zeros((len(Ts), 2 * n + 2, p), np.int64)
-    for h in range(high.shape[1]):
-        base = codes[h * size : (h + 1) * size].astype(dt) * p
-        for row, e in enumerate(low):
-            cnt = np.bincount(base + e, minlength=nbins).reshape(-1, p)
-            shift = high[row, h]
-            acc[row] += np.roll(cnt, shift, axis=1) if shift else cnt
+    live = W.any(axis=1)
+    L = int(live.sum())
+    if L < K and rows * p**L <= _CHUNK:
+        acc = _tables_from_live_digits(p, codes, W, rows, k_low, live)
+    else:
+        acc = _tables_per_t(p, codes, W, rows, k_low)
     tables = []
     for mat in acc:
         tab = {}
@@ -490,7 +546,7 @@ def _subspace_grams(ctx: PrimeContext, X, ell: int, budget):
             for k, (r, c) in enumerate(free):
                 B[:, r, c] = digits[:, k]
             E = (B @ Xa) % p
-            yield np.einsum("ajt,akt->ajk", E, B) % p
+            yield (E @ B.transpose(0, 2, 1)) % p
 
 
 def iso_subspaces_bf(ctx: PrimeContext, X, j: int, budget=None) -> int:

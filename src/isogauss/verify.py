@@ -173,6 +173,10 @@ def _suite_thm11(primes, max_n, budget):
         ]
 
 
+def _cor12_closed(ctx, T, ext_cls):
+    return formulas.cor12_check(ctx, T, ext_cls=ext_cls)
+
+
 def _cor12_count(ctx, ext, a, budget, ext_cls):
     bf = oracle.iso_subspaces_bf(ctx, ext, a, budget)
     cf = counts.iso_count(ctx, ext_cls, a)
@@ -190,7 +194,7 @@ def _suite_cor12(primes, max_n, budget):
             # by direct enumeration over echelon bases
             ext = block_diag(T, ((1,),))
             yield partial(classify, ctx, ext), [
-                (inst, lambda _, ctx=ctx, T=T: formulas.cor12_check(ctx, T)),
+                (inst, partial(_cor12_closed, ctx, T)),
                 *(
                     (dict(inst, a=a), partial(_cor12_count, ctx, ext, a, budget))
                     for a in range(n + 1)

@@ -179,6 +179,67 @@ def test_tables_across_many_prefix_blocks(ctx3, ctx5, monkeypatch):
             assert class_character_tables(ctx, Ts) == want
 
 
+def _counting_bincount(monkeypatch):
+    """Wrap np.bincount; the returned list collects the length of every
+    array it is given."""
+    seen = []
+    orig = np.bincount
+
+    def counted(x, *args, **kwargs):
+        seen.append(len(x))
+        return orig(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", counted)
+    return seen
+
+
+def test_live_digit_tables_match_a_scalar_loop(monkeypatch):
+    # canonical T are diagonal, so only the n diagonal digits are live;
+    # at n = 1 the one digit is live and the per-T pass counts
+    rng = random.Random(13)
+    cells = [(p, n) for p in (3, 5) for n in (1, 2, 3)] + [(7, 2)]
+    for p, n in cells:
+        ctx = prime_context(p)
+        Ts = [canonical_matrix(ctx, c) for c in all_classes(n)]
+        dense = _random_symmetric(rng, p, n)
+        while not all(v for row in dense for v in row):
+            dense = _random_symmetric(rng, p, n)
+        want = _scalar_tables(ctx, n, Ts + [dense])
+        assert class_character_tables(ctx, Ts) == want[:-1], (p, n)
+        # the zero T alone leaves no digit live (L = 0)
+        zero = Ts.index(_zero(n))
+        assert class_character_tables(ctx, [_zero(n)]) == [want[zero]]
+        # one dense T makes every digit live: the per-T pass, one
+        # bincount per T over the single block of the cell
+        with monkeypatch.context() as m:
+            seen = _counting_bincount(m)
+            assert class_character_tables(ctx, Ts + [dense]) == want
+        assert len(seen) == len(Ts) + 1
+
+
+def test_live_digit_histogram_across_many_prefix_blocks(ctx5, monkeypatch):
+    Ts = [canonical_matrix(ctx5, c) for c in all_classes(3)]
+    want = class_character_tables(ctx5, Ts)
+    with monkeypatch.context() as m:
+        # 8 classes x 5^3 live keys fill 1000 bins; the low part keeps
+        # 4 of the 6 digits, so 25 prefix blocks of 625 codes each
+        m.setattr(oracle, "_CHUNK", 1000)
+        seen = _counting_bincount(m)
+        assert class_character_tables(ctx5, Ts) == want
+    assert seen == [625] * 25
+
+
+def test_one_pass_over_the_cell_for_any_number_of_diagonal_ts(ctx5, monkeypatch):
+    Ts = [canonical_matrix(ctx5, c) for c in all_classes(3)]
+    class_character_tables(ctx5, Ts)  # classifies and caches the cell
+    seen = _counting_bincount(monkeypatch)
+    class_character_tables(ctx5, Ts[:1])
+    one = sum(seen)
+    del seen[:]
+    class_character_tables(ctx5, Ts)
+    assert len(Ts) == 7 and sum(seen) == one == 5**6
+
+
 def test_counting_pass_expands_no_digits(ctx5, monkeypatch):
     T = [canonical_matrix(ctx5, FormClass(3, 2, NONSQ)), _zero(3)]
     want = class_character_tables(ctx5, T)  # classifies and caches the cell

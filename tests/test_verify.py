@@ -177,3 +177,24 @@ def test_scalars_over_budget_skip_instead_of_raising():
         ("omega_negates", False, True),
     ]
     assert reports[-1].reason == "symmetric enumeration needs 7 terms, budget is 5"
+
+
+def test_cor12_classifies_each_extension_once(monkeypatch):
+    # each group classifies T perp <1> as its shared step and T in
+    # cor12_check's closed side, and nothing else: cor12_check reuses
+    # the shared class of T perp <1>
+    from isogauss import formulas, verify
+    from isogauss.quadform import classify
+
+    seen = []
+
+    def counted(ctx, mat):
+        seen.append(mat)
+        return classify(ctx, mat)
+
+    monkeypatch.setattr(verify, "classify", counted)
+    monkeypatch.setattr(formulas, "classify", counted)
+    reports = run_suite("cor12", primes=(3,), max_n=2)
+    assert reports and all(r.match and not r.skipped for r in reports)
+    groups = sum("a" not in r.instance for r in reports)
+    assert groups == 8 and len(seen) == 2 * groups
