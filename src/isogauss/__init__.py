@@ -19,10 +19,8 @@ from .cyclotomic import (
     cyc_zero,
     cyc_const,
     g_star_one,
-    quad_add,
     quad_mul,
     quad_pow,
-    quad_neg,
     embed,
 )
 from .quadform import (
@@ -68,7 +66,7 @@ __all__ = [
     "PrimeContext", "prime_context", "legendre", "epsilon", "canonical_nonsquare",
     "CycInt", "QuadValue", "character", "cyc_add", "cyc_neg", "cyc_scale",
     "cyc_mul", "cyc_pow", "cyc_zero", "cyc_const", "g_star_one",
-    "quad_add", "quad_mul", "quad_pow", "quad_neg", "embed",
+    "quad_mul", "quad_pow", "embed",
     "SQ", "NONSQ", "FormClass", "sym_matrix", "classify", "canonical_matrix",
     "enumerate_symmetric", "orbit_size", "all_classes",
     "qfunc", "rep_star_lemma51", "orth_order", "iso_count", "rep_zero_full",

@@ -8,7 +8,6 @@ output carries big integers as decimal strings.
 
 import argparse
 import json
-import os
 import sys
 
 from . import formulas, oracle, verify
@@ -36,12 +35,9 @@ def _budget(args) -> Budget:
         raise UsageError(str(e))
 
 
-def _jobs(args) -> int:
-    if getattr(args, "jobs", None) is not None:
-        if args.jobs < 1:
-            raise UsageError("--jobs must be at least 1")
-        return args.jobs
-    return os.cpu_count() or 1
+def _check_jobs(args):
+    if args.jobs is not None and args.jobs < 1:
+        raise UsageError("--jobs must be at least 1")
 
 
 def _context(p: int):
@@ -77,7 +73,7 @@ def _coeff_strings(coeffs) -> list:
 def cmd_eval(args) -> int:
     ctx = _context(args.p)
     budget = _budget(args)
-    _jobs(args)  # checked only: large cells recurse on dimension, no pool
+    _check_jobs(args)  # large cells recurse on dimension, no pool
     if args.matrix is not None:
         mat = _parse_matrix(ctx, args.matrix)
         cls = classify(ctx, mat)
@@ -195,7 +191,7 @@ def cmd_verify(args) -> int:
         for p in primes:
             _context(p)
     budget = _budget(args)
-    _jobs(args)  # checked only: no suite starts a pool
+    _check_jobs(args)  # no suite starts a pool
     passed = failed = skipped = 0
     for name in names:
         reports = verify.run_suite(name, primes=primes, max_n=args.max_n, budget=budget)

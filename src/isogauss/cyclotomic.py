@@ -11,13 +11,14 @@ use that convention on both the closed-form and oracle sides.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import repeat
 from operator import mul
 from typing import Tuple
 
 import numpy as np
 
-from .field import PrimeContext, per_prime
+from .field import CACHED_PRIMES, PrimeContext, tables
 
 
 @dataclass(frozen=True)
@@ -137,7 +138,7 @@ def cyc_pow(x: CycInt, k: int) -> CycInt:
     return out
 
 
-@per_prime
+@lru_cache(maxsize=CACHED_PRIMES)
 def g_star_one(ctx: PrimeContext) -> CycInt:
     """The scalar twisted sum: sum over s != 0 of chi(s) * zeta^(2s).
 
@@ -146,16 +147,8 @@ def g_star_one(ctx: PrimeContext) -> CycInt:
     p = ctx.p
     s = np.arange(1, p, dtype=np.int64)
     acc = np.zeros(p, np.int64)
-    acc[2 * s % p] = np.array(ctx.chi[1:], np.int64)  # s -> 2s is a bijection
+    acc[2 * s % p] = tables(ctx)[0][1:]  # s -> 2s is a bijection
     return CycInt(p, reduce_exponent_vector(p, acc))
-
-
-def quad_add(u: QuadValue, v: QuadValue) -> QuadValue:
-    return QuadValue(u.a + v.a, u.b + v.b)
-
-
-def quad_neg(u: QuadValue) -> QuadValue:
-    return QuadValue(-u.a, -u.b)
 
 
 def quad_mul(u: QuadValue, v: QuadValue, ctx: PrimeContext) -> QuadValue:

@@ -1,18 +1,21 @@
 """Arithmetic in the prime field F_p, p an odd prime.
 
-A PrimeContext fixes the prime together with its quadratic character
-table, the canonical nonsquare omega (least positive nonsquare), and
-epsilon = chi(-1). Everything downstream takes the context as first
-argument; contexts are immutable and safe to share.
+A PrimeContext fixes the prime together with the canonical nonsquare
+omega (least positive nonsquare) and epsilon = chi(-1), both found by
+Euler's criterion; it is O(1) in size and hashes in O(1). Everything
+downstream takes the context as first argument; contexts are immutable
+and safe to share. Scalar code reads chi and inverses through pow. The
+O(p) chi and inverse arrays are built by tables(), once per prime, for
+the vectorised callers only.
 """
 
-from collections import OrderedDict
-from dataclasses import dataclass, field
-from functools import lru_cache, wraps
+from dataclasses import dataclass
+from functools import lru_cache
+from operator import index
 
 import numpy as np
 
-# how many primes' O(p) tables each per-prime cache keeps
+# how many primes each per-prime cache keeps
 CACHED_PRIMES = 32
 # the tables are built in int64: every product of two residues must fit
 _INT64_MAX = np.iinfo(np.int64).max
@@ -31,25 +34,25 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _euler(p: int, a: int) -> int:
+    """Euler's criterion: a^((p-1)/2) mod p, as 0, +1 or -1."""
+    r = pow(a, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
+
+
 @dataclass(frozen=True)
 class PrimeContext:
     p: int
     omega: int
     epsilon: int
-    # chi[a] for a in 0..p-1; tuple so the dataclass stays hashable
-    chi: tuple = field(repr=False)
-    # multiplicative inverses, inv[0] unused
-    inv: tuple = field(repr=False)
 
 
 @lru_cache(maxsize=CACHED_PRIMES, typed=True)
 def prime_context(p: int) -> PrimeContext:
-    """The context for an odd prime p.
+    """The context for an odd prime p, shared by later calls.
 
-    Building one costs O(p) (the chi and inv tables), and contexts are
-    immutable, so each p is built once and shared by later calls. A
-    non-prime, or a p with (p-1)^2 past the int64 range the tables are
-    built in, raises ValueError on every call.
+    A non-prime, or a p with (p-1)^2 past the int64 range that tables()
+    computes in, raises ValueError on every call.
     """
     if p >= 3 and (p - 1) ** 2 > _INT64_MAX:
         raise ValueError(
@@ -57,6 +60,15 @@ def prime_context(p: int) -> PrimeContext:
         )
     if not _is_prime(p) or p < 3:
         raise ValueError(f"p must be an odd prime >= 3, got {p}")
+    omega = next(a for a in range(2, p) if _euler(p, a) == -1)
+    return PrimeContext(p=p, omega=omega, epsilon=_euler(p, p - 1))
+
+
+@lru_cache(maxsize=CACHED_PRIMES)
+def tables(ctx: PrimeContext):
+    """(chi, inv): chi[a] as int8 and the inverse inv[a] as int64 for a
+    in 0..p-1, with inv[0] = 0. Built once per prime, read-only."""
+    p = ctx.p
     a = np.arange(p, dtype=np.int64)
     chi = np.full(p, -1, np.int8)
     chi[a[1 : (p + 1) // 2] ** 2 % p] = 1  # a and p-a share a square
@@ -71,42 +83,13 @@ def prime_context(p: int) -> PrimeContext:
         e >>= 1
         if e:
             a = a * a % p
-    omega = int(np.argmax(chi == -1))
-    return PrimeContext(
-        p=p,
-        omega=omega,
-        epsilon=int(chi[p - 1]),
-        chi=tuple(chi.tolist()),
-        inv=tuple(inv.tolist()),
-    )
-
-
-def per_prime(build):
-    """Memoize build(ctx) on ctx.p, for the last CACHED_PRIMES primes.
-
-    The key is p, not the context: hashing a context hashes its two
-    O(p) tables. The cached value is shared by every caller, so it must
-    not be mutated.
-    """
-    cache = OrderedDict()
-
-    @wraps(build)
-    def cached(ctx: PrimeContext):
-        value = cache.get(ctx.p)
-        if value is None:
-            value = cache[ctx.p] = build(ctx)
-            if len(cache) > CACHED_PRIMES:
-                cache.popitem(last=False)
-        else:
-            cache.move_to_end(ctx.p)
-        return value
-
-    return cached
+    chi.flags.writeable = inv.flags.writeable = False
+    return chi, inv
 
 
 def legendre(ctx: PrimeContext, a: int) -> int:
     """Quadratic character of a mod p: 0 at 0, +1 on squares, -1 otherwise."""
-    return ctx.chi[a % ctx.p]
+    return _euler(ctx.p, index(a) % ctx.p)
 
 
 def epsilon(ctx: PrimeContext) -> int:

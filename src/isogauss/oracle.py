@@ -17,7 +17,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .cyclotomic import CycInt, cyc_zero, reduce_exponent_vector
-from .field import PrimeContext
+from .field import PrimeContext, legendre
 from .quadform import (
     NONSQ,
     SQ,
@@ -118,10 +118,11 @@ def _restriction(ctx: PrimeContext, s1) -> np.ndarray:
     p = ctx.p
     m = len(s1)
     piv = next(i for i, v in enumerate(s1) if v)
+    inv = pow(s1[piv], -1, p)
     N = np.zeros((m, m - 1), np.int64)
     for col, i in enumerate(i for i in range(m) if i != piv):
         N[i, col] = 1
-        N[piv, col] = -s1[i] * ctx.inv[s1[piv]] % p
+        N[piv, col] = -s1[i] * inv % p
     I, J = np.array(upper_positions(m), np.int64).reshape(-1, 2).T
     A, B = np.array(upper_positions(m - 1), np.int64).reshape(-1, 2).T
     # digit (i, j) of S' stands for E_ij + E_ji, or E_ii on the diagonal
@@ -157,7 +158,7 @@ def _recursed(ctx: PrimeContext, n: int) -> np.ndarray:
     sub = _classified(ctx, n - 1)
     raised = (sub + 2).reshape((p,) * k1)
     aniso = {1: raised, -1: raised ^ 1}
-    hyper = (_classified(ctx, n - 2) + 4) ^ int(ctx.chi[p - 1] == -1)
+    hyper = (_classified(ctx, n - 2) + 4) ^ int(ctx.epsilon == -1)
     pos = upper_positions(n - 1)
     axes = tuple(range(k1))
     digits = digits_block(p, k1, 0, p**k1).astype(np.int64)
@@ -169,12 +170,12 @@ def _recursed(ctx: PrimeContext, n: int) -> np.ndarray:
         block = codes[h * size : (h + 1) * size]
         if s11:
             # (l^2 s11, l s1) gives the same block for every l != 0
-            inv = ctx.inv[s11]
-            key = (ctx.chi[s11], *(s1[i] * s1[j] * inv % p for i, j in pos))
+            inv = pow(s11, -1, p)
+            key = (legendre(ctx, s11), *(s1[i] * s1[j] * inv % p for i, j in pos))
         elif any(s1):
             # N, and so the block, depends only on the line of s1; the
             # leading 0 keeps these keys apart from the chi(s11) = +-1 ones
-            inv = ctx.inv[next(v for v in s1 if v)]
+            inv = pow(next(v for v in s1 if v), -1, p)
             key = (0, *(v * inv % p for v in s1))
         else:
             block[:] = sub

@@ -11,7 +11,7 @@ from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .field import PrimeContext, per_prime
+from .field import PrimeContext, legendre, tables
 
 SQ = "sq"
 NONSQ = "nonsq"
@@ -122,7 +122,7 @@ def classify(ctx: PrimeContext, T: Sequence[Sequence[int]]) -> FormClass:
             continue
         rank += 1
         prod = prod * piv % p
-        inv = ctx.inv[piv]
+        inv = pow(int(piv), -1, p)
         col = [a[r][k] for r in range(n)]
         for i in range(k + 1, n):
             f = col[i] * inv % p
@@ -134,7 +134,7 @@ def classify(ctx: PrimeContext, T: Sequence[Sequence[int]]) -> FormClass:
             if f:
                 for r in range(k + 1, n):
                     a[r][i] = (a[r][i] - f * a[r][k]) % p
-    disc = SQ if rank == 0 or ctx.chi[prod] == 1 else NONSQ
+    disc = SQ if rank == 0 or legendre(ctx, prod) == 1 else NONSQ
     return FormClass(n, rank, disc)
 
 
@@ -146,16 +146,6 @@ def int_dtype(p: int):
     if (p - 1) ** 2 <= np.iinfo(np.int32).max:
         return np.int32
     return np.int64
-
-
-@per_prime
-def _batch_lookups(ctx: PrimeContext):
-    """classify_batch's inverse and character tables as read-only
-    arrays, built once per prime."""
-    inv = np.array(ctx.inv, dtype=int_dtype(ctx.p))
-    chi = np.array(ctx.chi, dtype=np.int8)
-    inv.flags.writeable = chi.flags.writeable = False
-    return inv, chi
 
 
 def classify_batch(ctx: PrimeContext, mats: np.ndarray):
@@ -171,7 +161,7 @@ def classify_batch(ctx: PrimeContext, mats: np.ndarray):
     B, n, _ = a.shape
     rank = np.zeros(B, dtype=np.int16)
     prod = np.ones(B, dtype=dt)
-    invtab, chitab = _batch_lookups(ctx)
+    chitab, invtab = tables(ctx)
 
     for k in range(n):
         need = a[:, k, k] == 0
@@ -222,7 +212,7 @@ def classify_batch(ctx: PrimeContext, mats: np.ndarray):
         rank += act
         prod = np.where(act, prod * piv % p, prod)
         if k + 1 < n:
-            pinv = invtab[piv]
+            pinv = invtab[piv].astype(dt)
             col = a[:, :, k].copy()
             f = col * pinv[:, None] % p
             f[:, : k + 1] = 0

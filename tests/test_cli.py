@@ -16,6 +16,7 @@ from isogauss import (
     cyc_const,
     cyc_scale,
     formulas,
+    legendre,
     oracle,
     prime_context,
 )
@@ -162,7 +163,7 @@ def _eval_output_by_loops(p, n, d, r):
         value = formulas.prop41_value(ctx, n, d, SQ, r)
     acc = [0] * p
     for s in range(1, p):
-        acc[(2 * s) % p] += ctx.chi[s]
+        acc[(2 * s) % p] += legendre(ctx, s)
     g = CycInt(p, reduce_exponent_vector(p, acc))
     emb = cyc_add(cyc_const(ctx, value.a), cyc_scale(value.b, g))
     out = {

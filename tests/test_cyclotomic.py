@@ -15,6 +15,7 @@ from isogauss import (
     cyc_zero,
     embed,
     g_star_one,
+    legendre,
     prime_context,
     quad_mul,
     quad_pow,
@@ -105,7 +106,7 @@ def _g_star_by_loop(ctx):
     p = ctx.p
     acc = [0] * p
     for s in range(1, p):
-        acc[(2 * s) % p] += ctx.chi[s]
+        acc[(2 * s) % p] += legendre(ctx, s)
     return CycInt(p, reduce_exponent_vector(p, acc))
 
 

@@ -1,6 +1,9 @@
+import pickle
+
+import numpy as np
 import pytest
 
-from isogauss import field, prime_context, legendre, epsilon, canonical_nonsquare
+from isogauss import cli, field, prime_context, legendre, epsilon, canonical_nonsquare
 
 
 def test_rejects_non_primes():
@@ -36,24 +39,27 @@ def test_omega_is_least_nonsquare():
 
 
 def test_chi_table(ctx7):
-    assert ctx7.chi[0] == 0
+    chi, _ = field.tables(ctx7)
+    assert chi[0] == 0
     squares = {(x * x) % 7 for x in range(1, 7)}
     for a in range(1, 7):
-        assert ctx7.chi[a] == (1 if a in squares else -1)
+        assert chi[a] == (1 if a in squares else -1)
     # multiplicativity
     for a in range(1, 7):
         for b in range(1, 7):
-            assert ctx7.chi[(a * b) % 7] == ctx7.chi[a] * ctx7.chi[b]
+            assert chi[(a * b) % 7] == chi[a] * chi[b]
 
 
 def test_inverse_table(ctx7):
+    _, inv = field.tables(ctx7)
     for a in range(1, 7):
-        assert (a * ctx7.inv[a]) % 7 == 1
+        assert (a * inv[a]) % 7 == 1
 
 
 def test_contexts_are_built_once_per_prime():
     assert prime_context(100003) is prime_context(100003)
     assert prime_context(7) is not prime_context(11)
+    assert field.tables(prime_context(101)) is field.tables(prime_context(101))
     # a failed build is not cached: a non-prime raises on every call
     for _ in range(3):
         with pytest.raises(ValueError):
@@ -63,11 +69,15 @@ def test_contexts_are_built_once_per_prime():
 @pytest.mark.parametrize("p", (3, 5, 7, 181, 191, 46337, 46349, 100003))
 def test_tables_match_the_scalar_definitions(p):
     ctx = prime_context(p)
+    chi, inv = field.tables(ctx)
+    assert (chi.dtype, inv.dtype) == (np.int8, np.int64)
+    assert not chi.flags.writeable and not inv.flags.writeable
     squares = {(a * a) % p for a in range(1, p)}
-    assert ctx.chi == tuple(
+    assert chi.tolist() == [
         0 if a == 0 else (1 if a in squares else -1) for a in range(p)
-    )
-    assert ctx.inv == tuple(0 if a == 0 else pow(a, p - 2, p) for a in range(p))
+    ]
+    assert [legendre(ctx, a) for a in range(p)] == chi.tolist()
+    assert inv.tolist() == [0 if a == 0 else pow(a, p - 2, p) for a in range(p)]
     assert ctx.omega == next(a for a in range(2, p) if a not in squares)
     assert ctx.epsilon == (1 if p - 1 in squares else -1)
 
@@ -87,3 +97,16 @@ def test_refuses_p_past_the_int64_products(monkeypatch):
     # the largest p inside the limit gets as far as the primality test
     with pytest.raises(ValueError, match="odd prime"):
         prime_context(3037000500)
+
+
+def test_table_at_a_huge_prime_builds_no_table(monkeypatch, capsys):
+    # the closed forms read only p, omega and epsilon, so table runs at
+    # any accepted p without an O(p) table
+    monkeypatch.setattr(field, "np", _NoTables())
+    argv = ["table", "--p", "1000000007", "--max-n", "6", "--format", "csv"]
+    assert cli.main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert "1000000007,1,1,sq,1,0,1" in rows
+    assert "1000000007,1,1,nonsq,1,0,-1" in rows
+    # a context is three small ints, cheap to pickle into pool tasks
+    assert len(pickle.dumps(prime_context(100003))) < 200

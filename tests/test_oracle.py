@@ -27,7 +27,7 @@ from isogauss import (
 )
 from isogauss import all_classes, counts, orth_order, run_suite
 from isogauss import classify, enumerate_symmetric
-from isogauss import oracle
+from isogauss import field, oracle
 from isogauss.oracle import _CHUNK, _ranges, clear_caches, subspace_census
 
 
@@ -313,7 +313,7 @@ def test_large_cells_use_no_pool(ctx5, monkeypatch):
     ctx = prime_context(1000003)
     codes = oracle._classified(ctx, 1)
     assert sum(shape[0] for shape in seen) == ctx.p
-    want = 2 + (np.array(ctx.chi) == -1)
+    want = 2 + (field.tables(ctx)[0] == -1)
     want[0] = 0
     assert np.array_equal(codes, want)
     clear_caches()

@@ -1,4 +1,3 @@
-import functools
 import random
 
 import numpy as np
@@ -173,11 +172,6 @@ def test_classify_batch_agrees_across_dtype_boundaries(p):
             assert (ranks[k], discs[k]) == (c.d, -1 if c.disc == NONSQ else 1)
 
 
-@functools.lru_cache(maxsize=None)
-def _context(p):
-    return prime_context(p)  # O(p) tables: build each once
-
-
 @given(st.data())
 @settings(max_examples=200)
 def test_classify_batch_matches_classify(data):
@@ -187,7 +181,7 @@ def test_classify_batch_matches_classify(data):
     entry = st.integers(min_value=0, max_value=p - 1)
     upper = data.draw(st.lists(entry, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))
     T = symmetric_from_digits(n, upper)
-    ctx = _context(p)
+    ctx = prime_context(p)
     ranks, discs = classify_batch(ctx, np.array([T], dtype=np.int64))
     c = classify(ctx, T)
     assert (ranks[0], discs[0]) == (c.d, -1 if c.disc == NONSQ else 1)
