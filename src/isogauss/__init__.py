@@ -6,7 +6,7 @@ formulas, and ships independent brute-force oracles so every closed
 form can be checked by exact equality in Z[zeta_p].
 """
 
-from .field import PrimeContext, prime_context, legendre, epsilon, canonical_nonsquare
+from .field import PrimeContext, prime_context, legendre
 from .cyclotomic import (
     CycInt,
     QuadValue,
@@ -63,7 +63,7 @@ from .verify import VerifyReport, max_dim_for, run_suite, SUITES
 __version__ = "0.1.0"
 
 __all__ = [
-    "PrimeContext", "prime_context", "legendre", "epsilon", "canonical_nonsquare",
+    "PrimeContext", "prime_context", "legendre",
     "CycInt", "QuadValue", "character", "cyc_add", "cyc_neg", "cyc_scale",
     "cyc_mul", "cyc_pow", "cyc_zero", "cyc_const", "g_star_one",
     "quad_mul", "quad_pow", "embed",

@@ -2,18 +2,29 @@
 numbers of scalar and zero targets, orthogonal group orders, and
 totally isotropic subspace counts.
 
-All values are exact big integers. Ratios (beta, gamma, the division
-by nu(j,0) in iso_count) are computed as exact rationals and asserted
-integral; a failed assertion means the formula was applied outside its
-domain, not a rounding problem.
+All values are exact Python integers. Every ratio that must be an
+integer (beta, gamma, the division by nu(j,0) in iso_count, and the
+callers' group-order quotients) goes through exact_div, which raises
+ArithmeticError on a nonzero remainder: that means a formula was
+applied outside its domain, not a rounding problem.
 """
-
-from fractions import Fraction
 
 from .field import PrimeContext
 from .quadform import SQ, NONSQ, FormClass
 
 _KINDS = ("mu", "delta", "mudelta", "beta", "nu", "gamma")
+
+
+def exact_div(num, den: int, what: str) -> int:
+    """num / den, which must be an integer; `what` names it in the error.
+
+    num may be a Fraction: divmod then gives an int quotient and a
+    Fraction remainder.
+    """
+    q, r = divmod(num, den)
+    if r:
+        raise ArithmeticError(f"{what} is not integral")
+    return q
 
 
 def _mu(p: int, t: int, s: int) -> int:
@@ -50,6 +61,14 @@ def _nu(p: int, t: int, s: int) -> int:
     return out
 
 
+def frames(p: int, t: int, j: int) -> int:
+    """prod_{i<j} (p^t - p^i): linearly independent j-tuples in F_p^t."""
+    out = 1
+    for i in range(j):
+        out *= p**t - p**i
+    return out
+
+
 def qfunc(ctx: PrimeContext, kind: str, t: int, s: int) -> int:
     """The six product functions.
 
@@ -62,27 +81,21 @@ def qfunc(ctx: PrimeContext, kind: str, t: int, s: int) -> int:
     p = ctx.p
     if kind not in _KINDS:
         raise ValueError(f"unknown kind {kind!r}")
+    if kind == "beta" and s < 0:
+        return 0
+    if s < 0:
+        raise ValueError(f"{kind} needs s >= 0")
     if kind == "beta":
-        if s < 0:
-            return 0
-        val = Fraction(_mu(p, t, s), _mu(p, s, s))
-    elif kind == "gamma":
-        if s < 0:
-            raise ValueError("gamma needs s >= 0")
-        val = Fraction(_mudelta(p, t, s), _mudelta(p, s, s))
-    else:
-        if s < 0:
-            raise ValueError(f"{kind} needs s >= 0")
-        if kind == "mu":
-            return _mu(p, t, s)
-        if kind == "delta":
-            return _delta(p, t, s)
-        if kind == "mudelta":
-            return _mudelta(p, t, s)
-        return _nu(p, t, s)
-    if val.denominator != 1:
-        raise ArithmeticError(f"{kind}({t},{s}) is not integral")
-    return int(val)
+        return exact_div(_mu(p, t, s), _mu(p, s, s), f"beta({t},{s})")
+    if kind == "gamma":
+        return exact_div(_mudelta(p, t, s), _mudelta(p, s, s), f"gamma({t},{s})")
+    if kind == "mu":
+        return _mu(p, t, s)
+    if kind == "delta":
+        return _delta(p, t, s)
+    if kind == "mudelta":
+        return _mudelta(p, t, s)
+    return _nu(p, t, s)
 
 
 def rep_star_lemma51(ctx: PrimeContext, form: str, size: int, target) -> int:
@@ -112,16 +125,15 @@ def rep_star_lemma51(ctx: PrimeContext, form: str, size: int, target) -> int:
             raise ValueError("zeros target needs d >= 1")
         if odd:
             return p ** (d * (d - 1) // 2) * _mudelta(p, t, d)
+        # p^e (p^(t-d) - sign eps^t) with e = d(d-1)/2, multiplied out:
+        # e + t - d = d(d-3)/2 + t >= 0 since t >= 1, so no division
         sign = -1 if form == "I" else 1
-        val = (
-            Fraction(p) ** (d * (d - 1) // 2)
-            * (p**t + sign * eps**t)
+        e = d * (d - 1) // 2
+        return (
+            (p**t + sign * eps**t)
             * _mudelta(p, t - 1, d - 1)
-            * (Fraction(p) ** (t - d) - sign * eps**t)
+            * (p ** (e + t - d) - sign * eps**t * p**e)
         )
-        if val.denominator != 1:
-            raise ArithmeticError(f"r*({form}_{size}, 0_{d}) not integral")
-        return int(val)
     raise ValueError(f"unsupported target {target!r}")
 
 
@@ -177,10 +189,7 @@ def iso_count(ctx: PrimeContext, c: FormClass, j: int) -> int:
         if x > d or d == 0:
             return 0
         rstar = rep_star_lemma51(ctx, form, d, ("zeros", x))
-        q, r = divmod(rstar, _nu(p, x, 0))
-        if r:
-            raise ArithmeticError(f"iso count not integral for {c}, j={x}")
-        return q
+        return exact_div(rstar, _nu(p, x, 0), f"iso count for {c}, j={x}")
 
     total = 0
     for i in range(0, min(j, s) + 1):
@@ -192,15 +201,12 @@ def rep_zero_full(ctx: PrimeContext, c: FormClass, d: int) -> int:
     """r(c, 0_d): all matrices C (any rank) with ^tC X C = 0_d.
 
     Sums primitive subspace counts against the number of d-tuples
-    spanning a fixed j-dimensional space, prod_{i<j} (p^d - p^i).
+    spanning a fixed j-dimensional space, frames(p, d, j).
     """
     p = ctx.p
     if d < 0:
         raise ValueError("d must be >= 0")
     total = 0
     for j in range(0, min(d, c.n) + 1):
-        span_tuples = 1
-        for i in range(j):
-            span_tuples *= p**d - p**i
-        total += iso_count(ctx, c, j) * span_tuples
+        total += iso_count(ctx, c, j) * frames(p, d, j)
     return total

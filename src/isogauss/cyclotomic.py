@@ -30,12 +30,6 @@ class CycInt:
         if len(self.coeffs) != self.p - 1:
             raise ValueError(f"need {self.p - 1} coefficients, got {len(self.coeffs)}")
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def to_json(self):
-        return [str(c) for c in self.coeffs]
-
 
 @dataclass(frozen=True)
 class QuadValue:

@@ -90,13 +90,3 @@ def tables(ctx: PrimeContext):
 def legendre(ctx: PrimeContext, a: int) -> int:
     """Quadratic character of a mod p: 0 at 0, +1 on squares, -1 otherwise."""
     return _euler(ctx.p, index(a) % ctx.p)
-
-
-def epsilon(ctx: PrimeContext) -> int:
-    """chi(-1), i.e. +1 iff p = 1 mod 4."""
-    return ctx.epsilon
-
-
-def canonical_nonsquare(ctx: PrimeContext) -> int:
-    """The least positive nonsquare mod p."""
-    return ctx.omega

@@ -6,9 +6,10 @@ alternating zero-representation identities.
 
 Conventions shared with the rest of the package: forms live over F_p
 with p an odd prime, values are exact (QuadValue = a + b*g with
-g^2 = epsilon*p, or Fraction for the rational intermediates), and any
-division is performed in exact rationals with integrality asserted
-where the result must be an integer.
+g^2 = epsilon*p), and every value that must be an integer is computed
+in Python integers, with counts.exact_div as the one integrality check.
+Fraction is kept only where a value is truly rational: the group-order
+ratios inside _even_restricted, and lemma 5.4's weights and sums.
 """
 
 from fractions import Fraction
@@ -45,6 +46,15 @@ def _odd_product(p: int, count: int) -> int:
     return out
 
 
+def _check_class(n: int, d: int, disc: str):
+    if n < 1 or not 0 <= d <= n:
+        raise ValueError(f"bad class ({n},{d})")
+    if d == 0 and disc == NONSQ:
+        raise ValueError("rank 0 has no nonsquare class")
+    if disc not in (SQ, NONSQ):
+        raise ValueError(f"bad disc {disc!r}")
+
+
 def thm11_value(ctx: PrimeContext, n: int, d: int, disc: str) -> QuadValue:
     """Closed value of the twisted sum for the class (n, d, disc).
 
@@ -53,12 +63,7 @@ def thm11_value(ctx: PrimeContext, n: int, d: int, disc: str) -> QuadValue:
     exact negative of the Square class.
     """
     p, eps = ctx.p, ctx.epsilon
-    if n < 1 or not 0 <= d <= n:
-        raise ValueError(f"bad class ({n},{d})")
-    if d == 0 and disc == NONSQ:
-        raise ValueError("rank 0 has no nonsquare class")
-    if disc not in (SQ, NONSQ):
-        raise ValueError(f"bad disc {disc!r}")
+    _check_class(n, d, disc)
     m, odd = divmod(n, 2)
     c = d // 2
     if not odd:
@@ -77,13 +82,12 @@ def gauss_zero_even(ctx: PrimeContext, m: int) -> QuadValue:
     """Twisted sum of the zero form in dimension 2m."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    val = Fraction(
+    val = counts.exact_div(
         counts.qfunc(ctx, "mu", 2 * m, 2 * m),
         counts.qfunc(ctx, "mudelta", m, m),
+        "zero-form product",
     )
-    if val.denominator != 1:
-        raise ArithmeticError("zero-form product not integral")
-    return QuadValue(ctx.epsilon**m * ctx.p ** (m * m) * int(val), 0)
+    return QuadValue(ctx.epsilon**m * ctx.p ** (m * m) * val, 0)
 
 
 def cor12_check(
@@ -133,7 +137,8 @@ def _even_restricted(ctx: PrimeContext, n: int, d: int, t: int) -> Fraction:
     Shared core for both parities of d; disc-independent. At t=0 the
     even-d branch collapses to 1, which is the value the odd-rank
     reduction needs (the r=0 definitional zero applies only to the
-    public entry point).
+    public entry point). The value is a rational whose integrality
+    prop41_value checks.
     """
     p, eps = ctx.p, ctx.epsilon
     s = n - 2 * t
@@ -142,7 +147,7 @@ def _even_restricted(ctx: PrimeContext, n: int, d: int, t: int) -> Fraction:
         counts.qfunc(ctx, "nu", n, d),
         counts.orth_order(ctx, FormClass(n + 1, 2 * t + 1, SQ)),
     )
-    total = Fraction(0)
+    total = 0
     if rem == 0:
         # even d: alternating sum against signed zero representations
         # of the two degenerate rank-2x companions
@@ -175,31 +180,30 @@ def _even_restricted(ctx: PrimeContext, n: int, d: int, t: int) -> Fraction:
     # ratios of orthogonal group orders
     if t == 0:
         raise ValueError("odd-rank reduction never lands here with t=0")
-    o_odd_sq = counts.orth_order(ctx, FormClass(2 * t + 1, 2 * t + 1, SQ))
-    o_odd_nsq = counts.orth_order(ctx, FormClass(2 * t + 1, 2 * t + 1, NONSQ))
+    # orth_order ignores disc at odd rank: one order serves both forms
+    o_odd = counts.orth_order(ctx, FormClass(2 * t + 1, 2 * t + 1, SQ))
     for k in range(0, min(c, t) + 1):
         x = t - k
         rho = d - 2 * k
-        delta_k = Fraction(0)
+        delta_k = 0
         for j in range(0, rho + 1):
-            inj = 1
-            for i in range(j):
-                inj *= p**s - p**i
+            inj = counts.frames(p, s, j)
             if inj == 0:
                 continue
             a = rho - j
             if x == 0:
-                d_aj = Fraction(o_odd_sq) if a == 0 else Fraction(0)
+                d_aj = o_odd if a == 0 else 0
             else:
-                r_i = Fraction(o_odd_sq, counts.orth_order(ctx, FormClass(2 * x, 2 * x, SQ)))
-                r_j = Fraction(o_odd_nsq, counts.orth_order(ctx, FormClass(2 * x, 2 * x, NONSQ)))
                 z_i = counts.rep_star_lemma51(ctx, "I", 2 * x, ("zeros", a)) if a else 1
                 z_j = counts.rep_star_lemma51(ctx, "J", 2 * x, ("zeros", a)) if a else 1
-                d_aj = r_i * z_i - r_j * z_j
+                d_aj = o_odd * (
+                    Fraction(z_i, counts.orth_order(ctx, FormClass(2 * x, 2 * x, SQ)))
+                    - Fraction(z_j, counts.orth_order(ctx, FormClass(2 * x, 2 * x, NONSQ)))
+                )
             delta_k += (
                 counts.qfunc(ctx, "beta", rho, j)
                 * inj
-                * Fraction(p) ** (s * (d + 1 - j))
+                * p ** (s * (d + 1 - j))
                 * d_aj
             )
         total += (
@@ -222,10 +226,7 @@ def prop41_value(ctx: PrimeContext, n: int, d: int, disc: str, r: int) -> QuadVa
     a disc-independent rational integer.
     """
     p, eps = ctx.p, ctx.epsilon
-    if n < 1 or not 0 <= d <= n:
-        raise ValueError(f"bad class ({n},{d})")
-    if d == 0 and disc == NONSQ:
-        raise ValueError("rank 0 has no nonsquare class")
+    _check_class(n, d, disc)
     if not 0 <= r <= n:
         raise ValueError(f"restriction rank {r} out of range")
     if r == 0:
@@ -235,22 +236,21 @@ def prop41_value(ctx: PrimeContext, n: int, d: int, disc: str, r: int) -> QuadVa
         if d % 2 == 0:
             return QuadValue(0, 0)
         c = (d - 1) // 2
-        val = (
-            Fraction(counts.qfunc(ctx, "nu", n, d), counts.qfunc(ctx, "nu", n - 1, 2 * c))
+        b = counts.exact_div(
+            counts.qfunc(ctx, "nu", n, d)
             * eps**c
             * p**c
-            * (_even_restricted(ctx, n - 1, 2 * c, t) if t >= 1 else 1)
+            * (_even_restricted(ctx, n - 1, 2 * c, t) if t >= 1 else 1),
+            counts.qfunc(ctx, "nu", n - 1, 2 * c),
+            f"odd-rank value at ({n},{d},{r})",
         )
-        if val.denominator != 1:
-            raise ArithmeticError(f"odd-rank value not integral at ({n},{d},{r})")
-        b = int(val)
         if disc == NONSQ:
             b = -b
         return QuadValue(0, b)
-    val = _even_restricted(ctx, n, d, t)
-    if val.denominator != 1:
-        raise ArithmeticError(f"even-rank value not integral at ({n},{d},{r})")
-    return QuadValue(int(val), 0)
+    val = counts.exact_div(
+        _even_restricted(ctx, n, d, t), 1, f"even-rank value at ({n},{d},{r})"
+    )
+    return QuadValue(val, 0)
 
 
 _UNTWISTED = ("G_I", "G_J", "Gbar_I", "Gbar_J")

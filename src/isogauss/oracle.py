@@ -356,8 +356,8 @@ def class_character_tables(ctx: PrimeContext, Ts, budget=None, jobs=None):
     return tables
 
 
-def class_character_table(ctx: PrimeContext, T, budget=None, jobs=None):
-    return class_character_tables(ctx, [T], budget, jobs)[0]
+def class_character_table(ctx: PrimeContext, T, budget=None):
+    return class_character_tables(ctx, [T], budget)[0]
 
 
 def signed_sum(ctx: PrimeContext, plus, minus) -> CycInt:
@@ -371,14 +371,14 @@ def signed_sum(ctx: PrimeContext, plus, minus) -> CycInt:
     return CycInt(ctx.p, reduce_exponent_vector(ctx.p, diff))
 
 
-def gauss_twisted_bf(ctx: PrimeContext, T, budget=None, jobs=None) -> CycInt:
+def gauss_twisted_bf(ctx: PrimeContext, T, budget=None) -> CycInt:
     """Sum of legendre(det S) * character(trace(TS)) over symmetric S."""
-    tab = class_character_table(ctx, T, budget, jobs)
+    tab = class_character_table(ctx, T, budget)
     n = len(T)
     return signed_sum(ctx, tab[(n, SQ)], tab[(n, NONSQ)])
 
 
-def gauss_restricted_bf(ctx: PrimeContext, T, r: int, budget=None, jobs=None) -> CycInt:
+def gauss_restricted_bf(ctx: PrimeContext, T, r: int, budget=None) -> CycInt:
     """Signed character sum over the two rank-r orbits.
 
     Weight +1 on the Square orbit, -1 on the NonSquare orbit. At r=0
@@ -389,7 +389,7 @@ def gauss_restricted_bf(ctx: PrimeContext, T, r: int, budget=None, jobs=None) ->
         raise ValueError(f"rank {r} out of range")
     if r == 0:
         return cyc_zero(ctx)
-    tab = class_character_table(ctx, T, budget, jobs)
+    tab = class_character_table(ctx, T, budget)
     return signed_sum(ctx, tab[(r, SQ)], tab[(r, NONSQ)])
 
 

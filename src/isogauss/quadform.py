@@ -243,8 +243,8 @@ def enumerate_symmetric(
     """All symmetric n x n matrices over F_p, exactly once.
 
     Order is lexicographic in the n(n+1)/2 upper-triangle digits base p
-    (first position most significant). start/stop select an index range,
-    so the stream splits into disjoint chunks for parallel use.
+    (first position most significant). start/stop select the index
+    range [start, stop) of that order.
     """
     p = ctx.p
     K = n * (n + 1) // 2
@@ -278,8 +278,4 @@ def orbit_size(ctx: PrimeContext, c: FormClass) -> int:
     from . import counts  # deferred: counts imports this module
 
     gl = counts.qfunc(ctx, "nu", c.n, 0)
-    o = counts.orth_order(ctx, c)
-    q, r = divmod(gl, o)
-    if r:
-        raise ArithmeticError(f"orbit size not integral for {c}")
-    return q
+    return counts.exact_div(gl, counts.orth_order(ctx, c), f"orbit size of {c}")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -175,7 +176,7 @@ def _eval_output_by_loops(p, n, d, r):
     }
     rank = n if r is None else r
     try:
-        tab = oracle.class_character_table(ctx, mat, Budget(), None)
+        tab = oracle.class_character_table(ctx, mat, Budget())
     except BudgetExceeded as e:
         out["skipped"] = str(e)
     else:
@@ -232,6 +233,25 @@ def test_table_restrict_all(capsys):
     assert {r["r"] for r in rows if r["n"] == 2} == {0, 1, 2}
     zero_rows = [r for r in rows if r["r"] == 0]
     assert all(r["a"] == "0" and r["b"] == "0" for r in zero_rows)
+
+
+# sha256 of the whole stdout of `table --p P --max-n 12 --restrict-all
+# --format json`, recorded before the closed forms moved from Fraction
+# to exact integer division
+@pytest.mark.parametrize(
+    "p, digest",
+    [
+        ("3", "04eb0c4de70372c70bd208f6d4950384cb8e3c936fb74fde4f2de0896421103c"),
+        ("10009", "ddb378dd5abc2db62ef819e359bbf072a094cc25ac71b1c216aedd966ea95e74"),
+    ],
+)
+def test_table_closed_forms_are_pinned(capsys, p, digest):
+    code, out, _ = run(
+        capsys,
+        "table", "--p", p, "--max-n", "12", "--restrict-all", "--format", "json",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_table_text(capsys):

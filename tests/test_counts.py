@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from isogauss import (
@@ -6,6 +8,7 @@ from isogauss import (
     FormClass,
     canonical_matrix,
     all_classes,
+    counts,
     iso_count,
     iso_subspaces_bf,
     orth_order,
@@ -139,3 +142,50 @@ def test_rep_zero_full(ctx3):
             X = canonical_matrix(ctx3, c)
             Y = tuple(tuple(0 for _ in range(n)) for _ in range(n))
             assert rep_zero_full(ctx3, c, n) == rep_count_bf(ctx3, X, Y)
+
+
+def _rational_lemma51_zeros(ctx, form, size, d):
+    # lemma 5.1's even-size zero target as written in the paper, with a
+    # possibly negative power p^(t-d)
+    p, eps = ctx.p, ctx.epsilon
+    t = size // 2
+    sign = -1 if form == "I" else 1
+    return (
+        Fraction(p) ** (d * (d - 1) // 2)
+        * (p**t + sign * eps**t)
+        * qfunc(ctx, "mudelta", t - 1, d - 1)
+        * (Fraction(p) ** (t - d) - sign * eps**t)
+    )
+
+
+def test_integer_counts_match_the_rational_formulas():
+    # p = 3 and 10009 have epsilon = -1, p = 5 has epsilon = +1
+    for p in (3, 5, 10009):
+        ctx = prime_context(p)
+        for t in range(13):
+            for s in range(13):
+                beta = qfunc(ctx, "beta", t, s)
+                gamma = qfunc(ctx, "gamma", t, s)
+                assert type(beta) is int and type(gamma) is int
+                assert beta == Fraction(qfunc(ctx, "mu", t, s), qfunc(ctx, "mu", s, s))
+                assert gamma == Fraction(
+                    qfunc(ctx, "mudelta", t, s), qfunc(ctx, "mudelta", s, s)
+                )
+        for size in range(2, 13, 2):
+            for d in range(1, size + 1):  # d > size/2 lies past the Witt index
+                for form in ("I", "J"):
+                    got = rep_star_lemma51(ctx, form, size, ("zeros", d))
+                    assert type(got) is int
+                    assert got == _rational_lemma51_zeros(ctx, form, size, d)
+
+
+def test_exact_div_and_frames():
+    assert counts.exact_div(6, 2, "x") == 3
+    assert counts.exact_div(Fraction(9, 1), 3, "x") == 3
+    with pytest.raises(ArithmeticError, match="x is not integral"):
+        counts.exact_div(7, 2, "x")
+    with pytest.raises(ArithmeticError):
+        counts.exact_div(Fraction(1, 2), 1, "x")
+    assert counts.frames(3, 2, 2) == 48  # |GL_2(F_3)|
+    assert counts.frames(3, 2, 0) == 1
+    assert counts.frames(3, 2, 3) == 0  # no 3 independent vectors in F_3^2

@@ -3,7 +3,7 @@ import pickle
 import numpy as np
 import pytest
 
-from isogauss import cli, field, prime_context, legendre, epsilon, canonical_nonsquare
+from isogauss import cli, field, prime_context, legendre
 
 
 def test_rejects_non_primes():
@@ -21,7 +21,7 @@ def test_epsilon_is_chi_of_minus_one():
     assert prime_context(13).epsilon == 1
     for p in (3, 5, 7, 11, 13, 17):
         ctx = prime_context(p)
-        assert epsilon(ctx) == legendre(ctx, p - 1)
+        assert ctx.epsilon == legendre(ctx, p - 1)
 
 
 def test_omega_is_least_nonsquare():
@@ -32,7 +32,6 @@ def test_omega_is_least_nonsquare():
     for p in (3, 5, 7, 11):
         ctx = prime_context(p)
         assert legendre(ctx, ctx.omega) == -1
-        assert canonical_nonsquare(ctx) == ctx.omega
         # nothing smaller is a nonsquare
         for a in range(1, ctx.omega):
             assert legendre(ctx, a) == 1

@@ -132,6 +132,12 @@ def test_prop41_boundaries(ctx3):
         prop41_value(ctx3, 2, 1, SQ, 3)
     with pytest.raises(ValueError):
         prop41_value(ctx3, 2, 1, SQ, -1)
+    # an unknown disc is refused, as thm11_value refuses it
+    for r in (1, 3):
+        with pytest.raises(ValueError):
+            prop41_value(ctx3, 3, 3, "square", r)
+    with pytest.raises(ValueError):
+        prop41_value(ctx3, 2, 0, "bogus", 2)
 
 
 def test_prop41_disc_structure(ctx3, ctx5):
