@@ -9,15 +9,25 @@ output carries big integers as decimal strings.
 import argparse
 import json
 import sys
+from itertools import islice
+
+import numpy as np
 
 from . import formulas, oracle, verify
-from .cyclotomic import embed
+from .cyclotomic import g_star_shape, g_star_values
 from .field import prime_context
 from .oracle import Budget, BudgetExceeded
 from .quadform import NONSQ, SQ, FormClass, all_classes, canonical_matrix, classify, sym_matrix
 
 _DISC_NAMES = {SQ: "sq", NONSQ: "nonsq"}
 _DISC_VALUES = {"sq": SQ, "nonsq": NONSQ}
+_INT64 = np.iinfo(np.int64)
+
+# eval refuses an embedding whose p - 1 coefficients times the digits of
+# the largest one exceed this: about 67 M, against 30.6 M for the largest
+# request of perfbench's eval-stream and 36.1 M for any at p = 100003
+# with n <= 12
+MAX_EMBEDDING_DIGITS = 1 << 26
 
 
 class UsageError(Exception):
@@ -63,11 +73,31 @@ def _parse_matrix(ctx, text):
         raise UsageError(str(e))
 
 
-def _coeff_strings(coeffs) -> list:
-    """str() of each coefficient, converting each distinct value once:
-    an embedding a + b*g* has at most three."""
-    text = {c: str(c) for c in set(coeffs)}
-    return list(map(text.__getitem__, coeffs))
+def _embedding_items(first, rest, mask) -> list:
+    """The embedding's p - 1 coefficients as quoted JSON strings: first on
+    zeta^0, rest where mask holds, 0 elsewhere. The items are three
+    shared string objects, so no coefficient is converted on its own."""
+    texts = np.array(['"0"', f'"{rest}"', f'"{first}"'], object)
+    # index 2 marks zeta^0; take copies references, not strings
+    return texts.take(np.concatenate(([2], mask.view(np.int8)))).tolist()
+
+
+def _is_embedding(coords, first, rest, mask) -> bool:
+    """Whether the int64 coordinates equal first on zeta^0, rest where mask
+    holds and 0 elsewhere, exactly. A value past int64 cannot match."""
+    if not (_INT64.min <= first <= _INT64.max and _INT64.min <= rest <= _INT64.max):
+        return False
+    return int(coords[0]) == first and np.array_equal(
+        coords[1:], np.where(mask, np.int64(rest), np.int64(0))
+    )
+
+
+def _add_list(pieces, key, items):
+    """Append `"key": [items...]` to pieces, as pieces of a ", " join;
+    items are JSON texts, at least two of them."""
+    pieces.append(f'"{key}": [{items[0]}')
+    pieces.extend(islice(items, 1, len(items) - 1))
+    pieces.append(f"{items[-1]}]")
 
 
 def cmd_eval(args) -> int:
@@ -97,31 +127,42 @@ def cmd_eval(args) -> int:
             value = formulas.prop41_value(ctx, cls.n, cls.d, cls.disc, r)
     except ValueError as e:
         raise UsageError(str(e))
-    emb = embed(value, ctx)
-    out = {
+    # the embedding a + b*g* is first on zeta^0 and rest or 0 elsewhere
+    g0, c = g_star_values(ctx)
+    first, rest = value.a + value.b * g0, value.b * c
+    digits = len(str(max(abs(first), abs(rest))))
+    if (ctx.p - 1) * digits > MAX_EMBEDDING_DIGITS:
+        raise UsageError(
+            f"the embedding's {ctx.p - 1} coefficients of up to {digits} digits "
+            f"exceed {MAX_EMBEDDING_DIGITS} digits"
+        )
+    mask = g_star_shape(ctx)[2]
+    emb = _embedding_items(first, rest, mask)
+    # the line is json.dumps of one dict, built from pieces so that the
+    # embedding's items are joined once, in C
+    head = json.dumps({
         "p": ctx.p,
         "n": cls.n,
         "d": cls.d,
         "disc": _DISC_NAMES[cls.disc],
         "restrict": r,
         "value": value.to_json(),
-        "embedding": _coeff_strings(emb.coeffs),
-        "oracle": None,
-        "match": None,
-    }
-    code = 0
+    })
+    pieces = [head[:-1]]
+    _add_list(pieces, "embedding", emb)
     try:
-        if r is None:
-            orc = oracle.gauss_twisted_bf(ctx, mat, budget)
-        else:
-            orc = oracle.gauss_restricted_bf(ctx, mat, r, budget)
-        out["match"] = emb == orc
-        # equal coefficients print alike: reuse the embedding's strings
-        out["oracle"] = out["embedding"] if out["match"] else _coeff_strings(orc.coeffs)
-        code = 0 if out["match"] else 1
+        orc = oracle.signed_coords(ctx, mat, cls.n if r is None else r, budget)
     except BudgetExceeded as e:
-        out["skipped"] = str(e)
-    print(json.dumps(out))
+        tail = {"oracle": None, "match": None, "skipped": str(e)}
+        code = 0
+    else:
+        match = _is_embedding(orc, first, rest, mask)
+        # equal coefficients print alike: reuse the embedding's items
+        _add_list(pieces, "oracle", emb if match else [f'"{x}"' for x in orc.tolist()])
+        tail = {"match": match}
+        code = 0 if match else 1
+    pieces.append(json.dumps(tail)[1:])
+    print(", ".join(pieces))
     return code
 
 

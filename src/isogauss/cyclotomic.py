@@ -18,7 +18,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .field import CACHED_PRIMES, PrimeContext, tables
+from .field import CACHED_PRIMES, PrimeContext, legendre, tables
 
 
 @dataclass(frozen=True)
@@ -132,17 +132,40 @@ def cyc_pow(x: CycInt, k: int) -> CycInt:
     return out
 
 
+def g_star_values(ctx: PrimeContext) -> Tuple[int, int]:
+    """(g0, c): the coefficient of g* on zeta^0, and the one value c = 2*g0
+    of its nonzero coefficients on zeta^1..zeta^(p-2). O(1) in p.
+
+    s -> 2s puts weight chi(s) = chi(2e) on zeta^e for e = 2s != 0, and
+    chi(-2) on zeta^(p-1). Folding zeta^(p-1) in gives -chi(-2) on
+    zeta^0, and chi(2e) - chi(-2), which is 0 or -2*chi(-2), on zeta^e.
+    """
+    g0 = -legendre(ctx, -2)
+    return g0, 2 * g0
+
+
+@lru_cache(maxsize=CACHED_PRIMES)
+def g_star_shape(ctx: PrimeContext):
+    """(g0, c, mask) with g* = g0 + c * (sum of zeta^e over the e in
+    1..p-2 with mask[e-1]); see g_star_values. mask is a read-only bool
+    array, built once per prime from the chi table."""
+    p = ctx.p
+    chi = tables(ctx)[0]
+    e = np.arange(1, p - 1, dtype=np.int64)
+    mask = chi[2 * e % p] != chi[p - 2]  # chi(2e) != chi(-2)
+    mask.flags.writeable = False
+    return (*g_star_values(ctx), mask)
+
+
 @lru_cache(maxsize=CACHED_PRIMES)
 def g_star_one(ctx: PrimeContext) -> CycInt:
     """The scalar twisted sum: sum over s != 0 of chi(s) * zeta^(2s).
 
-    Built once per prime; later calls return the same object.
+    Built once per prime from g_star_shape; later calls return the same
+    object.
     """
-    p = ctx.p
-    s = np.arange(1, p, dtype=np.int64)
-    acc = np.zeros(p, np.int64)
-    acc[2 * s % p] = tables(ctx)[0][1:]  # s -> 2s is a bijection
-    return CycInt(p, reduce_exponent_vector(p, acc))
+    g0, c, mask = g_star_shape(ctx)
+    return CycInt(ctx.p, (g0, *(mask * c).tolist()))
 
 
 def quad_mul(u: QuadValue, v: QuadValue, ctx: PrimeContext) -> QuadValue:

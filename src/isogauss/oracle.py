@@ -297,13 +297,10 @@ def _tables_from_live_digits(p, codes, W, rows, k_low, live):
     return acc
 
 
-def class_character_tables(ctx: PrimeContext, Ts, budget=None, jobs=None):
-    """For each T, count symmetric S by (class of S, 2*trace(TS) mod p).
-
-    Returns one dict per T mapping (rank, disc) to a length-p tuple of
-    counts. Every signed or restricted character sum over symmetric
-    matrices against T is a linear functional of this table, so one
-    enumeration pass serves all of them.
+def _count_rows(ctx: PrimeContext, Ts, budget=None, jobs=None) -> np.ndarray:
+    """Counts of symmetric S by (T, class code of S, 2*trace(TS) mod p),
+    as an int64 array of shape (len(Ts), 2n + 2, p). Class code
+    2*rank + (disc is NonSquare) indexes the rows; row 1 stays zero.
 
     The exponent 2*trace(TS) is sum_k w_k * d_k mod p, one term per
     upper-triangle digit d_k of S. The digits split into a low part of
@@ -342,13 +339,22 @@ def class_character_tables(ctx: PrimeContext, Ts, budget=None, jobs=None):
     live = W.any(axis=1)
     L = int(live.sum())
     if L < K and rows * p**L <= _CHUNK:
-        acc = _tables_from_live_digits(p, codes, W, rows, k_low, live)
-    else:
-        acc = _tables_per_t(p, codes, W, rows, k_low)
+        return _tables_from_live_digits(p, codes, W, rows, k_low, live)
+    return _tables_per_t(p, codes, W, rows, k_low)
+
+
+def class_character_tables(ctx: PrimeContext, Ts, budget=None, jobs=None):
+    """For each T, count symmetric S by (class of S, 2*trace(TS) mod p).
+
+    Returns one dict per T mapping (rank, disc) to a length-p tuple of
+    counts. Every signed or restricted character sum over symmetric
+    matrices against T is a linear functional of this table, so one
+    enumeration pass (_count_rows) serves all of them.
+    """
     tables = []
-    for mat in acc:
+    for mat in _count_rows(ctx, Ts, budget, jobs):
         tab = {}
-        for d in range(n + 1):
+        for d in range(len(mat) // 2):
             tab[(d, SQ)] = tuple(mat[2 * d].tolist())
             if d >= 1:
                 tab[(d, NONSQ)] = tuple(mat[2 * d + 1].tolist())
@@ -371,6 +377,11 @@ def signed_sum(ctx: PrimeContext, plus, minus) -> CycInt:
     return CycInt(ctx.p, reduce_exponent_vector(ctx.p, diff))
 
 
+# gauss_twisted_bf and gauss_restricted_bf read class_character_tables,
+# not signed_coords, so that their counting pass shows in that span;
+# perfbench/test_perfbench.py expects it there under cor12_check
+
+
 def gauss_twisted_bf(ctx: PrimeContext, T, budget=None) -> CycInt:
     """Sum of legendre(det S) * character(trace(TS)) over symmetric S."""
     tab = class_character_table(ctx, T, budget)
@@ -391,6 +402,24 @@ def gauss_restricted_bf(ctx: PrimeContext, T, r: int, budget=None) -> CycInt:
         return cyc_zero(ctx)
     tab = class_character_table(ctx, T, budget)
     return signed_sum(ctx, tab[(r, SQ)], tab[(r, NONSQ)])
+
+
+def signed_coords(ctx: PrimeContext, T, r: int, budget=None) -> np.ndarray:
+    """Power-basis coordinates, as int64, of the signed character sum
+    over the two rank-r orbits of symmetric S against T: the value of
+    gauss_restricted_bf(ctx, T, r), and of gauss_twisted_bf at r = len(T).
+
+    Reads the counting pass's int64 rows directly; their differences fit
+    int64 as in signed_sum. At r=0 the orbits coincide, and the zero
+    vector comes back without an enumeration.
+    """
+    if not 0 <= r <= len(T):
+        raise ValueError(f"rank {r} out of range")
+    if r == 0:
+        return np.zeros(ctx.p - 1, np.int64)
+    rows = _count_rows(ctx, [T], budget)[0]
+    diff = rows[2 * r] - rows[2 * r + 1]
+    return diff[:-1] - diff[-1]
 
 
 def gauss_untwisted_bf(ctx: PrimeContext, A, B, budget=None) -> CycInt:

@@ -7,6 +7,7 @@ I_d perp 0_(n-d) (Square) and J_d perp 0_(n-d) (NonSquare) with
 J_d = I_(d-1) perp <omega>. Rank 0 is Square by convention.
 """
 
+from itertools import product
 from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -237,29 +238,13 @@ def symmetric_from_digits(n: int, digits: Sequence[int]) -> Matrix:
     return tuple(tuple(r) for r in a)
 
 
-def enumerate_symmetric(
-    ctx: PrimeContext, n: int, start: int = 0, stop: int = None
-) -> Iterator[Matrix]:
+def enumerate_symmetric(ctx: PrimeContext, n: int) -> Iterator[Matrix]:
     """All symmetric n x n matrices over F_p, exactly once.
 
     Order is lexicographic in the n(n+1)/2 upper-triangle digits base p
-    (first position most significant). start/stop select the index
-    range [start, stop) of that order.
+    (first position most significant).
     """
-    p = ctx.p
-    K = n * (n + 1) // 2
-    total = p**K
-    if stop is None:
-        stop = total
-    if not 0 <= start <= stop <= total:
-        raise ValueError("bad enumeration range")
-    for idx in range(start, stop):
-        digits = []
-        rem = idx
-        for _ in range(K):
-            rem, dd = divmod(rem, p)
-            digits.append(dd)
-        digits.reverse()
+    for digits in product(range(ctx.p), repeat=n * (n + 1) // 2):
         yield symmetric_from_digits(n, digits)
 
 

@@ -89,8 +89,16 @@ def _cells(primes, max_n, budget):
             yield p, n
 
 
-def _skip(suite, instance, exc, elapsed=0.0) -> VerifyReport:
-    return VerifyReport(suite, instance, "", "", False, elapsed, True, str(exc))
+def _skip(suite, instance, exc) -> VerifyReport:
+    return VerifyReport(suite, instance, "", "", False, 0.0, True, str(exc))
+
+
+def _report(suite, instance, check, data) -> VerifyReport:
+    try:
+        lhs, rhs, match = check(data)
+    except BudgetExceeded as e:
+        return _skip(suite, instance, e)
+    return VerifyReport(suite, instance, _ser(lhs), _ser(rhs), match, 0.0)
 
 
 def _run(suite, groups) -> list:
@@ -99,10 +107,13 @@ def _run(suite, groups) -> list:
     Each group is (shared, items). shared is None or a thunk for the
     work its reports have in common; each item is (instance, check),
     and check(data) returns (lhs, rhs, match) given data = shared()
-    (None without a shared step). Every report's elapsed is its own
-    check plus an even share of shared(). A BudgetExceeded from
-    shared() skips the whole group; one from a check skips only its
-    report.
+    (None without a shared step). A BudgetExceeded from shared() skips
+    the whole group; one from a check skips only its report.
+
+    Every report's elapsed is its own check plus an even share of its
+    group's set-up: building the group and shared(). The intervals are
+    taken back to back, so the elapsed times of a suite's reports add
+    up to its run time.
 
     A check must bind everything it reads (functools.partial or
     default arguments): a group's items may be built lazily, and a
@@ -110,28 +121,24 @@ def _run(suite, groups) -> list:
     generator moves on.
     """
     reports = []
+    mark = perf_counter()  # time before mark is charged to some report
     for shared, items in groups:
         items = list(items)
-        t0 = perf_counter()
+        failed = None
         try:
             data = shared() if shared is not None else None
         except BudgetExceeded as e:
-            reports.extend(_skip(suite, instance, e) for instance, _ in items)
-            continue
-        share = (perf_counter() - t0) / max(len(items), 1)
+            failed = e
+        now = perf_counter()
+        share, mark = (now - mark) / max(len(items), 1), now
         for instance, check in items:
-            t1 = perf_counter()
-            try:
-                lhs, rhs, match = check(data)
-            except BudgetExceeded as e:
-                reports.append(_skip(suite, instance, e, share + perf_counter() - t1))
-                continue
-            reports.append(
-                VerifyReport(
-                    suite, instance, _ser(lhs), _ser(rhs), match,
-                    share + perf_counter() - t1,
-                )
-            )
+            if failed is None:
+                rep = _report(suite, instance, check, data)
+            else:
+                rep = _skip(suite, instance, failed)
+            now = perf_counter()
+            rep.elapsed, mark = share + now - mark, now
+            reports.append(rep)
     return reports
 
 

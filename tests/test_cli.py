@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from isogauss import (
@@ -21,7 +22,7 @@ from isogauss import (
     oracle,
     prime_context,
 )
-from isogauss.cyclotomic import reduce_exponent_vector
+from isogauss.cyclotomic import g_star_one, g_star_shape, reduce_exponent_vector
 
 
 def run(capsys, *argv):
@@ -198,6 +199,97 @@ def test_eval_output_is_unchanged_at_large_p(capsys, argv, cell):
     code, out, _ = run(capsys, "eval", "--p", "100003", *argv)
     assert code == 0
     assert out == _eval_output_by_loops(100003, *cell)
+
+
+# sha256 of "<exit code>\n<stdout>" of eval per request, recorded before
+# eval built its output line from shared coefficient strings. The set
+# covers p = 3 (no zero in g*'s tail), b = 0, a = 0, negative values,
+# r = 0, --matrix, budget-skipped oracles and forced mismatches.
+_EVAL_PINS = [
+    (("--p", "3", "--n", "1", "--rank", "1"), None,
+     "f0448be43e0eb4421065cef95f1c7fc7f934059279c3bdd46471e2a6c9856fd1"),
+    (("--p", "3", "--n", "2", "--rank", "1", "--restrict", "2"), None,
+     "e44c58f272e460be4a3d67d10aa0dabacbcd435636a41acf5d2696c980a26ae9"),
+    (("--p", "3", "--n", "3", "--rank", "3", "--max-terms", "10"), None,
+     "9ffd6360412b4fe73c0433f24464512d048020dedba1f30b05dd33cad4b13883"),
+    (("--p", "5", "--n", "1", "--rank", "1", "--disc", "nonsq"), None,
+     "fc94b8c037836223da1496396b06ad9a1a7397253e14ab70f2159faf8f6edbab"),
+    (("--p", "5", "--n", "2", "--rank", "1", "--restrict", "0"), None,
+     "5be58ff302a0b9b359067d6992cefe3e3c098e9e819fb668f0f67eddb3d6ed1a"),
+    (("--p", "5", "--n", "3", "--rank", "3", "--disc", "nonsq"), None,
+     "4601344799703c123f9687fb3afb4f1a14582a3422ee5bbc58707e434c25af5d"),
+    (("--p", "5", "--matrix", "[[1, 2], [2, 3]]"), None,
+     "5a56bff198ea90bcb04a8ee9c1ee8622e471e12f45d0e4cd67732aa810bf7cb4"),
+    (("--p", "1009", "--n", "1", "--rank", "1"), None,
+     "317884a57a05543386f61efaf722cadeeb18b5f8e2594cf52f583c5a6d5e1963"),
+    (("--p", "1009", "--n", "4", "--rank", "3", "--restrict", "3"), None,
+     "a0b0d8bed9146b58b3df34d81b7f39297c878185a5e00b205f8d53c67b8f3744"),
+    (("--p", "100003", "--n", "1", "--rank", "1", "--disc", "nonsq"), None,
+     "ca939097c233b00f30bf043db844781e74b81b4938bf24f8ef80a80c7c2e9fea"),
+    (("--p", "100003", "--n", "2", "--rank", "2"), None,
+     "dae6857843d08b78489206ae330cdc4ad35bcd03fccf7ca1f82d38f59239eaee"),
+    (("--p", "100003", "--n", "5", "--rank", "3"), None,
+     "44b22b30e891862f898b47d41cd10ba8563ae4d375376c9e31d8201087de077a"),
+    (("--p", "5", "--n", "1", "--rank", "1"), ("thm11_value", QuadValue(5, -7)),
+     "ec28164df7f13400cc87cdd201549f6d0504d2a9a858d5557806578863c9d050"),
+    (("--p", "3", "--n", "2", "--rank", "1", "--restrict", "1"),
+     ("prop41_value", QuadValue(-6, 1)),
+     "83e485cc0be980e9875580aff0a7f233ec08d1e093a5d1af195bdf351aced8ad"),
+]
+
+
+@pytest.mark.parametrize("argv, patch, digest", _EVAL_PINS)
+def test_eval_output_bytes_are_pinned(capsys, monkeypatch, argv, patch, digest):
+    if patch is not None:
+        name, value = patch
+        monkeypatch.setattr(formulas, name, lambda *a: value)
+    code, out, _ = run(capsys, "eval", *argv)
+    assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("where", ["zeta0", "on_mask", "off_mask"])
+def test_eval_compares_the_oracle_exactly(capsys, monkeypatch, where):
+    # one unit off in one coordinate of the oracle's vector is a mismatch
+    ctx = prime_context(7)
+    mask = g_star_shape(ctx)[2]
+    e = {
+        "zeta0": 0,
+        "on_mask": 1 + int(np.flatnonzero(mask)[0]),
+        "off_mask": 1 + int(np.flatnonzero(~mask)[0]),
+    }[where]
+    want = oracle.signed_coords(ctx, ((1,),), 1).tolist()
+    want[e] += 1
+
+    def perturbed(*args):
+        v = orig(*args).copy()
+        v[e] += 1
+        return v
+
+    orig = oracle.signed_coords
+    monkeypatch.setattr(oracle, "signed_coords", perturbed)
+    code, out, _ = run(capsys, "eval", "--p", "7", "--n", "1", "--rank", "1")
+    data = json.loads(out)
+    assert code == 1 and data["match"] is False
+    assert data["oracle"] == [str(c) for c in want]
+    assert data["embedding"] == [str(c) for c in g_star_one(ctx).coeffs]
+
+
+def test_eval_value_past_int64_cannot_match(capsys, monkeypatch):
+    # at p = 3, g* = -1 - 2 zeta: b = -2^62 puts 2^62 on zeta^0, inside
+    # int64, and 2^63, one past it, on zeta: a mismatch, not an overflow
+    monkeypatch.setattr(formulas, "thm11_value", lambda *a: QuadValue(0, -(2**62)))
+    code, out, _ = run(capsys, "eval", "--p", "3", "--n", "1", "--rank", "1")
+    data = json.loads(out)
+    assert code == 1 and data["match"] is False
+    assert data["embedding"] == [str(2**62), str(2**63)]
+    assert data["oracle"] == ["-1", "-2"]
+
+
+def test_eval_embedding_shares_three_strings():
+    mask = g_star_shape(prime_context(100003))[2]
+    items = cli._embedding_items(-12, 34, mask)
+    assert len(items) == 100002 and len({id(x) for x in items}) == 3
+    assert items[0] == '"-12"' and items.count('"34"') == int(mask.sum())
 
 
 def test_table_csv(capsys):

@@ -109,3 +109,15 @@ def test_table_at_a_huge_prime_builds_no_table(monkeypatch, capsys):
     assert "1000000007,1,1,nonsq,1,0,-1" in rows
     # a context is three small ints, cheap to pickle into pool tasks
     assert len(pickle.dumps(prime_context(100003))) < 200
+
+
+def test_eval_refuses_an_oversized_embedding(monkeypatch, capsys):
+    # 10^9 + 6 coefficients are refused before any O(p) table is built
+    monkeypatch.setattr(field, "np", _NoTables())
+    assert cli.main(["eval", "--p", "1000000007", "--n", "1", "--rank", "1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and str(cli.MAX_EMBEDDING_DIGITS) in out.err
+    monkeypatch.undo()
+    # the benchmark's largest request, p - 1 times 306 digits, is served
+    assert cli.main(["eval", "--p", "100003", "--n", "12", "--rank", "3"]) == 0
+    assert len(capsys.readouterr().out) > 100002

@@ -72,6 +72,19 @@ def test_restricted_rejects_bad_rank(ctx3):
         gauss_restricted_bf(ctx3, ((1,),), 2)
 
 
+def test_signed_coords_are_the_restricted_sums(ctx3, ctx5):
+    # the int64 path eval reads gives the tuple path's sums, r = 0 included
+    for ctx in (ctx3, ctx5):
+        for T in (((1,),), ((1, 0), (0, 0)), ((0, 1), (1, 2)), _zero(2)):
+            for r in range(len(T) + 1):
+                got = oracle.signed_coords(ctx, T, r)
+                assert got.dtype == np.int64
+                assert tuple(got.tolist()) == gauss_restricted_bf(ctx, T, r).coeffs
+            assert tuple(got.tolist()) == gauss_twisted_bf(ctx, T).coeffs
+    with pytest.raises(ValueError):
+        oracle.signed_coords(ctx3, ((1,),), 2)
+
+
 def test_class_tables_are_complete(ctx3):
     # one pass gives per-class, per-exponent counts; collapsing them
     # over classes recovers the plain enumeration count

@@ -198,3 +198,15 @@ def test_cor12_classifies_each_extension_once(monkeypatch):
     assert reports and all(r.match and not r.skipped for r in reports)
     groups = sum("a" not in r.instance for r in reports)
     assert groups == 8 and len(seen) == 2 * groups
+
+
+def test_report_times_add_up_to_the_suite_wall_time():
+    # a report's elapsed covers its own check and its share of the
+    # group's shared step; little of run_suite may fall outside them
+    elapsed = wall = 0.0
+    for suite in ("thm11", "prop41", "zero_forms", "lemma51"):
+        t0 = time.perf_counter()
+        reports = run_suite(suite, primes=(3, 5), max_n=4)
+        wall += time.perf_counter() - t0
+        elapsed += sum(r.elapsed for r in reports)
+    assert abs(elapsed / wall - 1) <= 0.02, (elapsed, wall)
