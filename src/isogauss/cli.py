@@ -9,6 +9,7 @@ output carries big integers as decimal strings.
 import argparse
 import json
 import sys
+from functools import lru_cache
 from itertools import islice
 
 import numpy as np
@@ -43,6 +44,17 @@ def _budget(args) -> Budget:
         return Budget()
     except ValueError as e:  # a malformed ISOGAUSS_MAX_TERMS
         raise UsageError(str(e))
+
+
+def _decimal(v: int) -> str:
+    """str(v), refused with UsageError past Python's int-to-str limit."""
+    try:
+        return str(v)
+    except ValueError:  # the only ValueError str() raises on an int
+        raise UsageError(
+            f"a value has more than {sys.get_int_max_str_digits()} digits, "
+            "Python's limit for converting an int to str"
+        ) from None
 
 
 def _check_jobs(args):
@@ -130,7 +142,8 @@ def cmd_eval(args) -> int:
     # the embedding a + b*g* is first on zeta^0 and rest or 0 elsewhere
     g0, c = g_star_values(ctx)
     first, rest = value.a + value.b * g0, value.b * c
-    digits = len(str(max(abs(first), abs(rest))))
+    value_json = {"a": _decimal(value.a), "b": _decimal(value.b)}
+    digits = len(_decimal(max(abs(first), abs(rest))))
     if (ctx.p - 1) * digits > MAX_EMBEDDING_DIGITS:
         raise UsageError(
             f"the embedding's {ctx.p - 1} coefficients of up to {digits} digits "
@@ -146,7 +159,7 @@ def cmd_eval(args) -> int:
         "d": cls.d,
         "disc": _DISC_NAMES[cls.disc],
         "restrict": r,
-        "value": value.to_json(),
+        "value": value_json,
     })
     pieces = [head[:-1]]
     _add_list(pieces, "embedding", emb)
@@ -186,8 +199,8 @@ def _table_rows(ctx, max_n, restrict_all):
                     "d": cls.d,
                     "disc": _DISC_NAMES[cls.disc],
                     "r": r,
-                    "a": str(v.a),
-                    "b": str(v.b),
+                    "a": _decimal(v.a),
+                    "b": _decimal(v.b),
                 }
 
 
@@ -304,9 +317,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: building costs far more than a parse
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as e:

@@ -185,6 +185,9 @@ def _even_restricted(ctx: PrimeContext, n: int, d: int, t: int) -> Fraction:
     for k in range(0, min(c, t) + 1):
         x = t - k
         rho = d - 2 * k
+        if x:
+            o_sq = counts.orth_order(ctx, FormClass(2 * x, 2 * x, SQ))
+            o_nsq = counts.orth_order(ctx, FormClass(2 * x, 2 * x, NONSQ))
         delta_k = 0
         for j in range(0, rho + 1):
             inj = counts.frames(p, s, j)
@@ -196,10 +199,7 @@ def _even_restricted(ctx: PrimeContext, n: int, d: int, t: int) -> Fraction:
             else:
                 z_i = counts.rep_star_lemma51(ctx, "I", 2 * x, ("zeros", a)) if a else 1
                 z_j = counts.rep_star_lemma51(ctx, "J", 2 * x, ("zeros", a)) if a else 1
-                d_aj = o_odd * (
-                    Fraction(z_i, counts.orth_order(ctx, FormClass(2 * x, 2 * x, SQ)))
-                    - Fraction(z_j, counts.orth_order(ctx, FormClass(2 * x, 2 * x, NONSQ)))
-                )
+                d_aj = o_odd * (Fraction(z_i, o_sq) - Fraction(z_j, o_nsq))
             delta_k += (
                 counts.qfunc(ctx, "beta", rho, j)
                 * inj

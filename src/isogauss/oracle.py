@@ -3,10 +3,18 @@
 Every closed formula in this package is checked against the functions
 here, which evaluate sums and counts by full enumeration with no
 number-theoretic shortcuts. numpy does the batch work; all
-accumulation is exact integer arithmetic. Large spaces of symmetric
-matrices are classified by recursion on dimension (the Witt
-decomposition) rather than matrix by matrix; the recursive, chunked and
-pooled classifications give the same class codes bit for bit.
+accumulation is exact integer arithmetic.
+
+Each (p, n) space of symmetric matrices is classified once per
+process: every cell with n >= 3, and a large n = 2 cell, by recursion
+on dimension (the Witt decomposition) rather than matrix by matrix;
+the recursive, chunked and pooled classifications give the same class
+codes bit for bit. Next to the codes, each cell caches one histogram
+over (class, diagonal digits), off which every diagonal T's character
+table is read. The lemma 5.1 counts (rep_star_bf) come from one
+histogram over vectors or from the totally isotropic subspaces of
+iso_subspaces_bf; rep_count_bf, the general column-by-column count,
+stays as the reference the tests compare them with.
 """
 
 import os
@@ -199,18 +207,18 @@ def _classified(ctx: PrimeContext, n: int, jobs=None) -> np.ndarray:
     """Class codes of every symmetric n x n matrix, in enumeration order.
 
     The first call for a (p, n) cell builds its codes and caches them;
-    later calls return the cached codes. A cell with n >= 2 of more than
-    _CHUNK matrices is built by recursion on dimension (_recursed) from
-    the cached (p, n-1) and (p, n-2) cells. Every other cell, n = 1 at
-    any p included, is classified matrix by matrix, through a process
-    pool when jobs > 1.
+    later calls return the cached codes. Every cell with n >= 3, and an
+    n = 2 cell of more than _CHUNK matrices, is built by recursion on
+    dimension (_recursed) from the cached (p, n-1) and (p, n-2) cells.
+    Every other cell, n = 1 at any p included, is classified matrix by
+    matrix, through a process pool when jobs > 1.
     """
     key = (ctx.p, n)
     codes = _class_cache.get(key)
     if codes is not None:
         return codes
     total = ctx.p ** (n * (n + 1) // 2)
-    if n >= 2 and total > _CHUNK:
+    if n >= 3 or (n == 2 and total > _CHUNK):
         codes = _recursed(ctx, n)
     elif jobs and jobs > 1:
         codes = np.empty(total, np.uint8)
@@ -230,6 +238,7 @@ def _classified(ctx: PrimeContext, n: int, jobs=None) -> np.ndarray:
 
 def clear_caches():
     _class_cache.clear()
+    _hist_cache.clear()
 
 
 def _digit_exponents(p: int, W: np.ndarray, dt, mod=None) -> np.ndarray:
@@ -265,22 +274,28 @@ def _tables_per_t(p, codes, W, rows, k_low):
     return acc
 
 
-def _tables_from_live_digits(p, codes, W, rows, k_low, live):
-    """Counts (T, class code, exponent) from one histogram of the class
-    code and the live digits, those that some T weights.
+# histograms over (class code, diagonal digits), cached per (p, n)
+_hist_cache: dict = {}
 
-    The key of S is its live digits read as a base-p number. Each block
-    of codes is counted by one bincount over (code, key of its low live
-    digits); its high live digits fix where those counts land. Each T's
-    table is then read off the histogram through its exponent on every
-    key.
+
+def _diagonal_histogram(p, n, codes, diag, k_low):
+    """Counts of symmetric S by (class code, diagonal digits of S read as
+    a base-p key), an int64 array of shape (2n + 2, p^n), cached per
+    (p, n) like the codes it is counted from.
+
+    Each block of codes is counted by one bincount over (code, key of
+    its low diagonal digits); its high diagonal digits fix where those
+    counts land.
     """
-    K = len(W)
-    L = int(live.sum())
-    nkeys = p**L
-    nlow = p ** int(live[K - k_low :].sum())
+    hist = _hist_cache.get((p, n))
+    if hist is not None:
+        return hist
+    K = len(diag)
+    rows = 2 * n + 2
+    nkeys = p**n
+    nlow = p ** int(diag[K - k_low :].sum())
     place = np.zeros((K, 1), np.int64)  # place value of each digit in the key
-    place[live, 0] = p ** np.arange(L - 1, -1, -1, dtype=np.int64)
+    place[diag, 0] = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
     dt = np.min_scalar_type(rows * nlow - 1)  # holds every bin index
     # every key is below nkeys, so reducing by it leaves keys whole
     low = _digit_exponents(p, place[K - k_low :], dt, nkeys)[0]
@@ -291,10 +306,9 @@ def _tables_from_live_digits(p, codes, W, rows, k_low, live):
         base = codes[h * size : (h + 1) * size].astype(dt) * nlow
         cnt = np.bincount(base + low, minlength=rows * nlow).reshape(rows, -1)
         hist[:, key : key + nlow] += cnt
-    acc = np.zeros((W.shape[1], rows, p), np.int64)
-    for tab, e in zip(acc, _digit_exponents(p, W[live], np.int64)):
-        np.add.at(tab, (slice(None), e), hist)
-    return acc
+    hist.flags.writeable = False  # shared by every later caller
+    _hist_cache[(p, n)] = hist
+    return hist
 
 
 def _count_rows(ctx: PrimeContext, Ts, budget=None, jobs=None) -> np.ndarray:
@@ -306,19 +320,19 @@ def _count_rows(ctx: PrimeContext, Ts, budget=None, jobs=None) -> np.ndarray:
     upper-triangle digit d_k of S. The digits split into a low part of
     at most _CHUNK entries (a single digit when p alone exceeds it) and
     a high prefix, and each high prefix owns one contiguous block of the
-    cached class codes. Call a digit live if some T gives it a nonzero
-    weight; for a diagonal T only the n diagonal digits are live. Two
-    passes count the blocks, both exactly in int64:
-    - when some digit is dead and the histogram over (class code, live
-      digits) has at most _CHUNK bins, one bincount per block builds
-      that histogram whatever the number of T, and each T's table is
-      read off it with np.add.at;
-    - otherwise (as at n = 1, or for a T without zero entries) the low
-      part's exponents are built once per T, each block is counted by
-      one bincount of code*p + low exponent per T, and the prefix adds
-      its own exponent by rotating those counts.
+    cached class codes. A diagonal T weights only the n diagonal digits.
+    Two passes count, both exactly in int64:
+    - when n >= 2, every T is diagonal and the histogram over (class
+      code, diagonal digits) has at most _CHUNK bins, that histogram is
+      built once per cell and cached (_diagonal_histogram), and each T's
+      table is read off it with one np.add.at;
+    - otherwise (n = 1, a T with a nonzero entry off the diagonal, or a
+      large p) the low part's exponents are built once per T, each
+      block is counted by one bincount of code*p + low exponent per T,
+      and the prefix adds its own exponent by rotating those counts.
     The choice rests on the T alone. Neither pass diagonalises T or
-    uses congruence invariance; summing out dead digits is counting.
+    uses congruence invariance; summing out the off-diagonal digits,
+    which a diagonal T does not weight, is counting.
     """
     p = ctx.p
     Ts = [sym_matrix(ctx, T) for T in Ts]
@@ -336,10 +350,13 @@ def _count_rows(ctx: PrimeContext, Ts, budget=None, jobs=None) -> np.ndarray:
     k_low = 1
     while k_low < K and p ** (k_low + 1) <= _CHUNK:
         k_low += 1
-    live = W.any(axis=1)
-    L = int(live.sum())
-    if L < K and rows * p**L <= _CHUNK:
-        return _tables_from_live_digits(p, codes, W, rows, k_low, live)
+    diag = np.array([i == j for i, j in upper_positions(n)])
+    if n >= 2 and not W[~diag].any() and rows * p**n <= _CHUNK:
+        hist = _diagonal_histogram(p, n, codes, diag, k_low)
+        acc = np.zeros((len(Ts), rows, p), np.int64)
+        for tab, e in zip(acc, _digit_exponents(p, W[diag], np.int64)):
+            np.add.at(tab, (slice(None), e), hist)
+        return acc
     return _tables_per_t(p, codes, W, rows, k_low)
 
 
@@ -585,6 +602,44 @@ def iso_subspaces_bf(ctx: PrimeContext, X, j: int, budget=None) -> int:
         int((G == 0).all(axis=(1, 2)).sum())
         for G in _subspace_grams(ctx, X, j, budget)
     )
+
+
+def rep_star_bf(ctx: PrimeContext, X, Y, budget=None) -> int:
+    """Count the rank-s matrices C with ^tC X C = Y (the primitive
+    representations of Y by X) for the two target shapes of lemma 5.1.
+
+    - Y = (a), a != 0: the vectors v with ^tv X v = a, read off one
+      histogram of ^tv X v over the p^t vectors. The budget charges p^t
+      terms.
+    - Y the s x s zero form: the columns of C are an ordered basis of an
+      s-dimensional totally isotropic subspace, and each such subspace
+      has |GL_s(F_p)| = prod_{i<s} (p^s - p^i) ordered bases. So the
+      count is iso_subspaces_bf(X, s) times that product.
+
+    Any other Y raises ValueError.
+    """
+    X = sym_matrix(ctx, X)
+    Y = sym_matrix(ctx, Y)
+    p, t, s = ctx.p, len(X), len(Y)
+    if not any(v for row in Y for v in row):
+        if s > t:
+            return 0
+        bases = 1
+        for i in range(s):
+            bases *= p**s - p**i
+        return iso_subspaces_bf(ctx, X, s, budget) * bases
+    if s != 1:
+        raise ValueError("target must be a nonzero 1 x 1 form or a zero form")
+    total = p**t
+    limit = _resolve(budget).max_terms
+    if total > limit:
+        raise BudgetExceeded(total, limit, "vector enumeration")
+    Xa = np.array(X, np.int64)
+    hist = np.zeros(p, np.int64)
+    for lo in range(0, total, _CHUNK):
+        v = digits_block(p, t, lo, min(lo + _CHUNK, total)).astype(np.int64)
+        hist += np.bincount(((v @ Xa) % p * v).sum(axis=1) % p, minlength=p)
+    return int(hist[Y[0][0]])
 
 
 def subspace_census(ctx: PrimeContext, X, ell: int, budget=None) -> dict:

@@ -238,7 +238,7 @@ def _lemma51(ctx, size, form, target, budget, _):
     else:
         d = target[1]
         y = tuple(tuple(0 for _ in range(d)) for _ in range(d))
-    rhs = oracle.rep_count_bf(ctx, x_mat, y, primitive=True, budget=budget)
+    rhs = oracle.rep_star_bf(ctx, x_mat, y, budget)
     return lhs, rhs, lhs == rhs
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -436,3 +437,49 @@ def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+
+    def counted():
+        built.append(1)
+        return parser()
+
+    parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            code, out, _ = run(capsys, "table", "--p", "3", "--max-n", "1", "--format", "csv")
+            assert code == 0 and out.splitlines()[0] == "p,n,d,disc,r,a,b"
+        code, _, err = run(capsys, "table", "--p", "3", "--max-n", "0")
+        assert code == 2 and err.startswith("error:")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["eval", "--p", "3", "--disc", "nope"])
+        assert exc.value.code == 2
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+
+
+def _int_str_limit_error(err):
+    limit = sys.get_int_max_str_digits()
+    return err.startswith("error:") and str(limit) in err and "Traceback" not in err
+
+
+def test_eval_refuses_a_value_past_the_int_str_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "eval", "--p", "3", "--n", "200", "--rank", "1")
+    assert code == 2 and out == ""
+    assert _int_str_limit_error(err)
+    assert sys.get_int_max_str_digits() == limit  # the global limit stays
+
+
+def test_table_refuses_a_value_past_the_int_str_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    # at p ~ 10^9 the values of n = 40 pass 4,300 digits
+    code, out, err = run(capsys, "table", "--p", "1000000007", "--max-n", "40", "--format", "csv")
+    assert code == 2 and out == ""
+    assert _int_str_limit_error(err)
+    assert sys.get_int_max_str_digits() == limit

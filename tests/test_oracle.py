@@ -28,7 +28,7 @@ from isogauss import (
 from isogauss import all_classes, counts, orth_order, run_suite
 from isogauss import classify, enumerate_symmetric
 from isogauss import field, oracle
-from isogauss.oracle import _CHUNK, _ranges, clear_caches, subspace_census
+from isogauss.oracle import _CHUNK, _ranges, clear_caches, rep_star_bf, subspace_census
 
 
 def _zero(n):
@@ -231,26 +231,39 @@ def test_live_digit_tables_match_a_scalar_loop(monkeypatch):
 
 
 def test_live_digit_histogram_across_many_prefix_blocks(ctx5, monkeypatch):
+    # the diagonal histogram is cached per cell: one pass over the
+    # blocks after clear_caches, none on a later call
     Ts = [canonical_matrix(ctx5, c) for c in all_classes(3)]
     want = class_character_tables(ctx5, Ts)
+    clear_caches()
     with monkeypatch.context() as m:
-        # 8 classes x 5^3 live keys fill 1000 bins; the low part keeps
-        # 4 of the 6 digits, so 25 prefix blocks of 625 codes each
+        # 8 classes x 5^3 diagonal keys fill 1000 bins; the low part
+        # keeps 4 of the 6 digits, so 25 prefix blocks of 625 codes each
         m.setattr(oracle, "_CHUNK", 1000)
         seen = _counting_bincount(m)
         assert class_character_tables(ctx5, Ts) == want
-    assert seen == [625] * 25
+        assert seen == [625] * 25
+        del seen[:]
+        assert class_character_tables(ctx5, Ts) == want
+        assert class_character_tables(ctx5, [_zero(3)]) == [want[Ts.index(_zero(3))]]
+        assert seen == []
+    clear_caches()
 
 
 def test_one_pass_over_the_cell_for_any_number_of_diagonal_ts(ctx5, monkeypatch):
+    # one pass per cell, whatever the number of diagonal T and however
+    # many calls read it: thm11, prop41 and zero_forms share (5, 3)
     Ts = [canonical_matrix(ctx5, c) for c in all_classes(3)]
-    class_character_tables(ctx5, Ts)  # classifies and caches the cell
+    clear_caches()
     seen = _counting_bincount(monkeypatch)
-    class_character_tables(ctx5, Ts[:1])
-    one = sum(seen)
+    one = class_character_tables(ctx5, Ts[:1])
+    assert sum(seen) == 5**6
     del seen[:]
-    class_character_tables(ctx5, Ts)
-    assert len(Ts) == 7 and sum(seen) == one == 5**6
+    tabs = class_character_tables(ctx5, Ts)
+    zero = class_character_tables(ctx5, [_zero(3)])
+    assert len(Ts) == 7 and seen == []
+    assert tabs[:1] == one and zero == [tabs[Ts.index(_zero(3))]]
+    clear_caches()
 
 
 def test_counting_pass_expands_no_digits(ctx5, monkeypatch):
@@ -530,3 +543,64 @@ def test_env_budget(monkeypatch):
         Budget()
     monkeypatch.delenv("ISOGAUSS_MAX_TERMS")
     assert Budget().max_terms == 20_000_000
+
+
+def _lemma51_grid():
+    """(p, X, Y) of the 104 lemma51 instances on the default grid."""
+    out = []
+    for p in (3, 5, 7):
+        ctx = prime_context(p)
+        for size in range(2, (5 if p == 3 else 4) + 1):
+            targets = [((1,),), ((ctx.omega,),)] + [_zero(d) for d in range(1, size + 1)]
+            for disc in (SQ, NONSQ):
+                X = canonical_matrix(ctx, FormClass(size, size, disc))
+                out += [(ctx, X, Y) for Y in targets]
+    return out
+
+
+def test_lemma51_oracle_matches_the_column_frontier():
+    grid = _lemma51_grid()
+    assert len(grid) == 104
+    for ctx, X, Y in grid:
+        want = rep_count_bf(ctx, X, Y, primitive=True)
+        assert rep_star_bf(ctx, X, Y) == want, (ctx.p, X, Y)
+    # degenerate forms and a zero target wider than the form
+    ctx3 = prime_context(3)
+    for c in (FormClass(3, 2, NONSQ), FormClass(3, 0, SQ), FormClass(2, 1, SQ)):
+        X = canonical_matrix(ctx3, c)
+        for Y in (((1,),), ((2,),), _zero(1), _zero(2), _zero(4)):
+            assert rep_star_bf(ctx3, X, Y) == rep_count_bf(ctx3, X, Y, primitive=True)
+
+
+def test_lemma51_oracle_shapes_and_budget(ctx3, monkeypatch):
+    I3 = canonical_matrix(ctx3, FormClass(3, 3, SQ))
+    for Y in (((1, 0), (0, 1)), ((0, 1), (1, 0)), ((1, 0), (0, 0))):
+        with pytest.raises(ValueError):
+            rep_star_bf(ctx3, I3, Y)
+    # a nonzero scalar target charges the p^t vectors
+    assert rep_star_bf(ctx3, I3, ((1,),), Budget(max_terms=27)) == 6
+    with pytest.raises(BudgetExceeded):
+        rep_star_bf(ctx3, I3, ((1,),), Budget(max_terms=26))
+    # a zero target charges the subspaces, as iso_subspaces_bf does
+    with pytest.raises(BudgetExceeded):
+        rep_star_bf(ctx3, _zero(4), _zero(2), Budget(max_terms=5))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("lemma51 must not reach rep_count_bf")
+
+    monkeypatch.setattr(oracle, "rep_count_bf", refuse)
+    reports = run_suite("lemma51", primes=(3,))
+    assert len(reports) == 44 and all(r.match and not r.skipped for r in reports)
+
+
+@pytest.mark.parametrize("p, n", [(3, 3), (3, 4), (5, 3), (7, 3)])
+def test_small_cells_with_n_at_least_3_recurse(monkeypatch, p, n):
+    # at the default _CHUNK these cells fit one chunk, yet only their
+    # sub-cells reach classify_batch
+    ctx = prime_context(p)
+    clear_caches()
+    seen = _counting_classify_batch(monkeypatch)
+    codes = oracle._classified(ctx, n)
+    assert seen and all(shape[1] < n for shape in seen)
+    assert np.array_equal(codes, _direct_codes(ctx, n))
+    clear_caches()

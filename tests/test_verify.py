@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 from pathlib import Path
@@ -210,3 +211,21 @@ def test_report_times_add_up_to_the_suite_wall_time():
         wall += time.perf_counter() - t0
         elapsed += sum(r.elapsed for r in reports)
     assert abs(elapsed / wall - 1) <= 0.02, (elapsed, wall)
+
+
+# sha256 of the default grid's (suite, instance, lhs, rhs, match,
+# skipped) tuples, one JSON line each, recorded at commit 13cd441
+_DEFAULT_GRID_SHA256 = "e9ab1332aca02dd2716672df590db73a0659cd42dbeabe2c71155dcc5a1bb78b"
+
+
+def test_default_grid_is_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    budget = Budget(max_terms=oracle.DEFAULT_MAX_TERMS)
+    for suite in SUITES:
+        for r in run_suite(suite, budget=budget):
+            row = [r.suite, r.instance, r.lhs, r.rhs, r.match, r.skipped]
+            digest.update(json.dumps(row).encode() + b"\n")
+            count += 1
+    assert count == 991
+    assert digest.hexdigest() == _DEFAULT_GRID_SHA256
