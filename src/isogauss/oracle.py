@@ -11,10 +11,14 @@ on dimension (the Witt decomposition) rather than matrix by matrix;
 the recursive, chunked and pooled classifications give the same class
 codes bit for bit. Next to the codes, each cell caches one histogram
 over (class, diagonal digits), off which every diagonal T's character
-table is read. The lemma 5.1 counts (rep_star_bf) come from one
-histogram over vectors or from the totally isotropic subspaces of
-iso_subspaces_bf; rep_count_bf, the general column-by-column count,
-stays as the reference the tests compare them with.
+table is read. The subspaces of F_p^t are enumerated once per
+(p, t, ell) as a family of echelon bases (_family), cached read-only
+like the codes; iso_subspaces_bf filters it by a table of q(v) over the
+lines of F_p^t, and subspace_census classifies its Gram matrices. The
+lemma 5.1 counts (rep_star_bf) come from one histogram over vectors or
+from the totally isotropic subspaces of iso_subspaces_bf; rep_count_bf,
+the general column-by-column count, stays as the reference the tests
+compare them with.
 """
 
 import os
@@ -30,6 +34,7 @@ from .quadform import (
     NONSQ,
     SQ,
     FormClass,
+    classify,
     classify_batch,
     digits_block,
     int_dtype,
@@ -239,6 +244,7 @@ def _classified(ctx: PrimeContext, n: int, jobs=None) -> np.ndarray:
 def clear_caches():
     _class_cache.clear()
     _hist_cache.clear()
+    _family_cache.clear()
 
 
 def _digit_exponents(p: int, W: np.ndarray, dt, mod=None) -> np.ndarray:
@@ -559,20 +565,61 @@ def rep_count_bf(ctx: PrimeContext, X, Y, primitive: bool = False, budget=None) 
 # subspace counts ------------------------------------------------------
 
 
-def _subspace_grams(ctx: PrimeContext, X, ell: int, budget):
-    """Gram matrices B X ^tB, in batches, of one reduced-row-echelon basis
-    B per ell-dimensional subspace of F_p^t, pivot pattern by pattern.
+# echelon families, each built once and kept read-only like the class
+# codes: (p, t) holds the digits of the lines of F_p^t, (p, t, ell) the
+# ell-dimensional subspaces as rows of line indices
+_family_cache: dict = {}
 
-    The budget charges each subspace before its pattern is enumerated.
+
+def _subspace_count(p: int, t: int, ell: int) -> int:
+    """[t, ell]_p, the number of ell-dimensional subspaces of F_p^t."""
+    num = den = 1
+    for i in range(ell):
+        num *= p ** (t - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+def _lines(p: int, t: int) -> np.ndarray:
+    """Digits, one int64 row each, of the (p^t - 1)/(p - 1) monic vectors
+    of F_p^t (first nonzero digit 1), one per line: by the position of
+    the leading 1, then by the digits after it. Line index
+    offset(c) + (digits after c read in base p), with offset(c) the
+    number of lines whose leading 1 comes before c.
+
+    Every row of a reduced-row-echelon basis is monic. Cached in
+    _family_cache when there are at most _CHUNK lines.
     """
-    X = sym_matrix(ctx, X)
-    p = ctx.p
-    t = len(X)
-    if not 0 <= ell <= t:
-        raise ValueError(f"subspace dimension {ell} out of range")
-    limit = _resolve(budget).max_terms
-    Xa = np.array(X, np.int64)
-    nodes = 0
+    L = _family_cache.get((p, t))
+    if L is not None:
+        return L
+    L = np.zeros(((p**t - 1) // (p - 1), t), np.int64)
+    lo = 0
+    for c in range(t):
+        hi = lo + p ** (t - 1 - c)
+        L[lo:hi, c] = 1
+        L[lo:hi, c + 1 :] = digits_block(p, t - 1 - c, 0, hi - lo)
+        lo = hi
+    if len(L) <= _CHUNK:
+        L.flags.writeable = False  # shared by every later caller
+        _family_cache[(p, t)] = L
+    return L
+
+
+def _echelon_blocks(p: int, t: int, ell: int):
+    """One row of ell line indices (see _lines) per reduced-row-echelon
+    basis of an ell-dimensional subspace of F_p^t, pivot pattern by
+    pattern, in blocks of at most _CHUNK rows, in the narrowest unsigned
+    dtype that holds every line index. Blocks are column-major, so the
+    line indices of one basis row position are contiguous.
+
+    Row r of a basis has its leading 1 at pivots[r], zeros at the other
+    pivots and a free digit at every other later column; each free digit
+    d at column c adds d * p^(t-1-c) to the line index of its row. Every
+    partial sum stays below the number of lines.
+    """
+    offset = np.cumsum([0] + [p ** (t - 1 - c) for c in range(t - 1)])
+    dt = np.min_scalar_type(offset[-1])  # the index of the last line
     for pivots in combinations(range(t), ell):
         free = [
             (r, c)
@@ -580,28 +627,94 @@ def _subspace_grams(ctx: PrimeContext, X, ell: int, budget):
             for c in range(pivots[r] + 1, t)
             if c not in pivots
         ]
+        place = np.zeros((len(free), ell), np.int64)
+        for k, (r, c) in enumerate(free):
+            place[k, r] = p ** (t - 1 - c)
+        first = offset[list(pivots)].astype(np.int64)
         cnt = p ** len(free)
-        nodes += cnt
-        if nodes > limit:
-            raise BudgetExceeded(nodes, limit, "subspace enumeration")
-        for lo in range(0, cnt, 1 << 16):
-            hi = min(lo + (1 << 16), cnt)
-            digits = digits_block(p, len(free), lo, hi)
-            B = np.zeros((hi - lo, ell, t), np.int64)
-            for r in range(ell):
-                B[:, r, pivots[r]] = 1
-            for k, (r, c) in enumerate(free):
-                B[:, r, c] = digits[:, k]
-            E = (B @ Xa) % p
-            yield (E @ B.transpose(0, 2, 1)) % p
+        for lo in range(0, cnt, _CHUNK):
+            digits = digits_block(p, len(free), lo, min(lo + _CHUNK, cnt))
+            yield (digits.astype(np.int64) @ place + first).astype(dt, order="F")
+
+
+def _family(p: int, t: int, ell: int, budget):
+    """The ell-dimensional subspaces of F_p^t, 0 < ell < t, as blocks of
+    rows of line indices (_echelon_blocks).
+
+    The budget charges the [t, ell]_p subspaces on every call, cached or
+    not. A family of at most _CHUNK subspaces is built once, kept
+    read-only in _family_cache and returned as one block; a larger one
+    is built in blocks on every call and not kept. Since 0 < ell < t,
+    [t, ell]_p is at least the number of lines, and so at least p + 1.
+    """
+    count = _subspace_count(p, t, ell)
+    limit = _resolve(budget).max_terms
+    if count > limit:
+        raise BudgetExceeded(count, limit, "subspace enumeration")
+    if count > _CHUNK:
+        return _echelon_blocks(p, t, ell)
+    rows = _family_cache.get((p, t, ell))
+    if rows is None:
+        rows = np.asfortranarray(np.concatenate(list(_echelon_blocks(p, t, ell))))
+        rows.flags.writeable = False  # shared by every later caller
+        _family_cache[(p, t, ell)] = rows
+    return (rows,)
+
+
+def _forms(p: int, U: np.ndarray, V: np.ndarray, Xa: np.ndarray) -> np.ndarray:
+    """u^T X v mod p for the digit rows u of U and v of V (last axis t,
+    the others broadcast), exactly in int64.
+
+    One matrix product when no sum of t products of residues can pass
+    2^63 - 1; past that (p near 3 * 10^9), every product is reduced
+    before it is summed.
+    """
+    t = len(Xa)
+    if t * (p - 1) ** 2 <= np.iinfo(np.int64).max:
+        return ((V @ Xa) % p * U).sum(axis=-1) % p
+    W = sum((V[..., k, None] * Xa[k]) % p for k in range(t)) % p
+    return sum((U[..., k] * W[..., k]) % p for k in range(t)) % p
+
+
+def _subspace_form(ctx: PrimeContext, X, ell: int):
+    """X checked and reduced, as a tuple and as an int64 array, for a
+    subspace dimension ell in 0..t."""
+    X = sym_matrix(ctx, X)
+    if not 0 <= ell <= len(X):
+        raise ValueError(f"subspace dimension {ell} out of range")
+    return X, np.array(X, np.int64)
 
 
 def iso_subspaces_bf(ctx: PrimeContext, X, j: int, budget=None) -> int:
-    """Count j-dimensional totally isotropic subspaces."""
-    return sum(
-        int((G == 0).all(axis=(1, 2)).sum())
-        for G in _subspace_grams(ctx, X, j, budget)
-    )
+    """Count the j-dimensional totally isotropic subspaces of X.
+
+    A subspace is totally isotropic when the rows of its echelon basis
+    are isotropic and pairwise orthogonal. So each call builds one table
+    of q(v) = ^tv X v over the lines of F_p^t, keeps the bases of the
+    family (_family) whose rows are all isotropic, and tests pairwise
+    orthogonality on those survivors only. The table has no more entries
+    than the family has subspaces.
+
+    j = 0 (the zero subspace) and j = t (the whole space, totally
+    isotropic exactly when X = 0) are one subspace each, within every
+    budget, and build no table.
+    """
+    X, Xa = _subspace_form(ctx, X, j)
+    p, t = ctx.p, len(X)
+    if j == 0 or j == t:
+        return int(j == 0 or not Xa.any())
+    blocks = _family(p, t, j, budget)
+    L = _lines(p, t)
+    isotropic = _forms(p, L, L, Xa) == 0
+    a, b = np.triu_indices(j, 1)  # every pair of basis rows
+    total = 0
+    for rows in blocks:
+        keep = isotropic[rows[:, 0]]
+        for r in range(1, j):
+            keep &= isotropic[rows[:, r]]
+        B = L[rows[keep]]
+        total += int((_forms(p, B[:, a], B[:, b], Xa) == 0).all(axis=1).sum())
+    return total
 
 
 def rep_star_bf(ctx: PrimeContext, X, Y, budget=None) -> int:
@@ -648,9 +761,25 @@ def subspace_census(ctx: PrimeContext, X, ell: int, budget=None) -> dict:
     Returns {FormClass(ell, rank, disc): count}, leaving out empty
     classes. The count of class Y is r*(X, Y)/|O(Y)|: the bases of W
     with Gram matrix Y form one O(Y)-torsor.
+
+    The Gram matrices B X ^tB are read off the echelon family that
+    iso_subspaces_bf filters (_family, budgeted the same way) and
+    classified in batches (_codes). The family has more than p
+    subspaces, so the batch classifier's O(p) tables fit the budget
+    too. ell = 0 and ell = t are one subspace each, on which X restricts
+    to the empty form and to X itself: the scalar classify reads those,
+    with no table.
     """
+    X, Xa = _subspace_form(ctx, X, ell)
+    p, t = ctx.p, len(X)
+    if ell == 0 or ell == t:
+        return {classify(ctx, X if ell else ()): 1}
+    blocks = _family(p, t, ell, budget)
+    L = _lines(p, t)
     acc = np.zeros(2 * ell + 2, np.int64)
-    for G in _subspace_grams(ctx, X, ell, budget):
+    for rows in blocks:
+        B = L[rows]
+        G = _forms(p, B[:, :, None], B[:, None], Xa)  # rows i, j of basis k
         acc += np.bincount(_codes(ctx, G), minlength=len(acc))
     return {
         FormClass(ell, code // 2, NONSQ if code % 2 else SQ): int(cnt)

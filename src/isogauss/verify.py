@@ -40,6 +40,10 @@ from .quadform import (
 
 _GAUSS_PRIMES = (3, 5, 7)
 _SCALAR_PRIMES = (3, 5, 7, 11)
+# g_squared builds O(p) tables for g* and squares it with cyc_mul, (p-1)^2
+# products in Python; past this many products it is skipped. A fixed cap
+# like oracle._COL_CAP, not the budget, which counts enumerated terms
+_G_SQUARED_CAP = 20_000_000
 
 
 @dataclass
@@ -332,6 +336,9 @@ def _suite_lemma54(primes, max_n, budget):
 
 
 def _g_squared(ctx, _):
+    terms = (ctx.p - 1) ** 2
+    if terms > _G_SQUARED_CAP:
+        raise BudgetExceeded(terms, _G_SQUARED_CAP, "product g* * g*")
     g = g_star_one(ctx)
     lhs = cyc_mul(g, g)
     rhs = cyc_const(ctx, ctx.epsilon * ctx.p)

@@ -416,6 +416,39 @@ def test_verify_usage(capsys):
     assert code == 2 and "--jobs" in err
 
 
+def test_verify_at_a_huge_prime_passes_or_skips(capsys, monkeypatch):
+    # every O(p) builder raises: at p = 2147483659 each report passes
+    # without one or is skipped by a budget before one is built
+    from isogauss import cyclotomic, field, quadform, verify
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built an O(p) table")
+
+    for module, name in (
+        (field, "tables"),
+        (quadform, "tables"),
+        (cyclotomic, "tables"),
+        (cyclotomic, "g_star_shape"),
+        (cyclotomic, "g_star_one"),
+        (verify, "g_star_one"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+    monkeypatch.delenv("ISOGAUSS_MAX_TERMS", raising=False)
+    code, out, _ = run(
+        capsys,
+        "verify", "--suites", "lemma54,scalars", "--primes", "2147483659", "--max-n", "2",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-1] == "passed 4 failed 0 skipped 4"
+    for line in lines[:-1]:
+        assert line.startswith("[PASS]") or (
+            line.startswith("[SKIP]") and " needs " in line
+        ), line
+    # the lemma 5.4 sums over ell = d read the class of X, no table
+    assert sum(line.startswith("[PASS] lemma54") for line in lines) == 4
+
+
 def test_malformed_env_budget_is_a_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("ISOGAUSS_MAX_TERMS", "abc")
     code, out, err = run(capsys, "verify", "--suites", "scalars", "--primes", "3")

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -477,6 +478,155 @@ def test_census_budget(ctx3):
         subspace_census(ctx3, _zero(4), 2, Budget(max_terms=5))
     with pytest.raises(ValueError):
         subspace_census(ctx3, _zero(2), 3)
+
+
+def _congruent(ctx, C, rng):
+    """P^T C P for a random invertible P, off the diagonal when C has
+    rank at least 1 and size at least 2."""
+    p, t = ctx.p, len(C)
+    Ca = np.array(C, np.int64)
+    while True:
+        P = np.array([[rng.randrange(p) for _ in range(t)] for _ in range(t)])
+        if round(np.linalg.det(P)) % p == 0:
+            continue  # singular P; |det P| < 10^5, exact in a double
+        X = (P.T @ Ca @ P) % p
+        if t < 2 or not Ca.any() or (X - np.diag(np.diag(X))).any():
+            return tuple(tuple(int(v) for v in row) for row in X)
+
+
+def _gl_order(p, ell):
+    order = 1
+    for i in range(ell):
+        order *= p**ell - p**i
+    return order
+
+
+@pytest.mark.parametrize(
+    "p, t", [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (7, 3)]
+)
+def test_subspace_counts_of_congruent_and_degenerate_forms(p, t):
+    # forms P^T C P, off the diagonal and of every rank: a count that
+    # read only the diagonal of X would fail here
+    ctx = prime_context(p)
+    rng = random.Random(1000 * p + t)
+    for c in all_classes(t):
+        C = canonical_matrix(ctx, c)
+        X = _congruent(ctx, C, rng)
+        assert classify(ctx, X) == c
+        for ell in range(t + 1):
+            got = iso_subspaces_bf(ctx, X, ell)
+            want = rep_count_bf(ctx, X, _zero(ell), primitive=True)
+            assert got * _gl_order(p, ell) == want, (X, ell)
+            assert subspace_census(ctx, X, ell) == subspace_census(ctx, C, ell)
+
+
+def test_subspace_family_budget_and_cache(ctx3, monkeypatch):
+    # [4, 2]_3 = 130 planes in F_3^4
+    I4 = canonical_matrix(ctx3, FormClass(4, 4, SQ))
+    for cached in (False, True):
+        for count in (iso_subspaces_bf, subspace_census):
+            if not cached:
+                clear_caches()
+            with pytest.raises(BudgetExceeded) as e:
+                count(ctx3, I4, 2, Budget(max_terms=129))
+            assert (e.value.needed, e.value.limit) == (130, 129)
+            assert ((3, 4, 2) in oracle._family_cache) == cached
+            count(ctx3, I4, 2, Budget(max_terms=130))
+    rows = oracle._family_cache[(3, 4, 2)]
+    assert rows.shape == (130, 2) and not rows.flags.writeable
+    with pytest.raises(ValueError):
+        rows[0, 0] = 0
+
+    def refuse(*args):
+        raise AssertionError("a cached family must build no bases")
+
+    # a second X, off the diagonal, reads the cached family
+    monkeypatch.setattr(oracle, "_echelon_blocks", refuse)
+    X = ((1, 1, 0, 0), (1, 2, 0, 1), (0, 0, 0, 2), (0, 1, 2, 1))
+    C = canonical_matrix(ctx3, classify(ctx3, X))
+    assert iso_subspaces_bf(ctx3, X, 2) == iso_subspaces_bf(ctx3, C, 2)
+    assert subspace_census(ctx3, X, 2) == subspace_census(ctx3, C, 2)
+    clear_caches()
+    assert not oracle._family_cache
+    with pytest.raises(AssertionError, match="no bases"):
+        iso_subspaces_bf(ctx3, X, 2)
+
+
+def test_large_families_are_built_in_blocks_and_not_kept(ctx3, monkeypatch):
+    # past _CHUNK subspaces the family comes in blocks of at most _CHUNK
+    # rows on every call; the counts are those of one cached block
+    X = ((1, 1, 0, 0), (1, 2, 0, 1), (0, 0, 0, 2), (0, 1, 2, 1))
+    clear_caches()
+    want = [iso_subspaces_bf(ctx3, X, ell) for ell in (1, 2, 3)]
+    census = [subspace_census(ctx3, X, ell) for ell in (1, 2, 3)]
+    clear_caches()
+    monkeypatch.setattr(oracle, "_CHUNK", 7)
+    assert [iso_subspaces_bf(ctx3, X, ell) for ell in (1, 2, 3)] == want
+    assert [subspace_census(ctx3, X, ell) for ell in (1, 2, 3)] == census
+    assert all(len(key) == 2 for key in oracle._family_cache)  # lines only
+    blocks = list(oracle._echelon_blocks(3, 4, 2))
+    assert max(len(b) for b in blocks) <= 7 and sum(map(len, blocks)) == 130
+    clear_caches()
+
+
+@pytest.mark.parametrize("p", [181, 191, 46337, 46349, 2147483659, 3037000493])
+def test_subspaces_at_dtype_boundary_primes(p):
+    ctx = prime_context(p)
+    huge = p > 10**9
+    if huge:
+        tracemalloc.start()
+    try:
+        assert iso_subspaces_bf(ctx, ((0,),), 1) == 1
+        assert iso_subspaces_bf(ctx, ((1,),), 1) == 0
+        assert iso_subspaces_bf(ctx, _zero(2), 2) == 1
+        assert iso_subspaces_bf(ctx, ((1, p - 1), (p - 1, 0)), 2) == 0
+        for X in (((p - 2,),), ((0, 1), (1, 0)), ((1, 3), (3, 0)), _zero(2)):
+            t = len(X)
+            assert subspace_census(ctx, X, t) == {classify(ctx, X): 1}
+            assert subspace_census(ctx, X, 0) == {FormClass(0, 0, SQ): 1}
+        # the lines of F_p^2: p + 1 of them, beyond the budget when huge
+        forms = {
+            ((0, 1), (1, 0)): 2,  # hyperbolic plane
+            ((1, 0), (0, 0)): 1,
+            ((1, 0), (0, 1)): 1 + ctx.epsilon,  # x^2 + y^2 = 0 needs -1 square
+            _zero(2): p + 1,
+        }
+        for X, lines in forms.items():
+            if huge:
+                with pytest.raises(BudgetExceeded):
+                    iso_subspaces_bf(ctx, X, 1)
+                with pytest.raises(BudgetExceeded):
+                    subspace_census(ctx, X, 1)
+                continue
+            assert iso_subspaces_bf(ctx, X, 1) == lines
+            census = subspace_census(ctx, X, 1)
+            assert sum(census.values()) == p + 1
+            assert census == subspace_census(
+                ctx, canonical_matrix(ctx, classify(ctx, X)), 1
+            )
+        if huge:
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        if huge:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("p", [181, 46349, 2147483659, 3037000493])
+def test_forms_are_exact_in_int64(p):
+    # u^T X v mod p against Python integers, on both sides of the
+    # matrix-product bound t (p-1)^2 <= 2^63 - 1
+    rng = random.Random(p)
+    for t in (1, 2, 3):
+        X = [[rng.randrange(p) for _ in range(t)] for _ in range(t)]
+        X = [[X[min(i, j)][max(i, j)] for j in range(t)] for i in range(t)]
+        U = [[p - 1 - rng.randrange(3) for _ in range(t)] for _ in range(5)]
+        V = [[rng.randrange(p) for _ in range(t)] for _ in range(5)]
+        got = oracle._forms(p, np.array(U), np.array(V), np.array(X))
+        want = [
+            sum(u[i] * X[i][j] * v[j] for i in range(t) for j in range(t)) % p
+            for u, v in zip(U, V)
+        ]
+        assert got.tolist() == want
 
 
 def test_weighted_class_sums_use_neither_rep_count_nor_group_orders(monkeypatch):
