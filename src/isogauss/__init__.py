@@ -43,7 +43,6 @@ from .oracle import (
     gauss_untwisted_bf,
     rep_count_bf,
     iso_subspaces_bf,
-    class_character_table,
     class_character_tables,
     clear_caches,
 )
@@ -72,7 +71,7 @@ __all__ = [
     "qfunc", "rep_star_lemma51", "orth_order", "iso_count", "rep_zero_full",
     "Budget", "BudgetExceeded", "gauss_twisted_bf", "gauss_restricted_bf",
     "gauss_untwisted_bf", "rep_count_bf", "iso_subspaces_bf",
-    "class_character_table", "class_character_tables", "clear_caches",
+    "class_character_tables", "clear_caches",
     "thm11_value", "gauss_zero_even", "cor12_check", "prop41_value",
     "untwisted_closed", "lemma54_h", "lemma54_sum", "lemma54_target",
     "lemma52_check",

@@ -20,8 +20,6 @@ from .field import prime_context
 from .oracle import Budget, BudgetExceeded
 from .quadform import NONSQ, SQ, FormClass, all_classes, canonical_matrix, classify, sym_matrix
 
-_DISC_NAMES = {SQ: "sq", NONSQ: "nonsq"}
-_DISC_VALUES = {"sq": SQ, "nonsq": NONSQ}
 _INT64 = np.iinfo(np.int64)
 
 # eval refuses an embedding whose p - 1 coefficients times the digits of
@@ -122,12 +120,11 @@ def cmd_eval(args) -> int:
     else:
         if args.n is None or args.rank is None:
             raise UsageError("need --matrix or both --n and --rank")
-        disc = _DISC_VALUES[args.disc]
         if args.n < 1 or not 0 <= args.rank <= args.n:
             raise UsageError("need n >= 1 and 0 <= rank <= n")
-        if args.rank == 0 and disc == NONSQ:
+        if args.rank == 0 and args.disc == NONSQ:
             raise UsageError("rank 0 has no nonsquare class")
-        cls = FormClass(args.n, args.rank, disc)
+        cls = FormClass(args.n, args.rank, args.disc)
         mat = canonical_matrix(ctx, cls)
     r = args.restrict
     if r is not None and not 0 <= r <= cls.n:
@@ -157,7 +154,7 @@ def cmd_eval(args) -> int:
         "p": ctx.p,
         "n": cls.n,
         "d": cls.d,
-        "disc": _DISC_NAMES[cls.disc],
+        "disc": cls.disc,
         "restrict": r,
         "value": value_json,
     })
@@ -197,7 +194,7 @@ def _table_rows(ctx, max_n, restrict_all):
                     "p": ctx.p,
                     "n": cls.n,
                     "d": cls.d,
-                    "disc": _DISC_NAMES[cls.disc],
+                    "disc": cls.disc,
                     "r": r,
                     "a": _decimal(v.a),
                     "b": _decimal(v.b),
@@ -292,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--matrix", type=str, help="symmetric matrix as JSON rows")
     pe.add_argument("--n", type=int)
     pe.add_argument("--rank", type=int)
-    pe.add_argument("--disc", choices=("sq", "nonsq"), default="sq")
+    pe.add_argument("--disc", choices=(SQ, NONSQ), default=SQ)
     pe.add_argument("--restrict", type=int, default=None)
     pe.add_argument("--max-terms", type=int, default=None)
     pe.add_argument("--jobs", type=int, default=None)

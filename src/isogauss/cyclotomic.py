@@ -36,9 +36,6 @@ class QuadValue:
     a: int
     b: int
 
-    def to_json(self):
-        return {"a": str(self.a), "b": str(self.b)}
-
 
 def cyc_zero(ctx: PrimeContext) -> CycInt:
     return CycInt(ctx.p, (0,) * (ctx.p - 1))

@@ -11,7 +11,9 @@ on dimension (the Witt decomposition) rather than matrix by matrix;
 the recursive, chunked and pooled classifications give the same class
 codes bit for bit. Next to the codes, each cell caches one histogram
 over (class, diagonal digits), off which every diagonal T's character
-table is read. The subspaces of F_p^t are enumerated once per
+table is read. That int64 table (class_character_tables) is the only
+one: every signed or restricted sum is one reduction of it
+(signed_rows). The subspaces of F_p^t are enumerated once per
 (p, t, ell) as a family of echelon bases (_family), cached read-only
 like the codes; iso_subspaces_bf filters it by a table of q(v) over the
 lines of F_p^t, and subspace_census classifies its Gram matrices. The
@@ -28,7 +30,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .cyclotomic import CycInt, cyc_zero, reduce_exponent_vector
+from .cyclotomic import CycInt, reduce_exponent_vector
 from .field import PrimeContext, legendre
 from .quadform import (
     NONSQ,
@@ -44,7 +46,7 @@ from .quadform import (
 
 DEFAULT_MAX_TERMS = 20_000_000
 _CHUNK = 1 << 18
-_COL_CAP = 10_000  # hard cap on p^t column tables in rep_count_bf
+_COL_CAP = 10_000  # fixed cap on p^t column tables in rep_count_bf
 
 
 def _env_max_terms() -> int:
@@ -74,10 +76,18 @@ class Budget:
 
 
 class BudgetExceeded(Exception):
+    limit_name = "budget"
+
     def __init__(self, needed: int, limit: int, what: str = "enumeration"):
-        super().__init__(f"{what} needs {needed} terms, budget is {limit}")
+        super().__init__(f"{what} needs {needed} terms, {self.limit_name} is {limit}")
         self.needed = needed
         self.limit = limit
+
+
+class CapExceeded(BudgetExceeded):
+    """A fixed size cap, which no Budget lifts, was passed."""
+
+    limit_name = "fixed cap"
 
 
 def _resolve(budget) -> Budget:
@@ -317,10 +327,13 @@ def _diagonal_histogram(p, n, codes, diag, k_low):
     return hist
 
 
-def _count_rows(ctx: PrimeContext, Ts, budget=None, jobs=None) -> np.ndarray:
+def class_character_tables(ctx: PrimeContext, Ts, budget=None, jobs=None):
     """Counts of symmetric S by (T, class code of S, 2*trace(TS) mod p),
     as an int64 array of shape (len(Ts), 2n + 2, p). Class code
     2*rank + (disc is NonSquare) indexes the rows; row 1 stays zero.
+    Every signed or restricted character sum over symmetric matrices
+    against T is a linear functional of T's rows (signed_rows), so one
+    enumeration pass serves all of them.
 
     The exponent 2*trace(TS) is sum_k w_k * d_k mod p, one term per
     upper-triangle digit d_k of S. The digits split into a low part of
@@ -366,83 +379,46 @@ def _count_rows(ctx: PrimeContext, Ts, budget=None, jobs=None) -> np.ndarray:
     return _tables_per_t(p, codes, W, rows, k_low)
 
 
-def class_character_tables(ctx: PrimeContext, Ts, budget=None, jobs=None):
-    """For each T, count symmetric S by (class of S, 2*trace(TS) mod p).
-
-    Returns one dict per T mapping (rank, disc) to a length-p tuple of
-    counts. Every signed or restricted character sum over symmetric
-    matrices against T is a linear functional of this table, so one
-    enumeration pass (_count_rows) serves all of them.
-    """
-    tables = []
-    for mat in _count_rows(ctx, Ts, budget, jobs):
-        tab = {}
-        for d in range(len(mat) // 2):
-            tab[(d, SQ)] = tuple(mat[2 * d].tolist())
-            if d >= 1:
-                tab[(d, NONSQ)] = tuple(mat[2 * d + 1].tolist())
-        tables.append(tab)
-    return tables
-
-
-def class_character_table(ctx: PrimeContext, T, budget=None):
-    return class_character_tables(ctx, [T], budget)[0]
-
-
-def signed_sum(ctx: PrimeContext, plus, minus) -> CycInt:
-    """sum over e of (plus[e] - minus[e]) * zeta^e, for two length-p
-    count vectors of one table.
+def signed_rows(rows: np.ndarray, r: int) -> np.ndarray:
+    """int64 power-basis coordinates of the signed sum over the rank-r
+    orbits, sum_e (rows[2r][e] - rows[2r+1][e]) * zeta^e, for one T's
+    rows of class_character_tables; at r = 0 (row 1 is zero) the zero
+    matrix's own term.
 
     The counts are nonnegative and share one total below 2^63, so the
     int64 differences, and those taken by the reduction, cannot overflow.
     """
-    diff = np.subtract(plus, minus, dtype=np.int64)
-    return CycInt(ctx.p, reduce_exponent_vector(ctx.p, diff))
-
-
-# gauss_twisted_bf and gauss_restricted_bf read class_character_tables,
-# not signed_coords, so that their counting pass shows in that span;
-# perfbench/test_perfbench.py expects it there under cor12_check
-
-
-def gauss_twisted_bf(ctx: PrimeContext, T, budget=None) -> CycInt:
-    """Sum of legendre(det S) * character(trace(TS)) over symmetric S."""
-    tab = class_character_table(ctx, T, budget)
-    n = len(T)
-    return signed_sum(ctx, tab[(n, SQ)], tab[(n, NONSQ)])
-
-
-def gauss_restricted_bf(ctx: PrimeContext, T, r: int, budget=None) -> CycInt:
-    """Signed character sum over the two rank-r orbits.
-
-    Weight +1 on the Square orbit, -1 on the NonSquare orbit. At r=0
-    the orbits coincide and the sum is 0.
-    """
-    n = len(T)
-    if not 0 <= r <= n:
-        raise ValueError(f"rank {r} out of range")
-    if r == 0:
-        return cyc_zero(ctx)
-    tab = class_character_table(ctx, T, budget)
-    return signed_sum(ctx, tab[(r, SQ)], tab[(r, NONSQ)])
+    diff = rows[2 * r] - rows[2 * r + 1]
+    return diff[:-1] - diff[-1]
 
 
 def signed_coords(ctx: PrimeContext, T, r: int, budget=None) -> np.ndarray:
-    """Power-basis coordinates, as int64, of the signed character sum
-    over the two rank-r orbits of symmetric S against T: the value of
-    gauss_restricted_bf(ctx, T, r), and of gauss_twisted_bf at r = len(T).
+    """signed_rows of T's counts at rank r: the signed character sum over
+    the two rank-r orbits of symmetric S against T, the restricted sum
+    G*(T; r), and at r = len(T) the twisted sum G*(T).
 
-    Reads the counting pass's int64 rows directly; their differences fit
-    int64 as in signed_sum. At r=0 the orbits coincide, and the zero
-    vector comes back without an enumeration.
+    At r = 0 the two orbits coincide, and the zero vector comes back
+    without an enumeration.
     """
     if not 0 <= r <= len(T):
         raise ValueError(f"rank {r} out of range")
     if r == 0:
         return np.zeros(ctx.p - 1, np.int64)
-    rows = _count_rows(ctx, [T], budget)[0]
-    diff = rows[2 * r] - rows[2 * r + 1]
-    return diff[:-1] - diff[-1]
+    return signed_rows(class_character_tables(ctx, [T], budget)[0], r)
+
+
+def gauss_restricted_bf(ctx: PrimeContext, T, r: int, budget=None) -> CycInt:
+    """Signed character sum over the two rank-r orbits (signed_coords).
+
+    Weight +1 on the Square orbit, -1 on the NonSquare orbit. At r=0
+    the orbits coincide and the sum is 0.
+    """
+    return CycInt(ctx.p, tuple(signed_coords(ctx, T, r, budget).tolist()))
+
+
+def gauss_twisted_bf(ctx: PrimeContext, T, budget=None) -> CycInt:
+    """Sum of legendre(det S) * character(trace(TS)) over symmetric S."""
+    return gauss_restricted_bf(ctx, T, len(T), budget)
 
 
 def gauss_untwisted_bf(ctx: PrimeContext, A, B, budget=None) -> CycInt:
@@ -508,7 +484,7 @@ def rep_count_bf(ctx: PrimeContext, X, Y, primitive: bool = False, budget=None) 
 
     V = p**t
     if V > _COL_CAP:
-        raise BudgetExceeded(V, _COL_CAP, "column table")
+        raise CapExceeded(V, _COL_CAP, "column table")
     vecs = digits_block(p, t, 0, V).astype(np.int64)
     Xa = np.array(X, np.int64)
     W = (vecs @ Xa) % p

@@ -25,9 +25,6 @@ class FormClass(NamedTuple):
     d: int
     disc: str  # SQ or NONSQ
 
-    def to_json(self):
-        return {"n": self.n, "d": self.d, "disc": self.disc}
-
 
 def sym_matrix(ctx: PrimeContext, rows: Sequence[Sequence[int]]) -> Matrix:
     """Validate symmetry and reduce entries mod p."""

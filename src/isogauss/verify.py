@@ -24,10 +24,9 @@ from .cyclotomic import (
     cyc_neg,
     embed,
     g_star_one,
-    reduce_exponent_vector,
 )
 from .field import prime_context
-from .oracle import Budget, BudgetExceeded
+from .oracle import Budget, BudgetExceeded, CapExceeded
 from .quadform import (
     NONSQ,
     SQ,
@@ -42,7 +41,8 @@ _GAUSS_PRIMES = (3, 5, 7)
 _SCALAR_PRIMES = (3, 5, 7, 11)
 # g_squared builds O(p) tables for g* and squares it with cyc_mul, (p-1)^2
 # products in Python; past this many products it is skipped. A fixed cap
-# like oracle._COL_CAP, not the budget, which counts enumerated terms
+# (CapExceeded) like oracle._COL_CAP, not the budget, which counts
+# enumerated terms
 _G_SQUARED_CAP = 20_000_000
 
 
@@ -151,14 +151,14 @@ def _class_tables(ctx, classes, budget):
     return oracle.class_character_tables(ctx, mats, budget)
 
 
+def _signed(ctx, rows, r) -> CycInt:
+    return CycInt(ctx.p, tuple(oracle.signed_rows(rows, r).tolist()))
+
+
 def _closed_vs_table(ctx, closed, i, r, tabs):
     """lhs: the closed value closed() embedded; rhs: the signed sum of
     the rank-r counts of table i (zero at r = 0)."""
-    tab = tabs[i]
-    if r == 0:
-        rhs = cyc_const(ctx, 0)
-    else:
-        rhs = oracle.signed_sum(ctx, tab[(r, SQ)], tab[(r, NONSQ)])
+    rhs = _signed(ctx, tabs[i], r) if r else cyc_const(ctx, 0)
     lhs = embed(closed(), ctx)
     return lhs, rhs, lhs == rhs
 
@@ -280,13 +280,8 @@ def _suite_lemma52(primes, max_n, budget):
 
 
 def _lemma53(ctx, cls, i, ell, budget, tabs):
-    tab = tabs[i]
-    if ell == 0:
-        # the NonSquare rank-0 orbit is empty: the left side is the
-        # bare zero-matrix term
-        lhs = CycInt(ctx.p, reduce_exponent_vector(ctx.p, list(tab[(0, SQ)])))
-    else:
-        lhs = oracle.signed_sum(ctx, tab[(ell, SQ)], tab[(ell, NONSQ)])
+    # at ell = 0 the NonSquare orbit is empty: the bare zero-matrix term
+    lhs = _signed(ctx, tabs[i], ell)
     # each ell-dimensional subspace W contributes the closed G* of X|_W
     a_part = b_part = 0
     census = oracle.subspace_census(ctx, canonical_matrix(ctx, cls), ell, budget)
@@ -338,7 +333,7 @@ def _suite_lemma54(primes, max_n, budget):
 def _g_squared(ctx, _):
     terms = (ctx.p - 1) ** 2
     if terms > _G_SQUARED_CAP:
-        raise BudgetExceeded(terms, _G_SQUARED_CAP, "product g* * g*")
+        raise CapExceeded(terms, _G_SQUARED_CAP, "product g* * g*")
     g = g_star_one(ctx)
     lhs = cyc_mul(g, g)
     rhs = cyc_const(ctx, ctx.epsilon * ctx.p)

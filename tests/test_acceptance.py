@@ -11,6 +11,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from isogauss import (
@@ -30,6 +31,7 @@ from isogauss import (
     run_suite,
     thm11_value,
 )
+from isogauss import oracle
 
 _JOBS = os.cpu_count() or 1
 _CAP = None
@@ -208,26 +210,37 @@ def _congruent(p, U, T):
     )
 
 
-def test_criterion_10_infrastructure():
+def test_criterion_10_infrastructure(monkeypatch):
     t0 = time.perf_counter()
     ok = True
 
-    # parallel and serial enumeration agree on identical tables
-    for p, n, jobs in ((3, 3, 2), (5, 2, 3)):
+    # parallel and serial enumeration agree on identical tables; the
+    # pool classifies cells with n <= 2 of at most _CHUNK matrices
+    started = []
+    pool = oracle.ProcessPoolExecutor
+
+    def counted(*args, **kwargs):
+        started.append(kwargs["max_workers"])
+        return pool(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", counted)
+    for p, n, jobs in ((3, 2, 2), (7, 2, 2), (5, 1, 2), (5, 2, 3)):
         ctx = prime_context(p)
         mats = [canonical_matrix(ctx, c) for c in all_classes(n)]
         clear_caches()
         par = class_character_tables(ctx, mats, None, jobs)
         clear_caches()
         ser = class_character_tables(ctx, mats, None, None)
-        ok = ok and par == ser
-    ctx3 = prime_context(3)
-    T = canonical_matrix(ctx3, FormClass(3, 3, SQ))
+        ok = ok and np.array_equal(par, ser)
+    ok = ok and started == [2, 2, 2, 3]
+    ctx7 = prime_context(7)
+    T = canonical_matrix(ctx7, FormClass(2, 2, NONSQ))
     clear_caches()
-    class_character_tables(ctx3, [T], None, 2)  # caches the pool's codes
-    par_sum = gauss_twisted_bf(ctx3, T)
+    class_character_tables(ctx7, [T], None, 2)  # caches the pool's codes
+    ok = ok and len(started) == 5
+    par_sum = gauss_twisted_bf(ctx7, T)
     clear_caches()
-    ok = ok and par_sum == gauss_twisted_bf(ctx3, T)
+    ok = ok and par_sum == gauss_twisted_bf(ctx7, T)
 
     # classification returns exactly the class it was built from
     for p in (3, 5, 7):

@@ -10,7 +10,6 @@ from isogauss import (
     FormClass,
     QuadValue,
     SQ,
-    NONSQ,
     Budget,
     BudgetExceeded,
     canonical_matrix,
@@ -178,11 +177,11 @@ def _eval_output_by_loops(p, n, d, r):
     }
     rank = n if r is None else r
     try:
-        tab = oracle.class_character_table(ctx, mat, Budget())
+        (tab,) = oracle.class_character_tables(ctx, [mat], Budget())
     except BudgetExceeded as e:
         out["skipped"] = str(e)
     else:
-        diff = [a - b for a, b in zip(tab[(rank, SQ)], tab[(rank, NONSQ)])]
+        diff = [a - b for a, b in zip(tab[2 * rank].tolist(), tab[2 * rank + 1].tolist())]
         orc = CycInt(p, reduce_exponent_vector(p, diff))
         out["oracle"] = [str(c) for c in orc.coeffs]
         out["match"] = emb == orc
@@ -380,6 +379,19 @@ def test_verify_json(capsys):
     assert lines[-1] == {"summary": {"passed": 8, "failed": 0, "skipped": 0}}
     assert len(lines) == 9
     assert all(l["suite"] == "lemma52" and l["match"] for l in lines[:-1])
+
+
+def test_verify_names_a_fixed_cap(capsys):
+    # --max-terms lifts the budget, not g_squared's fixed cap
+    for extra in ((), ("--max-terms", str(10**15))):
+        code, out, _ = run(capsys, "verify", "--suites", "scalars", "--primes", "4481", *extra)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == (
+            "[SKIP] scalars p=4481 fact=g_squared "
+            "(product g* * g* needs 20070400 terms, fixed cap is 20000000)"
+        )
+        assert lines[-1] == "passed 1 failed 0 skipped 1"
 
 
 def test_verify_csv(capsys):

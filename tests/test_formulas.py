@@ -6,6 +6,7 @@ from isogauss import (
     NONSQ,
     SQ,
     QuadValue,
+    all_classes,
     cor12_check,
     embed,
     gauss_restricted_bf,
@@ -15,6 +16,7 @@ from isogauss import (
     lemma54_h,
     lemma54_sum,
     lemma54_target,
+    orbit_size,
     prime_context,
     prop41_value,
     qfunc,
@@ -232,3 +234,38 @@ def test_rank_zero_restricted_difference(ctx3):
                 ctx3, FormClass(n, r, NONSQ)
             )
             assert v == QuadValue(diff, 0)
+
+
+def _orbit_weighted_sum(ctx, n, value):
+    """Sum over the classes C of size n of orbit_size(C) * value(C),
+    as the pair (a, b) of a + b*g*."""
+    a = b = 0
+    for c in all_classes(n):
+        v = value(c)
+        a += orbit_size(ctx, c) * v.a
+        b += orbit_size(ctx, c) * v.b
+    return a, b
+
+
+@pytest.mark.parametrize("p", [3, 5, 10009, 3037000493])
+def test_thm11_sums_to_zero_over_all_t(p):
+    # sum over every symmetric T of G*(T) is p^N times the S = 0 term,
+    # chi(det 0) = 0: an inversion check of the closed forms far past the
+    # grid the oracle reaches
+    ctx = prime_context(p)
+    for n in range(1, 21):
+        assert sum(orbit_size(ctx, c) for c in all_classes(n)) == p ** (n * (n + 1) // 2)
+        total = _orbit_weighted_sum(ctx, n, lambda c: thm11_value(ctx, n, c.d, c.disc))
+        assert total == (0, 0), (p, n)
+
+
+@pytest.mark.parametrize("p", [3, 10009, 3037000493])
+def test_prop41_sums_to_zero_over_all_t(p):
+    # likewise for G*(T; r), r >= 1: S = 0 lies in neither rank-r orbit
+    ctx = prime_context(p)
+    for n in range(1, 11):
+        for r in range(1, n + 1):
+            total = _orbit_weighted_sum(
+                ctx, n, lambda c: prop41_value(ctx, n, c.d, c.disc, r)
+            )
+            assert total == (0, 0), (p, n, r)

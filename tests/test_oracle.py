@@ -12,7 +12,6 @@ from isogauss import (
     NONSQ,
     SQ,
     canonical_matrix,
-    class_character_table,
     class_character_tables,
     cyc_const,
     cyc_neg,
@@ -29,6 +28,7 @@ from isogauss import (
 from isogauss import all_classes, counts, orth_order, run_suite
 from isogauss import classify, enumerate_symmetric
 from isogauss import field, oracle
+from isogauss.cyclotomic import reduce_exponent_vector
 from isogauss.oracle import _CHUNK, _ranges, clear_caches, rep_star_bf, subspace_census
 
 
@@ -74,44 +74,85 @@ def test_restricted_rejects_bad_rank(ctx3):
 
 
 def test_signed_coords_are_the_restricted_sums(ctx3, ctx5):
-    # the int64 path eval reads gives the tuple path's sums, r = 0 included
+    # eval's int64 coordinates are the library's sums, r = 0 included,
+    # and the signed sums of a table counted by a plain loop
     for ctx in (ctx3, ctx5):
         for T in (((1,),), ((1, 0), (0, 0)), ((0, 1), (1, 2)), _zero(2)):
+            (rows,) = _scalar_tables(ctx, len(T), [T])
             for r in range(len(T) + 1):
                 got = oracle.signed_coords(ctx, T, r)
                 assert got.dtype == np.int64
                 assert tuple(got.tolist()) == gauss_restricted_bf(ctx, T, r).coeffs
+                diff = (rows[2 * r] - rows[2 * r + 1]).tolist() if r else [0] * ctx.p
+                assert tuple(got.tolist()) == reduce_exponent_vector(ctx.p, diff)
             assert tuple(got.tolist()) == gauss_twisted_bf(ctx, T).coeffs
     with pytest.raises(ValueError):
         oracle.signed_coords(ctx3, ((1,),), 2)
+
+
+def test_signed_rows_are_exact_at_the_int64_edge():
+    # a table whose counts total 2^63 - 1, the most any budget lets
+    # through: the differences and the reduction stay exact in int64
+    top = 2**63 - 1
+    for k in (0, 1, 2**62, top):
+        rows = np.zeros((4, 3), np.int64)  # n = 1 at p = 3
+        rows[2, 0], rows[3, 2] = top - k, k
+        want = reduce_exponent_vector(3, [top - k, 0, -k])
+        assert tuple(oracle.signed_rows(rows, 1).tolist()) == want == (top, k)
+        rows[0, 1] = 5
+        assert tuple(oracle.signed_rows(rows, 0).tolist()) == (0, 5)
 
 
 def test_class_tables_are_complete(ctx3):
     # one pass gives per-class, per-exponent counts; collapsing them
     # over classes recovers the plain enumeration count
     T = ((1, 0), (0, 2))
-    tab = class_character_table(ctx3, T)
-    total = sum(sum(v) for v in tab.values())
+    (tab,) = class_character_tables(ctx3, [T])
+    assert tab.dtype == np.int64
+    total = sum(int(tab[2 * d].sum() + tab[2 * d + 1].sum()) for d in range(3))
     assert total == 3 ** 3
-    keys = set(tab)
-    assert (0, SQ) in keys and (2, NONSQ) in keys
-    assert all(len(v) == 3 for v in tab.values())
+    # rows 2d + (disc is NonSquare): (0, SQ) is row 0, (2, NONSQ) row 5,
+    # and row 1, the NonSquare rank-0 class, is empty
+    assert tab.shape == (2 * 2 + 2, 3)
+    assert tab[0].sum() == 1 and tab[5].sum() > 0 and not tab[1].any()
 
 
-def test_parallel_equals_serial(ctx3, ctx5):
-    mats3 = [canonical_matrix(ctx3, c) for c in (
-        FormClass(3, 3, SQ), FormClass(3, 2, NONSQ), FormClass(3, 0, SQ),
-    )]
-    clear_caches()
-    serial = class_character_tables(ctx3, mats3, None, None)
-    clear_caches()  # else the pooled call would reuse the serial classes
-    parallel = class_character_tables(ctx3, mats3, None, 2)
-    assert serial == parallel
+def _counting_pool(monkeypatch):
+    """Wrap oracle.ProcessPoolExecutor; the returned list collects the
+    max_workers of every pool started."""
+    started = []
+    orig = oracle.ProcessPoolExecutor
+
+    def counted(*args, **kwargs):
+        started.append(kwargs["max_workers"])
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", counted)
+    return started
+
+
+def test_parallel_equals_serial(monkeypatch):
+    # the pool classifies cells with n <= 2 of at most _CHUNK matrices;
+    # n >= 3 recurses on dimension whatever jobs is
+    started = _counting_pool(monkeypatch)
+    for p, n, jobs in ((3, 2, 2), (7, 2, 3), (5, 1, 2)):
+        ctx = prime_context(p)
+        mats = [canonical_matrix(ctx, c) for c in all_classes(n)]
+        clear_caches()
+        serial = class_character_tables(ctx, mats, None, None)
+        clear_caches()  # else the pooled call would reuse the serial classes
+        del started[:]
+        parallel = class_character_tables(ctx, mats, None, jobs)
+        assert started == [jobs], (p, n)
+        assert np.array_equal(serial, parallel)
+    ctx5 = prime_context(5)
     mats5 = [canonical_matrix(ctx5, FormClass(2, 2, SQ))]
     clear_caches()
+    del started[:]
     parallel = class_character_tables(ctx5, mats5, None, 3)
+    assert started == [3]
     clear_caches()
-    assert parallel == class_character_tables(ctx5, mats5, None, None)
+    assert np.array_equal(parallel, class_character_tables(ctx5, mats5, None, None))
 
 
 def test_pooled_classes_are_cached(ctx5, monkeypatch):
@@ -124,7 +165,7 @@ def test_pooled_classes_are_cached(ctx5, monkeypatch):
 
     monkeypatch.setattr(oracle, "ProcessPoolExecutor", refuse)
     monkeypatch.setattr(oracle, "classify_batch", refuse)
-    assert class_character_tables(ctx5, T, None, 2) == first
+    assert np.array_equal(class_character_tables(ctx5, T, None, 2), first)
 
 
 def test_ranges_split_at_least_jobs_ways():
@@ -139,17 +180,15 @@ def test_ranges_split_at_least_jobs_ways():
 
 def _scalar_tables(ctx, n, Ts):
     """class_character_tables by a plain loop: classify each S, and take
-    2*trace(TS) straight from the entries."""
+    2*trace(TS) straight from the entries. Row 2d + (disc is NonSquare)
+    counts class (d, disc), so row 1 stays zero."""
     p = ctx.p
     classes = [(S, classify(ctx, S)) for S in enumerate_symmetric(ctx, n)]
-    out = []
-    for T in Ts:
-        tab = {(d, SQ): [0] * p for d in range(n + 1)}
-        tab.update({(d, NONSQ): [0] * p for d in range(1, n + 1)})
+    out = np.zeros((len(Ts), 2 * n + 2, p), np.int64)
+    for tab, T in zip(out, Ts):
         for S, c in classes:
             tr = sum(T[i][j] * S[j][i] for i in range(n) for j in range(n))
-            tab[(c.d, c.disc)][2 * tr % p] += 1
-        out.append({k: tuple(v) for k, v in tab.items()})
+            tab[2 * c.d + (c.disc == NONSQ), 2 * tr % p] += 1
     return out
 
 
@@ -168,7 +207,7 @@ def test_tables_match_a_scalar_loop():
         ctx = prime_context(p)
         Ts = [_random_symmetric(rng, p, n) for _ in range(4)]
         Ts.append(tuple(tuple(0 for _ in range(n)) for _ in range(n)))
-        assert class_character_tables(ctx, Ts) == _scalar_tables(ctx, n, Ts)
+        assert np.array_equal(class_character_tables(ctx, Ts), _scalar_tables(ctx, n, Ts))
 
 
 @pytest.mark.parametrize("p", [61, 67, 181, 191, 16381, 16411, 46337, 46349])
@@ -178,7 +217,7 @@ def test_tables_match_a_scalar_loop_across_dtype_boundaries(p):
     ctx = prime_context(p)
     rng = random.Random(p)
     Ts = [((rng.randrange(1, p),),), ((p - 1,),), ((0,),)]
-    assert class_character_tables(ctx, Ts) == _scalar_tables(ctx, 1, Ts)
+    assert np.array_equal(class_character_tables(ctx, Ts), _scalar_tables(ctx, 1, Ts))
 
 
 def test_tables_across_many_prefix_blocks(ctx3, ctx5, monkeypatch):
@@ -190,7 +229,7 @@ def test_tables_across_many_prefix_blocks(ctx3, ctx5, monkeypatch):
             # a small _CHUNK leaves a high prefix above the low digits;
             # below p it still keeps one low digit
             m.setattr(oracle, "_CHUNK", chunk)
-            assert class_character_tables(ctx, Ts) == want
+            assert np.array_equal(class_character_tables(ctx, Ts), want)
 
 
 def _counting_bincount(monkeypatch):
@@ -219,15 +258,15 @@ def test_live_digit_tables_match_a_scalar_loop(monkeypatch):
         while not all(v for row in dense for v in row):
             dense = _random_symmetric(rng, p, n)
         want = _scalar_tables(ctx, n, Ts + [dense])
-        assert class_character_tables(ctx, Ts) == want[:-1], (p, n)
+        assert np.array_equal(class_character_tables(ctx, Ts), want[:-1]), (p, n)
         # the zero T alone leaves no digit live (L = 0)
         zero = Ts.index(_zero(n))
-        assert class_character_tables(ctx, [_zero(n)]) == [want[zero]]
+        assert np.array_equal(class_character_tables(ctx, [_zero(n)]), want[zero : zero + 1])
         # one dense T makes every digit live: the per-T pass, one
         # bincount per T over the single block of the cell
         with monkeypatch.context() as m:
             seen = _counting_bincount(m)
-            assert class_character_tables(ctx, Ts + [dense]) == want
+            assert np.array_equal(class_character_tables(ctx, Ts + [dense]), want)
         assert len(seen) == len(Ts) + 1
 
 
@@ -242,11 +281,12 @@ def test_live_digit_histogram_across_many_prefix_blocks(ctx5, monkeypatch):
         # keeps 4 of the 6 digits, so 25 prefix blocks of 625 codes each
         m.setattr(oracle, "_CHUNK", 1000)
         seen = _counting_bincount(m)
-        assert class_character_tables(ctx5, Ts) == want
+        assert np.array_equal(class_character_tables(ctx5, Ts), want)
         assert seen == [625] * 25
         del seen[:]
-        assert class_character_tables(ctx5, Ts) == want
-        assert class_character_tables(ctx5, [_zero(3)]) == [want[Ts.index(_zero(3))]]
+        assert np.array_equal(class_character_tables(ctx5, Ts), want)
+        zero = Ts.index(_zero(3))
+        assert np.array_equal(class_character_tables(ctx5, [_zero(3)]), want[zero : zero + 1])
         assert seen == []
     clear_caches()
 
@@ -263,7 +303,8 @@ def test_one_pass_over_the_cell_for_any_number_of_diagonal_ts(ctx5, monkeypatch)
     tabs = class_character_tables(ctx5, Ts)
     zero = class_character_tables(ctx5, [_zero(3)])
     assert len(Ts) == 7 and seen == []
-    assert tabs[:1] == one and zero == [tabs[Ts.index(_zero(3))]]
+    i = Ts.index(_zero(3))
+    assert np.array_equal(tabs[:1], one) and np.array_equal(zero, tabs[i : i + 1])
     clear_caches()
 
 
@@ -275,9 +316,9 @@ def test_counting_pass_expands_no_digits(ctx5, monkeypatch):
         raise AssertionError("the counting pass expanded digits")
 
     monkeypatch.setattr(oracle, "digits_block", refuse)
-    assert class_character_tables(ctx5, T) == want
+    assert np.array_equal(class_character_tables(ctx5, T), want)
     monkeypatch.setattr(oracle, "_CHUNK", 25)
-    assert class_character_tables(ctx5, T) == want
+    assert np.array_equal(class_character_tables(ctx5, T), want)
 
 
 def _direct_codes(ctx, n):
@@ -331,7 +372,7 @@ def test_large_cells_use_no_pool(ctx5, monkeypatch):
     clear_caches()
     Ts = [canonical_matrix(ctx5, c) for c in all_classes(4)]
     tabs = class_character_tables(ctx5, Ts, None, 2)
-    assert all(sum(sum(v) for v in tab.values()) == 5**10 for tab in tabs)
+    assert all(tab.sum() == 5**10 for tab in tabs)
     # only the two leaf sub-cells, (5, 3) and (5, 2), are classified
     assert sum(shape[0] for shape in seen) <= 5**6 + 5**3
 
@@ -644,21 +685,17 @@ def test_unsigned_character_totals(ctx3):
     # dropping the determinant character, the full sum over S of
     # character(trace(TS)) collapses to 0 for T != 0 (a nontrivial
     # additive character summed over a linear space)
-    from isogauss.cyclotomic import reduce_exponent_vector
+    def totals(T):
+        (tab,) = class_character_tables(ctx3, [T])
+        tot = [0, 0, 0]
+        for d in range(3):
+            for e in range(3):
+                tot[e] += int(tab[2 * d][e] + tab[2 * d + 1][e])
+        return tot
 
     for T in (((1, 0), (0, 1)), ((1, 2), (2, 0)), ((0, 1), (1, 0))):
-        tab = class_character_table(ctx3, T)
-        tot = [0, 0, 0]
-        for v in tab.values():
-            for e, cnt in enumerate(v):
-                tot[e] += cnt
-        assert reduce_exponent_vector(3, tot) == (0, 0)
-    tab = class_character_table(ctx3, _zero(2))
-    tot = [0, 0, 0]
-    for v in tab.values():
-        for e, cnt in enumerate(v):
-            tot[e] += cnt
-    assert reduce_exponent_vector(3, tot) == (27, 0)
+        assert reduce_exponent_vector(3, totals(T)) == (0, 0)
+    assert reduce_exponent_vector(3, totals(_zero(2))) == (27, 0)
 
 
 def test_untwisted_sums(ctx3, ctx5):
@@ -680,6 +717,23 @@ def test_budget_checks(ctx3):
         gauss_untwisted_bf(ctx3, ((1, 0), (0, 1)), ((1, 0), (0, 1)), Budget(max_terms=10))
     with pytest.raises(BudgetExceeded):
         iso_subspaces_bf(ctx3, _zero(4), 2, Budget(max_terms=5))
+
+
+def test_column_cap_is_fixed_and_named(ctx3):
+    # 11^4 = 14,641 columns pass rep_count_bf's fixed cap of 10,000; a
+    # larger budget lifts the budget, not the cap, and every except
+    # BudgetExceeded still catches it
+    ctx = prime_context(11)
+    X = canonical_matrix(ctx, FormClass(4, 4, SQ))
+    for budget in (None, Budget(max_terms=10**15)):
+        with pytest.raises(oracle.CapExceeded) as e:
+            rep_count_bf(ctx, X, ((1,),), budget=budget)
+        assert isinstance(e.value, BudgetExceeded)
+        assert str(e.value) == "column table needs 14641 terms, fixed cap is 10000"
+    with pytest.raises(BudgetExceeded) as e:
+        gauss_twisted_bf(ctx3, ((1, 0), (0, 1)), Budget(max_terms=10))
+    assert str(e.value) == "symmetric enumeration needs 27 terms, budget is 10"
+    assert not isinstance(e.value, oracle.CapExceeded)
 
 
 def test_env_budget(monkeypatch):

@@ -180,6 +180,18 @@ def test_scalars_over_budget_skip_instead_of_raising():
     assert reports[-1].reason == "symmetric enumeration needs 7 terms, budget is 5"
 
 
+def test_g_squared_cap_is_fixed_and_named():
+    # 4481 is the least prime with (p - 1)^2 past the 20,000,000 products
+    # of the fixed cap, which no budget lifts
+    for budget in (None, Budget(max_terms=10**15)):
+        reports = run_suite("scalars", primes=(4481,), budget=budget)
+        assert [(r.instance["fact"], r.match, r.skipped) for r in reports] == [
+            ("g_squared", False, True),
+            ("omega_negates", True, False),
+        ]
+        assert reports[0].reason == "product g* * g* needs 20070400 terms, fixed cap is 20000000"
+
+
 def test_cor12_classifies_each_extension_once(monkeypatch):
     # each group classifies T perp <1> as its shared step and T in
     # cor12_check's closed side, and nothing else: cor12_check reuses
