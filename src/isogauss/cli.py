@@ -10,13 +10,12 @@ import argparse
 import json
 import sys
 from functools import lru_cache
-from itertools import islice
 
 import numpy as np
 
 from . import formulas, oracle, verify
 from .cyclotomic import g_star_shape, g_star_values
-from .field import prime_context
+from .field import CACHED_PRIMES, prime_context
 from .oracle import Budget, BudgetExceeded
 from .quadform import NONSQ, SQ, FormClass, all_classes, canonical_matrix, classify, sym_matrix
 
@@ -83,13 +82,40 @@ def _parse_matrix(ctx, text):
         raise UsageError(str(e))
 
 
-def _embedding_items(first, rest, mask) -> list:
-    """The embedding's p - 1 coefficients as quoted JSON strings: first on
-    zeta^0, rest where mask holds, 0 elsewhere. The items are three
-    shared string objects, so no coefficient is converted on its own."""
-    texts = np.array(['"0"', f'"{rest}"', f'"{first}"'], object)
-    # index 2 marks zeta^0; take copies references, not strings
-    return texts.take(np.concatenate(([2], mask.view(np.int8)))).tolist()
+@lru_cache(maxsize=CACHED_PRIMES)
+def _zero_gaps(ctx):
+    """(lead, gaps, trail): the JSON text around the rest items of an
+    embedding list, whose items are first on zeta^0, rest where g*'s
+    mask holds and "0" elsewhere. lead runs from after first up to the
+    first rest, gaps[i] from rest i to rest i + 1, and trail from the
+    last rest through the closing bracket; g*'s mask holds for
+    (p-1)/2 > 0 exponents. Equal runs of zeros share one string, so the
+    gaps tuple costs about 4p bytes of references. Built once per prime
+    and shared, hence a tuple."""
+    idx = np.flatnonzero(g_star_shape(ctx)[2])
+    runs, which = np.unique(np.diff(idx) - 1, return_inverse=True)
+    texts = np.array([", " + '"0", ' * k for k in runs.tolist()], object)
+    lead = ", " + '"0", ' * int(idx[0])
+    trail = ', "0"' * (ctx.p - 3 - int(idx[-1])) + "]"
+    return lead, tuple(texts.take(which).tolist()), trail
+
+
+def _eval_line(ctx, head: dict, first: int, rest: int, tail: dict, oracle_too: bool) -> str:
+    """json.dumps of head, then "embedding" (first on zeta^0, rest where
+    g*'s mask holds, 0 elsewhere, as decimal strings), then the same
+    list as "oracle" if oracle_too, then tail; head and tail are
+    nonempty. One join writes the line:
+    its separator is rest's quoted text and its pieces are the cached
+    gaps, so no coefficient is converted on its own and the finished
+    line is never copied."""
+    lead, gaps, trail = _zero_gaps(ctx)
+    opening = f'{json.dumps(head)[:-1]}, "embedding": ["{first}"{lead}'
+    closing = f"{trail}, {json.dumps(tail)[1:]}"
+    if oracle_too:
+        pieces = [opening, *gaps, f'{trail}, "oracle": ["{first}"{lead}', *gaps, closing]
+    else:
+        pieces = [opening, *gaps, closing]
+    return f'"{rest}"'.join(pieces)
 
 
 def _is_embedding(coords, first, rest, mask) -> bool:
@@ -100,14 +126,6 @@ def _is_embedding(coords, first, rest, mask) -> bool:
     return int(coords[0]) == first and np.array_equal(
         coords[1:], np.where(mask, np.int64(rest), np.int64(0))
     )
-
-
-def _add_list(pieces, key, items):
-    """Append `"key": [items...]` to pieces, as pieces of a ", " join;
-    items are JSON texts, at least two of them."""
-    pieces.append(f'"{key}": [{items[0]}')
-    pieces.extend(islice(items, 1, len(items) - 1))
-    pieces.append(f"{items[-1]}]")
 
 
 def cmd_eval(args) -> int:
@@ -146,33 +164,28 @@ def cmd_eval(args) -> int:
             f"the embedding's {ctx.p - 1} coefficients of up to {digits} digits "
             f"exceed {MAX_EMBEDDING_DIGITS} digits"
         )
-    mask = g_star_shape(ctx)[2]
-    emb = _embedding_items(first, rest, mask)
-    # the line is json.dumps of one dict, built from pieces so that the
-    # embedding's items are joined once, in C
-    head = json.dumps({
+    head = {
         "p": ctx.p,
         "n": cls.n,
         "d": cls.d,
         "disc": cls.disc,
         "restrict": r,
         "value": value_json,
-    })
-    pieces = [head[:-1]]
-    _add_list(pieces, "embedding", emb)
+    }
     try:
         orc = oracle.signed_coords(ctx, mat, cls.n if r is None else r, budget)
     except BudgetExceeded as e:
         tail = {"oracle": None, "match": None, "skipped": str(e)}
+        match = False
         code = 0
     else:
-        match = _is_embedding(orc, first, rest, mask)
-        # equal coefficients print alike: reuse the embedding's items
-        _add_list(pieces, "oracle", emb if match else [f'"{x}"' for x in orc.tolist()])
-        tail = {"match": match}
+        match = _is_embedding(orc, first, rest, g_star_shape(ctx)[2])
+        if match:  # equal coefficients print alike: reuse the embedding's text
+            tail = {"match": True}
+        else:
+            tail = {"oracle": [str(x) for x in orc.tolist()], "match": False}
         code = 0 if match else 1
-    pieces.append(json.dumps(tail)[1:])
-    print(", ".join(pieces))
+    print(_eval_line(ctx, head, first, rest, tail, match))
     return code
 
 

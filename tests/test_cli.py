@@ -1,6 +1,7 @@
 import hashlib
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -285,11 +286,77 @@ def test_eval_value_past_int64_cannot_match(capsys, monkeypatch):
     assert data["oracle"] == ["-1", "-2"]
 
 
-def test_eval_embedding_shares_three_strings():
-    mask = g_star_shape(prime_context(100003))[2]
-    items = cli._embedding_items(-12, 34, mask)
-    assert len(items) == 100002 and len({id(x) for x in items}) == 3
-    assert items[0] == '"-12"' and items.count('"34"') == int(mask.sum())
+def test_eval_line_shares_one_string_per_zero_run():
+    ctx = prime_context(100003)
+    mask = g_star_shape(ctx)[2]
+    lead, gaps, trail = cli._zero_gaps(ctx)
+    assert cli._zero_gaps(ctx)[1] is gaps  # built once per prime
+    runs = np.diff(np.flatnonzero(mask)) - 1
+    assert len(gaps) == int(mask.sum()) - 1
+    assert len({id(g) for g in gaps}) == len(set(runs.tolist()))
+    line = cli._eval_line(ctx, {"p": 100003}, -12, 34, {"match": None}, False)
+    emb = json.loads(line)["embedding"]
+    assert len(emb) == 100002 and emb[0] == "-12"
+    assert emb.count("34") == int(mask.sum()) and emb.count("0") == 100001 - int(mask.sum())
+
+
+_BIG = int("7" * 306)
+_COEFFS = (0, 1, -1, 2**63, -(2**63), _BIG)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 1009, 10007, 100003))
+def test_eval_line_is_json_dumps_of_the_dict(p):
+    # p = 3: g*'s tail has no zero; p = 5: a zero run before the first
+    # rest item (p = 1 mod 4); 7, 1009, 10007 (p = +-1 mod 8): a zero run
+    # after the last
+    ctx = prime_context(p)
+    mask = g_star_shape(ctx)[2].tolist()
+    head = {"p": p, "n": 2, "d": 1, "disc": "sq", "restrict": None,
+            "value": {"a": "-3", "b": str(_BIG)}}
+    tails = [
+        ({"oracle": None, "match": None, "skipped": "budget is 10"}, False),
+        ({"match": True}, True),
+        ({"oracle": ["1", "-2"], "match": False}, False),
+    ]
+    pairs = [(f, r) for f in _COEFFS for r in _COEFFS]
+    if p > 10**4:  # each value once as first and once as rest
+        pairs = list(zip(_COEFFS, _COEFFS[1:] + _COEFFS[:1]))
+    for first, rest in pairs:
+        emb = [str(first)] + [str(rest) if m else "0" for m in mask]
+        for tail, oracle_too in tails:
+            want = {**head, "embedding": emb, **({"oracle": emb} if oracle_too else {}), **tail}
+            got = cli._eval_line(ctx, head, first, rest, tail, oracle_too)
+            assert got == json.dumps(want), (first, rest, tail.keys())
+
+
+def test_eval_writes_its_largest_line_without_copying_it(monkeypatch):
+    # eval-stream's largest line (seed 5), 13.05 MB and oracle skipped:
+    # beside the line itself, eval allocates under 1 MB at its peak once
+    # the prime's caches are warm; a builder that copies the line needs
+    # about 13 MB more
+    class Sink:
+        longest = 0
+
+        def write(self, text):
+            self.longest = max(self.longest, len(text))
+            return len(text)
+
+        def flush(self):
+            pass
+
+    argv = ["eval", "--p", "100003", "--n", "11", "--rank", "3", "--disc", "nonsq",
+            "--jobs", "2", "--max-terms", "1000000"]
+    sink = Sink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert cli.main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.longest > 13 * 10**6
+    assert peak - sink.longest < 1 << 20
 
 
 def test_table_csv(capsys):

@@ -121,3 +121,29 @@ def test_eval_refuses_an_oversized_embedding(monkeypatch, capsys):
     # the benchmark's largest request, p - 1 times 306 digits, is served
     assert cli.main(["eval", "--p", "100003", "--n", "12", "--rank", "3"]) == 0
     assert len(capsys.readouterr().out) > 100002
+
+
+def _check_tables(p, sample):
+    ctx = prime_context(p)
+    chi, inv = field.tables(ctx)
+    assert not chi.flags.writeable and not inv.flags.writeable
+    assert chi[0] == 0 and inv[0] == 0
+    for a in sample:
+        assert chi[a] == field._euler(p, a), (p, a)
+        assert inv[a] == pow(a, -1, p), (p, a)
+
+
+def test_tables_agree_with_euler_and_pow_below_2000():
+    for p in range(3, 2000, 2):
+        if field._is_prime(p):
+            _check_tables(p, range(1, p))
+
+
+@pytest.mark.parametrize("p", (2039, 10007, 46337, 46349, 65537, 100003, 1000003))
+def test_tables_agree_with_euler_and_pow_at_sampled_points(p):
+    # 65537: p - 1 = 2^16; 2039: a safe prime, p - 1 = 2 * 1019;
+    # 46337 and 46349 straddle (p-1)^2 = 2^31
+    rng = np.random.default_rng(p)
+    sample = {1, 2, p - 2, p - 1, field._primitive_root(p)}
+    sample.update(rng.integers(1, p, 2000).tolist())
+    _check_tables(p, sorted(sample))
