@@ -5,22 +5,30 @@ here, which evaluate sums and counts by full enumeration with no
 number-theoretic shortcuts. numpy does the batch work; all
 accumulation is exact integer arithmetic.
 
-Each (p, n) space of symmetric matrices is classified once per
-process: every cell with n >= 3, and a large n = 2 cell, by recursion
-on dimension (the Witt decomposition) rather than matrix by matrix;
-the recursive, chunked and pooled classifications give the same class
-codes bit for bit. Next to the codes, each cell caches one histogram
-over (class, diagonal digits), off which every diagonal T's character
-table is read. That int64 table (class_character_tables) is the only
-one: every signed or restricted sum is one reduction of it
-(signed_rows). The subspaces of F_p^t are enumerated once per
-(p, t, ell) as a family of echelon bases (_family), cached read-only
-like the codes; iso_subspaces_bf filters it by a table of q(v) over the
-lines of F_p^t, and subspace_census classifies its Gram matrices. The
-lemma 5.1 counts (rep_star_bf) come from one histogram over vectors or
-from the totally isotropic subspaces of iso_subspaces_bf; rep_count_bf,
-the general column-by-column count, stays as the reference the tests
-compare them with.
+Every diagonal T's character table is read off one histogram per
+(p, n) cell, of the symmetric S by (class, diagonal of S), cached once
+built (_histogram). An n <= 2 cell counts it from its class codes; an
+n >= 3 cell builds it from the (p, n-1) and (p, n-2) histograms by
+recursion on dimension (the Witt decomposition, _witt_histogram) and
+builds no class codes. A T with an entry off the diagonal counts the
+cell's class codes, which are classified once per process: every cell
+with n >= 3, and a large n = 2 cell, by the same recursion on codes
+(_recursed) rather than matrix by matrix; the recursive, chunked and
+pooled classifications give the same codes bit for bit, and stay the
+tests' reference for the recursive histograms. That int64 table
+(class_character_tables) is the only one: every signed or restricted
+sum is one reduction of it (signed_rows). Its counts are exact while a
+cell holds at most 2^63 - 1 matrices; past that the table is refused
+with CapExceeded whatever the budget.
+
+The subspaces of F_p^t are enumerated once per (p, t, ell) as a family
+of echelon bases (_family), cached read-only like the codes;
+iso_subspaces_bf filters it by a table of q(v) over the lines of F_p^t,
+and subspace_census classifies its Gram matrices. The lemma 5.1 counts
+(rep_star_bf) come from one histogram over vectors or from the totally
+isotropic subspaces of iso_subspaces_bf; rep_count_bf, the general
+column-by-column count, stays as the reference the tests compare them
+with.
 """
 
 import os
@@ -31,7 +39,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .cyclotomic import CycInt, reduce_exponent_vector
-from .field import PrimeContext, legendre
+from .field import PrimeContext, legendre, tables
 from .quadform import (
     NONSQ,
     SQ,
@@ -293,20 +301,33 @@ def _tables_per_t(p, codes, W, rows, k_low):
 # histograms over (class code, diagonal digits), cached per (p, n)
 _hist_cache: dict = {}
 
+# no count of a cell exceeds its p^(n(n+1)/2) matrices, so its int64
+# tables are exact up to this many
+_INT64_MAX = np.iinfo(np.int64).max
 
-def _diagonal_histogram(p, n, codes, diag, k_low):
+
+def _low_digits(p: int, K: int) -> int:
+    """How many of a cell's K digits form the low part of its counting
+    passes: the most whose p^k entries fit _CHUNK, and at least one."""
+    k_low = 1
+    while k_low < K and p ** (k_low + 1) <= _CHUNK:
+        k_low += 1
+    return k_low
+
+
+def _diagonal_histogram(p, n, codes):
     """Counts of symmetric S by (class code, diagonal digits of S read as
-    a base-p key), an int64 array of shape (2n + 2, p^n), cached per
-    (p, n) like the codes it is counted from.
+    a base-p key, first digit most significant), an int64 array of shape
+    (2n + 2, p^n), counted from the cell's class codes.
 
     Each block of codes is counted by one bincount over (code, key of
     its low diagonal digits); its high diagonal digits fix where those
     counts land.
     """
-    hist = _hist_cache.get((p, n))
-    if hist is not None:
-        return hist
-    K = len(diag)
+    pos = upper_positions(n)
+    K = len(pos)
+    k_low = _low_digits(p, K)
+    diag = np.array([i == j for i, j in pos])
     rows = 2 * n + 2
     nkeys = p**n
     nlow = p ** int(diag[K - k_low :].sum())
@@ -322,8 +343,84 @@ def _diagonal_histogram(p, n, codes, diag, k_low):
         base = codes[h * size : (h + 1) * size].astype(dt) * nlow
         cnt = np.bincount(base + low, minlength=rows * nlow).reshape(rows, -1)
         hist[:, key : key + nlow] += cnt
+    return hist
+
+
+def _flipped(hist: np.ndarray, flip: bool) -> np.ndarray:
+    """hist with the Square and NonSquare row of every rank swapped when
+    flip, as is otherwise."""
+    return hist[np.arange(len(hist)) ^ 1] if flip else hist
+
+
+def _witt_histogram(ctx: PrimeContext, n: int) -> np.ndarray:
+    """The (p, n) diagonal histogram, n >= 3, built from the cached
+    (p, n-1) and (p, n-2) ones by splitting off the first basis vector,
+    as _recursed does for the codes, without enumerating any S.
+
+    Write S with first row (d1, s1) and lower-right block S' of
+    diagonal d':
+    - d1 != 0: S = <d1> perp S'', S'' = S' - s1 s1^T / d1, a bijection
+      of S' for each s1, with diagonal d'' = d' - s1*s1 / d1. An entry
+      s of s1 has s^2 / d1 = u for K(u) = 1 + chi(d1 u) values of s, so
+      the (p, n-1) histogram is convolved along each diagonal axis with
+      K, one p x p circulant product per axis, and raised by <d1>:
+      rank + 1, the class flipped when chi(d1) = -1. K depends on
+      chi(d1) only, so two convolutions serve every d1.
+    - d1 = 0, s1 = 0: S = <0> perp S', the (p, n-1) histogram as it is.
+    - d1 = 0, s1 != 0 with support A: S = H perp R, H a hyperbolic
+      plane of discriminant -1 and R = S' restricted to ker s1 (the
+      basis of _restriction). R's diagonal is d'_j at each j outside A
+      and free at the other |A| - 1 basis vectors; its off-diagonal
+      entries are free, and each R comes from p^(n-1-|A|) matrices S'.
+      So the (p, n-2) histogram, summed over |A| - 1 diagonal axes,
+      counts this case (p - 1)^|A| * p^(n-1-|A|) times for each A, with
+      rank + 2 and the class flipped when chi(-1) = -1. The (p, n-2)
+      histogram is symmetric in its diagonal axes (permuting the basis
+      permutes the diagonal), so which axes are summed does not matter.
+    """
+    p = ctx.p
+    m = n - 1
+    sub = _histogram(ctx, m).reshape((2 * m + 2,) + (p,) * m)
+    hist = np.zeros((2 * n + 2, p) + (p,) * m, np.int64)
+    hist[: 2 * m + 2, 0] = sub
+    chi = tables(ctx)[0].astype(np.int64)
+    shift = (np.arange(p) - np.arange(p)[:, None]) % p  # [b, a] = a - b
+    for sign in (1, -1):
+        circ = 1 + sign * chi[shift]  # new[a] = sum_b K(a - b) old[b]
+        conv = sub
+        for ax in range(1, m + 1):
+            conv = np.moveaxis(np.moveaxis(conv, ax, -1) @ circ, -1, ax)
+        hist[2:, chi == sign] = _flipped(conv, sign == -1)[:, None]
+    low = _histogram(ctx, n - 2).reshape((2 * n - 2,) + (p,) * (n - 2))
+    hyper = np.zeros((2 * n - 2,) + (p,) * m, np.int64)
+    for k in range(1, n):  # |A|
+        marg = low.sum(axis=tuple(range(n - k, n - 1)))  # the last k - 1 axes
+        weight = (p - 1) ** k * p ** (m - k)
+        for A in combinations(range(1, n), k):
+            hyper += weight * np.expand_dims(marg, A)
+    hist[4:, 0] += _flipped(hyper, ctx.epsilon == -1)
+    return hist.reshape(2 * n + 2, -1)
+
+
+def _histogram(ctx: PrimeContext, n: int, jobs=None) -> np.ndarray:
+    """The (p, n) diagonal histogram, n >= 1: counts of symmetric S by
+    (class code, diagonal of S as a base-p key), an int64 array of shape
+    (2n + 2, p^n). The first call for a cell builds it and caches it
+    read-only; later calls return it.
+
+    An n <= 2 cell is counted from its class codes (_classified, through
+    a process pool when jobs > 1); every larger one by recursion on
+    dimension (_witt_histogram), which builds no class codes.
+    """
+    hist = _hist_cache.get((ctx.p, n))
+    if hist is not None:
+        return hist
+    if n <= 2:
+        hist = _diagonal_histogram(ctx.p, n, _classified(ctx, n, jobs))
+    else:
+        hist = _witt_histogram(ctx, n)
     hist.flags.writeable = False  # shared by every later caller
-    _hist_cache[(p, n)] = hist
+    _hist_cache[(ctx.p, n)] = hist
     return hist
 
 
@@ -333,25 +430,31 @@ def class_character_tables(ctx: PrimeContext, Ts, budget=None, jobs=None):
     2*rank + (disc is NonSquare) indexes the rows; row 1 stays zero.
     Every signed or restricted character sum over symmetric matrices
     against T is a linear functional of T's rows (signed_rows), so one
-    enumeration pass serves all of them.
+    table serves all of them.
 
     The exponent 2*trace(TS) is sum_k w_k * d_k mod p, one term per
-    upper-triangle digit d_k of S. The digits split into a low part of
-    at most _CHUNK entries (a single digit when p alone exceeds it) and
-    a high prefix, and each high prefix owns one contiguous block of the
-    cached class codes. A diagonal T weights only the n diagonal digits.
-    Two passes count, both exactly in int64:
-    - when n >= 2, every T is diagonal and the histogram over (class
-      code, diagonal digits) has at most _CHUNK bins, that histogram is
-      built once per cell and cached (_diagonal_histogram), and each T's
-      table is read off it with one np.add.at;
-    - otherwise (n = 1, a T with a nonzero entry off the diagonal, or a
-      large p) the low part's exponents are built once per T, each
-      block is counted by one bincount of code*p + low exponent per T,
-      and the prefix adds its own exponent by rotating those counts.
-    The choice rests on the T alone. Neither pass diagonalises T or
-    uses congruence invariance; summing out the off-diagonal digits,
-    which a diagonal T does not weight, is counting.
+    upper-triangle digit d_k of S; a diagonal T weights only the n
+    diagonal digits. There are two ways to count, both exactly in int64:
+    - when n >= 2 and every T is diagonal, each T's table is read off the
+      cell's cached histogram over (class code, diagonal digits)
+      (_histogram) with one np.add.at. At n >= 3 that histogram comes
+      by recursion on dimension, with no class code built; at n = 2 it
+      is counted from the cell's codes, if it has at most _CHUNK bins;
+    - otherwise (n = 1, a T with a nonzero entry off the diagonal, or an
+      n = 2 cell at large p) the cached class codes are counted. Their
+      digits split into a low part of at most _CHUNK entries (a single
+      digit when p alone exceeds it) and a high prefix that owns one
+      contiguous block of codes; the low part's exponents are built once
+      per T, each block is counted by one bincount of code*p + low
+      exponent per T, and the prefix adds its own exponent by rotating
+      those counts.
+    The choice rests on the T alone. No count diagonalises T or uses
+    congruence invariance; summing out the off-diagonal digits, which a
+    diagonal T does not weight, is counting.
+
+    The budget charges the p^(n(n+1)/2) matrices S. Past 2^63 - 1 of
+    them the int64 counts could wrap, so CapExceeded is raised then,
+    whatever the budget, before anything is built.
     """
     p = ctx.p
     Ts = [sym_matrix(ctx, T) for T in Ts]
@@ -363,20 +466,18 @@ def class_character_tables(ctx: PrimeContext, Ts, budget=None, jobs=None):
     bud = _resolve(budget)
     if total > bud.max_terms:
         raise BudgetExceeded(total, bud.max_terms, "symmetric enumeration")
-    codes = _classified(ctx, n, jobs)
+    if total > _INT64_MAX:
+        raise CapExceeded(total, _INT64_MAX, "int64 class table")
     W = _exp_weights(ctx, Ts)
     rows = 2 * n + 2
-    k_low = 1
-    while k_low < K and p ** (k_low + 1) <= _CHUNK:
-        k_low += 1
     diag = np.array([i == j for i, j in upper_positions(n)])
-    if n >= 2 and not W[~diag].any() and rows * p**n <= _CHUNK:
-        hist = _diagonal_histogram(p, n, codes, diag, k_low)
+    if n >= 2 and not W[~diag].any() and (n >= 3 or rows * p**n <= _CHUNK):
+        hist = _histogram(ctx, n, jobs)
         acc = np.zeros((len(Ts), rows, p), np.int64)
         for tab, e in zip(acc, _digit_exponents(p, W[diag], np.int64)):
             np.add.at(tab, (slice(None), e), hist)
         return acc
-    return _tables_per_t(p, codes, W, rows, k_low)
+    return _tables_per_t(p, _classified(ctx, n, jobs), W, rows, _low_digits(p, K))
 
 
 def signed_rows(rows: np.ndarray, r: int) -> np.ndarray:

@@ -157,7 +157,13 @@ def _signed(ctx, rows, r) -> CycInt:
 
 def _closed_vs_table(ctx, closed, i, r, tabs):
     """lhs: the closed value closed() embedded; rhs: the signed sum of
-    the rank-r counts of table i (zero at r = 0)."""
+    the rank-r counts of table i.
+
+    At r = 0 rhs is a literal zero and the table is not read: the two
+    rank-0 orbits are the zero matrix alone, so the signed sum over them
+    is zero by definition. Such a report checks that the closed form
+    gives zero there, not a count.
+    """
     rhs = _signed(ctx, tabs[i], r) if r else cyc_const(ctx, 0)
     lhs = embed(closed(), ctx)
     return lhs, rhs, lhs == rhs
@@ -214,6 +220,12 @@ def _suite_cor12(primes, max_n, budget):
 
 
 def _suite_prop41(primes, max_n, budget):
+    """prop41_value(n, d, disc, r) against the signed rank-r counts of
+    the class's table, for every class and every r in 0..n.
+
+    The r = 0 reports compare the closed form with the zero that defines
+    G*(T; 0) (_closed_vs_table), not with a count.
+    """
     max_n = max_n if max_n is not None else 4
     for p, n in _cells(primes or _GAUSS_PRIMES, max_n, budget):
         ctx = prime_context(p)

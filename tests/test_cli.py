@@ -595,3 +595,17 @@ def test_table_refuses_a_value_past_the_int_str_limit(capsys):
     assert code == 2 and out == ""
     assert _int_str_limit_error(err)
     assert sys.get_int_max_str_digits() == limit
+
+
+def test_eval_past_the_int64_cap_skips_its_oracle(capsys):
+    # --max-terms 10**30 lifts the budget past 3^45, not the int64 cap of
+    # the class tables: (3, 9) skips its oracle, (3, 8) checks it
+    lifted = ("--max-terms", str(10**30))
+    code, out, _ = run(capsys, "eval", "--p", "3", "--n", "9", "--rank", "9", *lifted)
+    line = json.loads(out)
+    assert code == 0 and line["oracle"] is None and line["match"] is None
+    assert line["skipped"] == (
+        f"int64 class table needs {3**45} terms, fixed cap is {2**63 - 1}"
+    )
+    code, out, _ = run(capsys, "eval", "--p", "3", "--n", "8", "--rank", "8", *lifted)
+    assert code == 0 and json.loads(out)["match"] is True

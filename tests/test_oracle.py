@@ -270,55 +270,89 @@ def test_live_digit_tables_match_a_scalar_loop(monkeypatch):
         assert len(seen) == len(Ts) + 1
 
 
+def _counting_calls(monkeypatch, name):
+    """Wrap oracle.<name>; the returned list collects the n of every call,
+    read from its second argument."""
+    seen = []
+    orig = getattr(oracle, name)
+
+    def counted(*args, **kwargs):
+        seen.append(args[1])
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, name, counted)
+    return seen
+
+
 def test_live_digit_histogram_across_many_prefix_blocks(ctx5, monkeypatch):
-    # the diagonal histogram is cached per cell: one pass over the
-    # blocks after clear_caches, none on a later call
+    # the diagonal histograms are cached per cell: after clear_caches the
+    # n <= 2 base cells are counted in one pass over their blocks and
+    # (5, 3) is built once by recursion; a later call counts nothing
     Ts = [canonical_matrix(ctx5, c) for c in all_classes(3)]
     want = class_character_tables(ctx5, Ts)
     clear_caches()
     with monkeypatch.context() as m:
-        # 8 classes x 5^3 diagonal keys fill 1000 bins; the low part
-        # keeps 4 of the 6 digits, so 25 prefix blocks of 625 codes each
-        m.setattr(oracle, "_CHUNK", 1000)
+        # at _CHUNK = 25 the low part of (5, 2) keeps 2 of its 3 digits,
+        # so 5 prefix blocks of 25 codes; (5, 1) is one block of 5
+        m.setattr(oracle, "_CHUNK", 25)
         seen = _counting_bincount(m)
+        built = _counting_calls(m, "_witt_histogram")
         assert np.array_equal(class_character_tables(ctx5, Ts), want)
-        assert seen == [625] * 25
-        del seen[:]
+        assert seen == [25] * 5 + [5] and built == [3]
+        del seen[:], built[:]
         assert np.array_equal(class_character_tables(ctx5, Ts), want)
         zero = Ts.index(_zero(3))
         assert np.array_equal(class_character_tables(ctx5, [_zero(3)]), want[zero : zero + 1])
-        assert seen == []
+        assert seen == [] and built == []
     clear_caches()
 
 
 def test_one_pass_over_the_cell_for_any_number_of_diagonal_ts(ctx5, monkeypatch):
-    # one pass per cell, whatever the number of diagonal T and however
-    # many calls read it: thm11, prop41 and zero_forms share (5, 3)
+    # one build per cell, whatever the number of diagonal T and however
+    # many calls read it: thm11, prop41 and zero_forms share (5, 3), and
+    # the (5, 3) cell itself is never classified
     Ts = [canonical_matrix(ctx5, c) for c in all_classes(3)]
     clear_caches()
     seen = _counting_bincount(monkeypatch)
+    built = _counting_calls(monkeypatch, "_witt_histogram")
+    classified = _counting_calls(monkeypatch, "_classified")
     one = class_character_tables(ctx5, Ts[:1])
-    assert sum(seen) == 5**6
-    del seen[:]
+    # the base cells (5, 2) and (5, 1) are counted from their codes once
+    assert sum(seen) == 5**3 + 5 and built == [3]
+    assert 3 not in classified
+    del seen[:], built[:]
     tabs = class_character_tables(ctx5, Ts)
     zero = class_character_tables(ctx5, [_zero(3)])
-    assert len(Ts) == 7 and seen == []
+    assert len(Ts) == 7 and seen == [] and built == []
+    assert 3 not in classified
     i = Ts.index(_zero(3))
     assert np.array_equal(tabs[:1], one) and np.array_equal(zero, tabs[i : i + 1])
     clear_caches()
 
 
 def test_counting_pass_expands_no_digits(ctx5, monkeypatch):
-    T = [canonical_matrix(ctx5, FormClass(3, 2, NONSQ)), _zero(3)]
-    want = class_character_tables(ctx5, T)  # classifies and caches the cell
+    # neither the recursion nor a count over cached codes expands digits:
+    # once the n <= 2 cells are classified, the (5, 3) tables are built
+    # cold with digits_block refused, and so is the (5, 2) count, through
+    # the histogram at the default _CHUNK and block by block at 25
+    T3 = [canonical_matrix(ctx5, FormClass(3, 2, NONSQ)), _zero(3)]
+    T2 = [canonical_matrix(ctx5, FormClass(2, 1, NONSQ)), _zero(2)]
+    want3 = class_character_tables(ctx5, T3)
+    want2 = class_character_tables(ctx5, T2)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the counting pass expanded digits")
 
-    monkeypatch.setattr(oracle, "digits_block", refuse)
-    assert np.array_equal(class_character_tables(ctx5, T), want)
-    monkeypatch.setattr(oracle, "_CHUNK", 25)
-    assert np.array_equal(class_character_tables(ctx5, T), want)
+    for chunk in (_CHUNK, 25):
+        clear_caches()
+        for n in (1, 2):
+            oracle._classified(ctx5, n)
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "digits_block", refuse)
+            m.setattr(oracle, "_CHUNK", chunk)
+            assert np.array_equal(class_character_tables(ctx5, T3), want3)
+            assert np.array_equal(class_character_tables(ctx5, T2), want2)
+    clear_caches()
 
 
 def _direct_codes(ctx, n):
@@ -807,4 +841,111 @@ def test_small_cells_with_n_at_least_3_recurse(monkeypatch, p, n):
     codes = oracle._classified(ctx, n)
     assert seen and all(shape[1] < n for shape in seen)
     assert np.array_equal(codes, _direct_codes(ctx, n))
+    clear_caches()
+
+
+# the default verify grid: max_dim_for under the default budget
+_GRID = [(3, n) for n in range(1, 6)] + [(5, n) for n in range(1, 5)] + [(7, n) for n in range(1, 4)]
+
+
+def test_witt_histogram_equals_the_count_of_the_codes():
+    # on every default-grid cell the recursion's histogram equals the one
+    # counted from the enumerated class codes, which the tests above check
+    # against direct and scalar classification; p = 3 and 7 have
+    # chi(-1) = -1, where the hyperbolic case flips the class
+    clear_caches()
+    for p, n in _GRID:
+        ctx = prime_context(p)
+        got = oracle._histogram(ctx, n)
+        want = oracle._diagonal_histogram(p, n, oracle._classified(ctx, n))
+        assert got.dtype == np.int64 and got.shape == (2 * n + 2, p**n)
+        assert np.array_equal(got, want), (p, n)
+    clear_caches()
+
+
+def _scalar_histogram(ctx, n):
+    """The diagonal histogram by a plain loop: classify each S and read
+    its diagonal as a base-p key, first entry most significant."""
+    p = ctx.p
+    hist = np.zeros((2 * n + 2, p**n), np.int64)
+    for S in enumerate_symmetric(ctx, n):
+        c = classify(ctx, S)
+        key = sum(S[i][i] * p ** (n - 1 - i) for i in range(n))
+        hist[2 * c.d + (c.disc == NONSQ), key] += 1
+    return hist
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_witt_histogram_equals_a_scalar_loop(p):
+    ctx = prime_context(p)
+    clear_caches()
+    assert np.array_equal(oracle._histogram(ctx, 3), _scalar_histogram(ctx, 3))
+    clear_caches()
+
+
+def _code_tables(ctx, n, Ts):
+    """class_character_tables counted from the enumerated class codes, as
+    a T with an entry off the diagonal is."""
+    p = ctx.p
+    W = oracle._exp_weights(ctx, Ts)
+    k_low = oracle._low_digits(p, n * (n + 1) // 2)
+    return oracle._tables_per_t(p, oracle._classified(ctx, n), W, 2 * n + 2, k_low)
+
+
+def test_diagonal_ts_build_no_class_codes_past_n_2(monkeypatch):
+    # once the n <= 2 cells are counted, the tables of diagonal T with
+    # n >= 3 come from the recursion alone: _classified and _recursed
+    # never run, and the tables equal the count of the codes
+    def refuse(*args, **kwargs):
+        raise AssertionError("class codes were built")
+
+    for p, n in ((3, 4), (5, 3), (7, 3)):
+        ctx = prime_context(p)
+        Ts = [canonical_matrix(ctx, c) for c in all_classes(n)]
+        want = _code_tables(ctx, n, Ts)
+        clear_caches()
+        for m in (1, 2):
+            oracle._histogram(ctx, m)
+        with monkeypatch.context() as mp:
+            mp.setattr(oracle, "_classified", refuse)
+            mp.setattr(oracle, "_recursed", refuse)
+            assert np.array_equal(class_character_tables(ctx, Ts), want), (p, n)
+    # a T with an entry off the diagonal still gets the enumerated codes
+    ctx5 = prime_context(5)
+    dense = ((1, 2, 0), (2, 0, 3), (0, 3, 4))
+    want = _code_tables(ctx5, 3, [dense])
+    clear_caches()
+    with monkeypatch.context() as mp:
+        classified = _counting_calls(mp, "_classified")
+        recursed = _counting_calls(mp, "_recursed")
+        assert np.array_equal(class_character_tables(ctx5, [dense]), want)
+    assert 3 in classified and recursed == [3]
+    clear_caches()
+
+
+def test_int64_cap_refuses_before_any_histogram(monkeypatch):
+    # 3^45 matrices at (3, 9) pass 2^63 - 1: a lifted budget gets
+    # CapExceeded, never a wrapped table, and nothing is built first
+    ctx = prime_context(3)
+    lifted = Budget(max_terms=10**30)
+    T9 = canonical_matrix(ctx, FormClass(9, 9, SQ))
+    clear_caches()
+    with monkeypatch.context() as m:
+        built = _counting_calls(m, "_histogram")
+        classified = _counting_calls(m, "_classified")
+        with pytest.raises(oracle.CapExceeded) as e:
+            class_character_tables(ctx, [T9], lifted)
+    assert built == [] and classified == []
+    assert isinstance(e.value, BudgetExceeded)
+    assert str(e.value) == f"int64 class table needs {3**45} terms, fixed cap is {2**63 - 1}"
+    # the default budget refuses first, with the budget's own message
+    with pytest.raises(BudgetExceeded) as e:
+        class_character_tables(ctx, [T9])
+    assert not isinstance(e.value, oracle.CapExceeded)
+    # (3, 8), 3^36 matrices, is exact: every table sums to that total in
+    # Python integers, with no negative count
+    Ts = [canonical_matrix(ctx, c) for c in all_classes(8)]
+    tabs = class_character_tables(ctx, Ts, lifted)
+    assert tabs.min() >= 0
+    assert all(sum(tab.ravel().tolist()) == 3**36 for tab in tabs)
     clear_caches()

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from isogauss import SUITES, Budget, VerifyReport, max_dim_for, oracle, run_suite
+from isogauss import SUITES, Budget, VerifyReport, max_dim_for, oracle, run_suite, verify
 
 
 def test_suite_names():
@@ -241,3 +241,21 @@ def test_default_grid_is_pinned():
             count += 1
     assert count == 991
     assert digest.hexdigest() == _DEFAULT_GRID_SHA256
+
+
+@pytest.mark.parametrize("p, n", [(3, 7), (5, 5), (7, 5), (11, 4)])
+def test_class_table_suites_beyond_the_grid(monkeypatch, p, n):
+    # past max_dim_for's reach, under a lifted budget, the tables match
+    # every closed form of thm11, prop41 and zero_forms; the cell is
+    # chosen by patching _cells, so the default grid stays as it is
+    monkeypatch.setattr(verify, "_cells", lambda primes, max_n, budget: [(p, n)])
+    lifted = Budget(max_terms=10**30)
+    reports = [
+        r
+        for suite in ("thm11", "prop41", "zero_forms")
+        for r in run_suite(suite, primes=(p,), budget=lifted)
+    ]
+    classes = 2 * n + 1
+    assert len(reports) == classes + classes * (n + 1) + n
+    assert all(r.match and not r.skipped for r in reports)
+    oracle.clear_caches()
