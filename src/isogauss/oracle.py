@@ -21,11 +21,23 @@ sum is one reduction of it (signed_rows). Its counts are exact while a
 cell holds at most 2^63 - 1 matrices; past that the table is refused
 with CapExceeded whatever the budget.
 
+One primitive histograms a quadratic form v^T M v over every vector of
+F_p^N (_quadratic_histogram): the exponents are built one digit of v
+at a time, each prefix carrying the linear coefficient it gives every
+later digit (_quadratic_exponents), over a low part of at most _CHUNK
+vectors that each high prefix shifts by its own value and a linear
+cross term. Every product of residues is reduced before it is summed,
+so its int64 arithmetic is exact while (p - 1)^2 <= 2^63 - 1, for
+every p that prime_context accepts. The untwisted sums
+(gauss_untwisted_bf) are the histogram of M = 2 (A kron B) on the
+entries of U, and the nonzero scalar targets of rep_star_bf read the
+histogram of X.
+
 The subspaces of F_p^t are enumerated once per (p, t, ell) as a family
 of echelon bases (_family), cached read-only like the codes;
 iso_subspaces_bf filters it by a table of q(v) over the lines of F_p^t,
 and subspace_census classifies its Gram matrices. The lemma 5.1 counts
-(rep_star_bf) come from one histogram over vectors or from the totally
+(rep_star_bf) come from the vector histogram or from the totally
 isotropic subspaces of iso_subspaces_bf; rep_count_bf, the general
 column-by-column count, stays as the reference the tests compare them
 with.
@@ -522,8 +534,82 @@ def gauss_twisted_bf(ctx: PrimeContext, T, budget=None) -> CycInt:
     return gauss_restricted_bf(ctx, T, len(T), budget)
 
 
+def _quadratic_exponents(p: int, M: np.ndarray) -> np.ndarray:
+    """v^T M v mod p, M symmetric with int64 residue entries, for every
+    digit string v of length len(M), in enumeration order (first digit
+    most significant).
+
+    Built one digit at a time. The state is the exponent of each prefix
+    and, for each later digit k, the linear coefficient c_k that the
+    prefix gives it. Step m extends every prefix by a digit x: it adds
+    M[m, m] x^2 + c_m x to the exponent and 2 M[m, k] x to each later
+    c_k. Every product of residues is reduced before it is summed, so
+    the int64 arithmetic is exact while (p - 1)^2 <= 2^63 - 1, that is
+    for every p that prime_context accepts. With N = len(M), no array
+    holds more than max(p^N, N (N + 1) p) entries.
+    """
+    N = len(M)
+    x = np.arange(p, dtype=np.int64)
+    # step[m, k] is what digit m adds for each x: 2 M[m, k] x to c_k, and
+    # at k = N, M[m, m] x^2 to the exponent
+    step = np.empty((N, N + 1, p), np.int64)
+    step[:, :N] = np.multiply.outer(2 * M % p, x) % p
+    step[:, N] = np.multiply.outer(M.diagonal(), x * x % p) % p
+    state = np.zeros((N + 1, 1), np.int64)  # rows c_m, ..., c_(N-1), exponent
+    for m in range(N):
+        lin = np.multiply.outer(state[0], x) % p  # c_m x
+        state = state[1:, :, None] + step[m, m + 1 :, None, :]
+        state[-1] += lin
+        state = (state % p).reshape(N - m, -1)
+    return state[0]
+
+
+def _quadratic_histogram(p: int, M: np.ndarray) -> np.ndarray:
+    """Counts of v^T M v mod p over all p^N vectors v of F_p^N, N =
+    len(M), M symmetric with int64 residue entries: an int64 array of
+    length p.
+
+    The digits of v split as in the counting pass (_low_digits): the low
+    part, at most _CHUNK vectors (a single digit when p alone exceeds
+    it), gets its exponents once (_quadratic_exponents). Each high
+    prefix h then adds its own value h^T M_hh h and the cross term
+    2 h^T M_hl v, a linear form in the low digits (_digit_exponents).
+    The prefix's value and coefficients are reduced Python integers, and
+    _digit_exponents sums more than one product only when p^2 fits
+    _CHUNK, so the counts are exact for every p that prime_context
+    accepts. No array holds more entries than the low part has vectors.
+    """
+    N = len(M)
+    k = max(N - _low_digits(p, N), 0)  # number of high digits (0 when N = 0)
+    low = _quadratic_exponents(p, M[k:, k:])
+    if not k:  # one block holds every vector
+        return np.bincount(low, minlength=p)
+    Mh = M[:k].tolist()
+    hist = np.zeros(p, np.int64)
+    for h in product(range(p), repeat=k):
+        row = [sum(a * Mh[i][j] for i, a in enumerate(h)) % p for j in range(N)]  # h^T M
+        own = sum(a * r for a, r in zip(h, row)) % p  # h^T M_hh h
+        coef = 2 * np.array(row[k:], np.int64) % p  # of each low digit in 2 h^T M_hl v
+        e = low + own
+        if coef.any():
+            e += _digit_exponents(p, coef[:, None], np.int64)[0]
+        hist += np.bincount(e % p, minlength=p)
+    return hist
+
+
 def gauss_untwisted_bf(ctx: PrimeContext, A, B, budget=None) -> CycInt:
-    """Sum of character(trace(^tU A U B)) over all square matrices U."""
+    """Sum of character(trace(^tU A U B)) over all square matrices U.
+
+    With the n^2 entries of U in row-major order as a vector u,
+    2 trace(^tU A U B) = u^T M u with M = 2 (A kron B) mod p, so the sum
+    is the Gauss sum of one quadratic form on F_p^(n^2): the histogram
+    of u^T M u over every u (_quadratic_histogram) reduced to the power
+    basis. The exponent of every U is still computed, one digit of U at
+    a time; nothing is diagonalised. The int64 arithmetic reduces every
+    product of residues before summing it, so it is exact while
+    (p - 1)^2 <= 2^63 - 1, for every p that prime_context accepts. The
+    budget charges the p^(n^2) matrices U.
+    """
     A = sym_matrix(ctx, A)
     B = sym_matrix(ctx, B)
     p = ctx.p
@@ -534,17 +620,8 @@ def gauss_untwisted_bf(ctx: PrimeContext, A, B, budget=None) -> CycInt:
     bud = _resolve(budget)
     if total > bud.max_terms:
         raise BudgetExceeded(total, bud.max_terms, "matrix enumeration")
-    Aa = np.array(A, np.int64)
-    Bb = np.array(B, np.int64)
-    acc = np.zeros(p, np.int64)
-    for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        U = digits_block(p, n * n, lo, hi).astype(np.int64).reshape(-1, n, n)
-        V = (Aa @ U) % p
-        V = (V @ Bb) % p
-        e = (2 * (U * V).sum(axis=(1, 2))) % p
-        acc += np.bincount(e, minlength=p)
-    return CycInt(p, reduce_exponent_vector(p, acc))
+    M = 2 * (np.kron(np.array(A, np.int64), np.array(B, np.int64)) % p) % p
+    return CycInt(p, reduce_exponent_vector(p, _quadratic_histogram(p, M)))
 
 
 # representation counts ------------------------------------------------
@@ -769,8 +846,9 @@ def iso_subspaces_bf(ctx: PrimeContext, X, j: int, budget=None) -> int:
     are isotropic and pairwise orthogonal. So each call builds one table
     of q(v) = ^tv X v over the lines of F_p^t, keeps the bases of the
     family (_family) whose rows are all isotropic, and tests pairwise
-    orthogonality on those survivors only. The table has no more entries
-    than the family has subspaces.
+    orthogonality on those survivors only; at j = 1 the count is the
+    number of isotropic lines, with no pair to test. The table has no
+    more entries than the family has subspaces.
 
     j = 0 (the zero subspace) and j = t (the whole space, totally
     isotropic exactly when X = 0) are one subspace each, within every
@@ -783,10 +861,15 @@ def iso_subspaces_bf(ctx: PrimeContext, X, j: int, budget=None) -> int:
     blocks = _family(p, t, j, budget)
     L = _lines(p, t)
     isotropic = _forms(p, L, L, Xa) == 0
-    a, b = np.triu_indices(j, 1)  # every pair of basis rows
+    pairs = list(combinations(range(j), 2))  # every pair of basis rows
+    a = [u for u, _ in pairs]
+    b = [v for _, v in pairs]
     total = 0
     for rows in blocks:
         keep = isotropic[rows[:, 0]]
+        if j == 1:  # a line has no pair of rows to test
+            total += int(np.count_nonzero(keep))
+            continue
         for r in range(1, j):
             keep &= isotropic[rows[:, r]]
         B = L[rows[keep]]
@@ -798,9 +881,11 @@ def rep_star_bf(ctx: PrimeContext, X, Y, budget=None) -> int:
     """Count the rank-s matrices C with ^tC X C = Y (the primitive
     representations of Y by X) for the two target shapes of lemma 5.1.
 
-    - Y = (a), a != 0: the vectors v with ^tv X v = a, read off one
-      histogram of ^tv X v over the p^t vectors. The budget charges p^t
-      terms.
+    - Y = (a), a != 0: the vectors v with ^tv X v = a, entry a of the
+      histogram of ^tv X v over the p^t vectors (_quadratic_histogram),
+      exact in int64 for every p that prime_context accepts, since
+      every product of residues is reduced before it is summed. The
+      budget charges p^t terms.
     - Y the s x s zero form: the columns of C are an ordered basis of an
       s-dimensional totally isotropic subspace, and each such subspace
       has |GL_s(F_p)| = prod_{i<s} (p^s - p^i) ordered bases. So the
@@ -824,12 +909,7 @@ def rep_star_bf(ctx: PrimeContext, X, Y, budget=None) -> int:
     limit = _resolve(budget).max_terms
     if total > limit:
         raise BudgetExceeded(total, limit, "vector enumeration")
-    Xa = np.array(X, np.int64)
-    hist = np.zeros(p, np.int64)
-    for lo in range(0, total, _CHUNK):
-        v = digits_block(p, t, lo, min(lo + _CHUNK, total)).astype(np.int64)
-        hist += np.bincount(((v @ Xa) % p * v).sum(axis=1) % p, minlength=p)
-    return int(hist[Y[0][0]])
+    return int(_quadratic_histogram(p, np.array(X, np.int64).reshape(t, t))[Y[0][0]])
 
 
 def subspace_census(ctx: PrimeContext, X, ell: int, budget=None) -> dict:

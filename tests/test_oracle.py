@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 
@@ -30,6 +31,7 @@ from isogauss import classify, enumerate_symmetric
 from isogauss import field, oracle
 from isogauss.cyclotomic import reduce_exponent_vector
 from isogauss.oracle import _CHUNK, _ranges, clear_caches, rep_star_bf, subspace_census
+from isogauss.quadform import digits_block
 
 
 def _zero(n):
@@ -740,6 +742,151 @@ def test_untwisted_sums(ctx3, ctx5):
     I2 = ((1, 0), (0, 1))
     assert gauss_untwisted_bf(ctx3, I2, I2) == cyc_const(ctx3, 9)
     assert gauss_untwisted_bf(ctx3, om3, om3) == g_star_one(ctx3)
+
+
+def _untwisted_matmul(ctx, A, B):
+    """The untwisted sum by batched matrix products, digit matrix by
+    digit matrix: 2 trace(U^T A U B) for every U in blocks of 2^18."""
+    p, n = ctx.p, len(A)
+    Aa = np.array(A, np.int64)
+    Bb = np.array(B, np.int64)
+    total = p ** (n * n)
+    acc = np.zeros(p, np.int64)
+    for lo in range(0, total, 1 << 18):
+        hi = min(lo + (1 << 18), total)
+        U = digits_block(p, n * n, lo, hi).astype(np.int64).reshape(-1, n, n)
+        V = (Aa @ U) % p
+        V = (V @ Bb) % p
+        e = (2 * (U * V).sum(axis=(1, 2))) % p
+        acc += np.bincount(e, minlength=p)
+    return CycInt(p, reduce_exponent_vector(p, acc))
+
+
+def _untwisted_loop(ctx, A, B):
+    """The untwisted sum by a plain loop over every U."""
+    p, n = ctx.p, len(A)
+    acc = [0] * p
+    for u in itertools.product(range(p), repeat=n * n):
+        U = [u[i * n : (i + 1) * n] for i in range(n)]
+        tr = sum(
+            U[j][i] * A[j][k] * U[k][l] * B[l][i]
+            for i in range(n) for j in range(n) for k in range(n) for l in range(n)
+        )
+        acc[2 * tr % p] += 1
+    return CycInt(p, reduce_exponent_vector(p, acc))
+
+
+def _form_pairs(ctx, n, rng):
+    """(A, B) with A of every class, zero and singular ones included, and
+    B of a random class, each congruent to its canonical form by a
+    random P; plus the pair of zero forms."""
+    classes = all_classes(n)
+    pairs = [(_zero(n), _zero(n))]
+    for c in classes:
+        d = rng.choice(classes)
+        pairs.append(
+            (
+                _congruent(ctx, canonical_matrix(ctx, c), rng),
+                _congruent(ctx, canonical_matrix(ctx, d), rng),
+            )
+        )
+    return pairs
+
+
+@pytest.mark.parametrize("chunk", [_CHUNK, 27, 3])
+def test_untwisted_matches_the_matmul_reference(monkeypatch, chunk):
+    # at _CHUNK = 27 and 3 the histogram has high prefixes: (3, 3) keeps
+    # 3 and 1 of its 9 digits low, (5, 2) 2 and 1 of its 4
+    monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    rng = random.Random(chunk)
+    cells = [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 2), (11, 2)]
+    for p, n in cells:
+        ctx = prime_context(p)
+        for A, B in _form_pairs(ctx, n, rng):
+            assert gauss_untwisted_bf(ctx, A, B) == _untwisted_matmul(ctx, A, B), (p, A, B)
+
+
+@pytest.mark.parametrize("p", [181, 191, 46337, 46349])
+def test_untwisted_across_dtype_boundaries(p):
+    ctx = prime_context(p)
+    rng = random.Random(p)
+    for a, b in ((1, 1), (p - 1, p - 1), (rng.randrange(1, p), rng.randrange(1, p)), (0, 1)):
+        A, B = ((a,),), ((b,),)
+        assert gauss_untwisted_bf(ctx, A, B) == _untwisted_matmul(ctx, A, B)
+
+
+def test_untwisted_matches_a_plain_loop():
+    rng = random.Random(7)
+    for p, n in ((3, 2), (5, 1)):
+        ctx = prime_context(p)
+        for A, B in _form_pairs(ctx, n, rng):
+            assert gauss_untwisted_bf(ctx, A, B) == _untwisted_loop(ctx, A, B), (p, A, B)
+
+
+def _recording_exponents(monkeypatch):
+    """Record the number of digits of every _quadratic_exponents call,
+    and of every _digit_exponents call that it follows."""
+    seen = []
+    for name in ("_quadratic_exponents", "_digit_exponents"):
+        orig = getattr(oracle, name)
+
+        def record(p, M, *args, orig=orig, name=name):
+            seen.append((name, len(M)))
+            return orig(p, M, *args)
+
+        monkeypatch.setattr(oracle, name, record)
+    return seen
+
+
+def test_quadratic_histogram_blocks_fit_the_chunk(ctx3, monkeypatch):
+    # at _CHUNK = 27 no exponent array may pass 27 entries: every call
+    # gets at most 3 of the 9 digits of (3, 3), or of the 5 of F_3^5
+    A = canonical_matrix(ctx3, FormClass(3, 3, NONSQ))
+    B = _congruent(ctx3, canonical_matrix(ctx3, FormClass(3, 2, SQ)), random.Random(3))
+    X = _congruent(ctx3, canonical_matrix(ctx3, FormClass(5, 4, SQ)), random.Random(5))
+    want = _untwisted_matmul(ctx3, A, B), rep_count_bf(ctx3, X, ((2,),), primitive=True)
+    monkeypatch.setattr(oracle, "_CHUNK", 27)
+    seen = _recording_exponents(monkeypatch)
+    assert gauss_untwisted_bf(ctx3, A, B) == want[0]
+    assert ("_quadratic_exponents", 3) in seen
+    assert rep_star_bf(ctx3, X, ((2,),)) == want[1]
+    assert seen and max(k for _, k in seen) <= 3
+
+
+@pytest.mark.parametrize("chunk", [_CHUNK, 9, 2])
+def test_scalar_targets_match_the_column_frontier(monkeypatch, chunk):
+    # nonzero 1 x 1 targets over forms of every rank, X = 0 included,
+    # with the vector histogram split into high prefixes when chunk is small
+    monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    rng = random.Random(chunk)
+    for p, t_max in ((3, 4), (5, 3), (7, 2)):
+        ctx = prime_context(p)
+        for t in range(1, t_max + 1):
+            for c in all_classes(t):
+                X = _congruent(ctx, canonical_matrix(ctx, c), rng)
+                for a in range(1, p):
+                    want = rep_count_bf(ctx, X, ((a,),), primitive=True)
+                    assert rep_star_bf(ctx, X, ((a,),)) == want, (p, X, a)
+        assert rep_star_bf(ctx, (), ((1,),)) == 0  # the empty form takes only 0
+
+
+@pytest.mark.parametrize("p, t_max", [(3, 5), (5, 4)])
+def test_isotropic_lines_match_a_scalar_count(p, t_max):
+    # j = 1 counts the isotropic lines: the monic v with v^T X v = 0
+    ctx = prime_context(p)
+    rng = random.Random(p)
+    for t in range(1, t_max + 1):
+        monic = [
+            v for v in itertools.product(range(p), repeat=t)
+            if any(v) and next(x for x in v if x) == 1
+        ]
+        for c in all_classes(t):
+            X = _congruent(ctx, canonical_matrix(ctx, c), rng)
+            want = sum(
+                sum(v[i] * X[i][k] * v[k] for i in range(t) for k in range(t)) % p == 0
+                for v in monic
+            )
+            assert iso_subspaces_bf(ctx, X, 1) == want, (X,)
 
 
 def test_budget_checks(ctx3):
