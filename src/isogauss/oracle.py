@@ -5,21 +5,24 @@ here, which evaluate sums and counts by full enumeration with no
 number-theoretic shortcuts. numpy does the batch work; all
 accumulation is exact integer arithmetic.
 
-Every diagonal T's character table is read off one histogram per
-(p, n) cell, of the symmetric S by (class, diagonal of S), cached once
-built (_histogram). An n <= 2 cell counts it from its class codes; an
-n >= 3 cell builds it from the (p, n-1) and (p, n-2) histograms by
-recursion on dimension (the Witt decomposition, _witt_histogram) and
-builds no class codes. A T with an entry off the diagonal counts the
-cell's class codes, which are classified once per process: every cell
-with n >= 3, and a large n = 2 cell, by the same recursion on codes
-(_recursed) rather than matrix by matrix; the recursive, chunked and
-pooled classifications give the same codes bit for bit, and stay the
-tests' reference for the recursive histograms. That int64 table
-(class_character_tables) is the only one: every signed or restricted
-sum is one reduction of it (signed_rows). Its counts are exact while a
-cell holds at most 2^63 - 1 matrices; past that the table is refused
-with CapExceeded whatever the budget.
+The shape of T picks how its character table is counted. A diagonal T
+with n >= 2, at any p, reads it off one histogram per (p, n) cell of
+the symmetric S by (class, diagonal of S), cached once built
+(_histogram); an n >= 3 cell builds it from the (p, n-1) and (p, n-2)
+histograms by recursion on dimension (the Witt decomposition,
+_witt_histogram), with no class code. A T off the diagonal, and any T
+at n = 1, counts the cell's class codes: at n = 1 one bincount over the
+p codes is the table, where the histogram is a (4, p) table to add
+again per T. One pass counts class codes (_code_counts), for those
+tables and for the n <= 2 histograms. Codes are classified once per
+process, every cell with n >= 3 and a large n = 2 cell by the same
+recursion (_recursed); the recursive, chunked and pooled codes agree
+bit for bit and stay the tests' reference for the recursive
+histograms. That int64 table (class_character_tables) is the only one:
+every signed or restricted sum is one reduction of it (signed_rows).
+Its counts are exact while a cell holds at most 2^63 - 1 matrices; past
+that it is refused with CapExceeded whatever the budget. Every budget
+is charged through one check (_charge).
 
 One primitive histograms a quadratic form v^T M v over every vector of
 F_p^N (_quadratic_histogram): the exponents are built one digit of v
@@ -110,8 +113,13 @@ class CapExceeded(BudgetExceeded):
     limit_name = "fixed cap"
 
 
-def _resolve(budget) -> Budget:
-    return budget if budget is not None else Budget()
+def _charge(budget, needed: int, what: str) -> Budget:
+    """Raise BudgetExceeded when `needed` terms of `what` pass the budget
+    (Budget(), read from ISOGAUSS_MAX_TERMS, when None); return it."""
+    budget = budget if budget is not None else Budget()
+    if needed > budget.max_terms:
+        raise BudgetExceeded(needed, budget.max_terms, what)
+    return budget
 
 
 def _mats_from_digits(n: int, digits: np.ndarray) -> np.ndarray:
@@ -277,10 +285,10 @@ def clear_caches():
     _family_cache.clear()
 
 
-def _digit_exponents(p: int, W: np.ndarray, dt, mod=None) -> np.ndarray:
-    """Row t holds sum_k W[k, t] * d_k mod `mod` (default p) for every
-    digit string d of length len(W), in enumeration order (first digit
-    most significant).
+def _digit_exponents(p: int, W: np.ndarray, mod=None) -> np.ndarray:
+    """Row t holds sum_k W[k, t] * d_k mod `mod` (default p), in int64,
+    for every digit string d of length len(W), in enumeration order
+    (first digit most significant).
 
     Built as an iterated outer sum, one broadcast per digit, so the work
     is one add per entry and no digit matrix is formed.
@@ -289,25 +297,7 @@ def _digit_exponents(p: int, W: np.ndarray, dt, mod=None) -> np.ndarray:
     for w in W:
         term = np.multiply.outer(w, np.arange(p, dtype=np.int64))
         e = (e[:, :, None] + term[:, None, :]).reshape(len(e), -1)
-    return (e % (mod or p)).astype(dt)
-
-
-def _tables_per_t(p, codes, W, rows, k_low):
-    """Counts (T, class code, exponent): one bincount per T and block."""
-    K = len(W)
-    nbins = rows * p
-    dt = np.min_scalar_type(nbins - 1)  # holds every bin index
-    low = _digit_exponents(p, W[K - k_low :], dt)
-    high = _digit_exponents(p, W[: K - k_low], np.int64)
-    size = low.shape[1]
-    acc = np.zeros((W.shape[1], rows, p), np.int64)
-    for h in range(high.shape[1]):
-        base = codes[h * size : (h + 1) * size].astype(dt) * p
-        for row, e in enumerate(low):
-            cnt = np.bincount(base + e, minlength=nbins).reshape(-1, p)
-            shift = high[row, h]
-            acc[row] += np.roll(cnt, shift, axis=1) if shift else cnt
-    return acc
+    return e % (mod or p)
 
 
 # histograms over (class code, diagonal digits), cached per (p, n)
@@ -327,35 +317,38 @@ def _low_digits(p: int, K: int) -> int:
     return k_low
 
 
-def _diagonal_histogram(p, n, codes):
-    """Counts of symmetric S by (class code, diagonal digits of S read as
-    a base-p key, first digit most significant), an int64 array of shape
-    (2n + 2, p^n), counted from the cell's class codes.
+def _code_counts(p, codes, W, rows, mod=None):
+    """Counts of a cell's class codes by (column t of W, class code,
+    sum_k W[k, t] * d_k mod `mod`, default p), d the digits of the code's
+    enumeration index: int64, of shape (W.shape[1], rows, mod).
 
-    Each block of codes is counted by one bincount over (code, key of
-    its low diagonal digits); its high diagonal digits fix where those
-    counts land.
+    The low digits (_low_digits) index within one contiguous block of
+    codes, and each high prefix owns a block. Each block is counted by
+    one bincount of code * width + low key per column, and the prefix's
+    own key places the counts: by a slice add while they fit below
+    `mod`, else by one roll. Diagonal keys mod p^n never wrap; exponents
+    mod p wrap only past a nonzero low weight, which takes every
+    residue, so a block that wraps is `mod` wide.
     """
-    pos = upper_positions(n)
-    K = len(pos)
+    mod = mod or p
+    K = len(W)
     k_low = _low_digits(p, K)
-    diag = np.array([i == j for i, j in pos])
-    rows = 2 * n + 2
-    nkeys = p**n
-    nlow = p ** int(diag[K - k_low :].sum())
-    place = np.zeros((K, 1), np.int64)  # place value of each digit in the key
-    place[diag, 0] = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    dt = np.min_scalar_type(rows * nlow - 1)  # holds every bin index
-    # every key is below nkeys, so reducing by it leaves keys whole
-    low = _digit_exponents(p, place[K - k_low :], dt, nkeys)[0]
-    high = _digit_exponents(p, place[: K - k_low], np.int64, nkeys)[0]
-    size = len(low)
-    hist = np.zeros((rows, nkeys), np.int64)
-    for h, key in enumerate(high.tolist()):
-        base = codes[h * size : (h + 1) * size].astype(dt) * nlow
-        cnt = np.bincount(base + low, minlength=rows * nlow).reshape(rows, -1)
-        hist[:, key : key + nlow] += cnt
-    return hist
+    low = _digit_exponents(p, W[K - k_low :], mod)
+    high = _digit_exponents(p, W[: K - k_low], mod)
+    width = int(low.max()) + 1  # every low key is below it
+    dt = np.min_scalar_type(rows * width - 1)  # holds every bin index
+    low = low.astype(dt)
+    size = low.shape[1]
+    acc = np.zeros((W.shape[1], rows, mod), np.int64)
+    for h, shifts in enumerate(high.T.tolist()):
+        base = codes[h * size : (h + 1) * size].astype(dt) * width
+        for tab, e, shift in zip(acc, low, shifts):
+            cnt = np.bincount(base + e, minlength=rows * width).reshape(rows, width)
+            if shift + width <= mod:
+                tab[:, shift : shift + width] += cnt
+            else:
+                tab += np.roll(cnt, shift, axis=1)
+    return acc
 
 
 def _flipped(hist: np.ndarray, flip: bool) -> np.ndarray:
@@ -420,19 +413,23 @@ def _histogram(ctx: PrimeContext, n: int, jobs=None) -> np.ndarray:
     (2n + 2, p^n). The first call for a cell builds it and caches it
     read-only; later calls return it.
 
-    An n <= 2 cell is counted from its class codes (_classified, through
-    a process pool when jobs > 1); every larger one by recursion on
-    dimension (_witt_histogram), which builds no class codes.
+    An n <= 2 cell is counted from its class codes (_code_counts over
+    _classified, through a process pool when jobs > 1); every larger one
+    by recursion on dimension (_witt_histogram), with no class code.
     """
-    hist = _hist_cache.get((ctx.p, n))
+    p = ctx.p
+    hist = _hist_cache.get((p, n))
     if hist is not None:
         return hist
     if n <= 2:
-        hist = _diagonal_histogram(ctx.p, n, _classified(ctx, n, jobs))
+        # one column that reads the diagonal digits as a base-p key
+        place = [[p ** (n - 1 - i) if i == j else 0] for i, j in upper_positions(n)]
+        codes = _classified(ctx, n, jobs)
+        hist = _code_counts(p, codes, np.array(place, np.int64), 2 * n + 2, p**n)[0]
     else:
         hist = _witt_histogram(ctx, n)
     hist.flags.writeable = False  # shared by every later caller
-    _hist_cache[(ctx.p, n)] = hist
+    _hist_cache[(p, n)] = hist
     return hist
 
 
@@ -446,23 +443,18 @@ def class_character_tables(ctx: PrimeContext, Ts, budget=None, jobs=None):
 
     The exponent 2*trace(TS) is sum_k w_k * d_k mod p, one term per
     upper-triangle digit d_k of S; a diagonal T weights only the n
-    diagonal digits. There are two ways to count, both exactly in int64:
-    - when n >= 2 and every T is diagonal, each T's table is read off the
-      cell's cached histogram over (class code, diagonal digits)
-      (_histogram) with one np.add.at. At n >= 3 that histogram comes
-      by recursion on dimension, with no class code built; at n = 2 it
-      is counted from the cell's codes, if it has at most _CHUNK bins;
-    - otherwise (n = 1, a T with a nonzero entry off the diagonal, or an
-      n = 2 cell at large p) the cached class codes are counted. Their
-      digits split into a low part of at most _CHUNK entries (a single
-      digit when p alone exceeds it) and a high prefix that owns one
-      contiguous block of codes; the low part's exponents are built once
-      per T, each block is counted by one bincount of code*p + low
-      exponent per T, and the prefix adds its own exponent by rotating
-      those counts.
-    The choice rests on the T alone. No count diagonalises T or uses
-    congruence invariance; summing out the off-diagonal digits, which a
-    diagonal T does not weight, is counting.
+    diagonal digits. The T's shape picks the count, exact in int64
+    either way:
+    - n >= 2 and every T diagonal, at any p: each T's table is read off
+      the cell's cached histogram over (class code, diagonal digits)
+      (_histogram) with one np.add.at;
+    - a T off the diagonal, or n = 1: the cell's cached class codes are
+      counted against each T's exponents (_code_counts). At n = 1 its one
+      bincount per T over the p codes is the table, where the histogram
+      is a (4, p) table to add again per T.
+    No count diagonalises T or uses congruence invariance; summing out
+    the off-diagonal digits, which a diagonal T does not weight, is
+    counting.
 
     The budget charges the p^(n(n+1)/2) matrices S. Past 2^63 - 1 of
     them the int64 counts could wrap, so CapExceeded is raised then,
@@ -473,23 +465,20 @@ def class_character_tables(ctx: PrimeContext, Ts, budget=None, jobs=None):
     n = len(Ts[0])
     if any(len(T) != n for T in Ts):
         raise ValueError("all matrices must share one size")
-    K = n * (n + 1) // 2
-    total = p**K
-    bud = _resolve(budget)
-    if total > bud.max_terms:
-        raise BudgetExceeded(total, bud.max_terms, "symmetric enumeration")
+    total = p ** (n * (n + 1) // 2)
+    _charge(budget, total, "symmetric enumeration")
     if total > _INT64_MAX:
         raise CapExceeded(total, _INT64_MAX, "int64 class table")
     W = _exp_weights(ctx, Ts)
     rows = 2 * n + 2
     diag = np.array([i == j for i, j in upper_positions(n)])
-    if n >= 2 and not W[~diag].any() and (n >= 3 or rows * p**n <= _CHUNK):
+    if n >= 2 and not W[~diag].any():
         hist = _histogram(ctx, n, jobs)
         acc = np.zeros((len(Ts), rows, p), np.int64)
-        for tab, e in zip(acc, _digit_exponents(p, W[diag], np.int64)):
+        for tab, e in zip(acc, _digit_exponents(p, W[diag])):
             np.add.at(tab, (slice(None), e), hist)
         return acc
-    return _tables_per_t(p, _classified(ctx, n, jobs), W, rows, _low_digits(p, K))
+    return _code_counts(p, _classified(ctx, n, jobs), W, rows)
 
 
 def signed_rows(rows: np.ndarray, r: int) -> np.ndarray:
@@ -592,7 +581,7 @@ def _quadratic_histogram(p: int, M: np.ndarray) -> np.ndarray:
         coef = 2 * np.array(row[k:], np.int64) % p  # of each low digit in 2 h^T M_hl v
         e = low + own
         if coef.any():
-            e += _digit_exponents(p, coef[:, None], np.int64)[0]
+            e += _digit_exponents(p, coef[:, None])[0]
         hist += np.bincount(e % p, minlength=p)
     return hist
 
@@ -616,10 +605,7 @@ def gauss_untwisted_bf(ctx: PrimeContext, A, B, budget=None) -> CycInt:
     n = len(A)
     if len(B) != n:
         raise ValueError("A and B must have the same size")
-    total = p ** (n * n)
-    bud = _resolve(budget)
-    if total > bud.max_terms:
-        raise BudgetExceeded(total, bud.max_terms, "matrix enumeration")
+    _charge(budget, p ** (n * n), "matrix enumeration")
     M = 2 * (np.kron(np.array(A, np.int64), np.array(B, np.int64)) % p) % p
     return CycInt(p, reduce_exponent_vector(p, _quadratic_histogram(p, M)))
 
@@ -648,7 +634,8 @@ def rep_count_bf(ctx: PrimeContext, X, Y, primitive: bool = False, budget=None) 
         if primitive:
             return 0
         return 1 if all(v == 0 for row in Y for v in row) else 0
-    limit = _resolve(budget).max_terms
+    # read the budget, and so ISOGAUSS_MAX_TERMS, before any early return
+    budget = _charge(budget, 0, "representation count")
     if all(v == 0 for row in X for v in row):
         # Gram form is identically zero
         if any(v for row in Y for v in row):
@@ -683,8 +670,7 @@ def rep_count_bf(ctx: PrimeContext, X, Y, primitive: bool = False, budget=None) 
         if R == 0:
             return 0
         nodes += R
-        if nodes > limit:
-            raise BudgetExceeded(nodes, limit, "representation count")
+        _charge(budget, nodes, "representation count")
         base = qdiag == Y[j][j]
         chunk = 8192
         if primitive:
@@ -707,8 +693,7 @@ def rep_count_bf(ctx: PrimeContext, X, Y, primitive: bool = False, budget=None) 
                 total += cnt
                 continue
             nodes += cnt
-            if nodes > limit:
-                raise BudgetExceeded(nodes, limit, "representation count")
+            _charge(budget, nodes, "representation count")
             rr, vv = np.nonzero(m)
             parts.append(np.column_stack([rows[rr], vv.astype(np.int32)]))
         if final:
@@ -802,9 +787,7 @@ def _family(p: int, t: int, ell: int, budget):
     [t, ell]_p is at least the number of lines, and so at least p + 1.
     """
     count = _subspace_count(p, t, ell)
-    limit = _resolve(budget).max_terms
-    if count > limit:
-        raise BudgetExceeded(count, limit, "subspace enumeration")
+    _charge(budget, count, "subspace enumeration")
     if count > _CHUNK:
         return _echelon_blocks(p, t, ell)
     rows = _family_cache.get((p, t, ell))
@@ -905,10 +888,7 @@ def rep_star_bf(ctx: PrimeContext, X, Y, budget=None) -> int:
         return iso_subspaces_bf(ctx, X, s, budget) * bases
     if s != 1:
         raise ValueError("target must be a nonzero 1 x 1 form or a zero form")
-    total = p**t
-    limit = _resolve(budget).max_terms
-    if total > limit:
-        raise BudgetExceeded(total, limit, "vector enumeration")
+    _charge(budget, p**t, "vector enumeration")
     return int(_quadratic_histogram(p, np.array(X, np.int64).reshape(t, t))[Y[0][0]])
 
 

@@ -5,6 +5,7 @@ import pytest
 from isogauss import (
     NONSQ,
     SQ,
+    FormClass,
     QuadValue,
     all_classes,
     cor12_check,
@@ -20,6 +21,7 @@ from isogauss import (
     prime_context,
     prop41_value,
     qfunc,
+    quad_mul,
     thm11_value,
     untwisted_closed,
 )
@@ -269,3 +271,45 @@ def test_prop41_sums_to_zero_over_all_t(p):
                 ctx, n, lambda c: prop41_value(ctx, n, c.d, c.disc, r)
             )
             assert total == (0, 0), (p, n, r)
+
+
+def _orbit_weighted_norm(ctx, n, value):
+    """Sum over the classes C of size n of orbit_size(C) * |value(C)|^2,
+    with |a + b*g*|^2 = (a + b*g*)(a + chi(-1)*b*g*) = a^2 + p*b^2 +
+    (1 + chi(-1))*a*b*g*, as the pair (a, b) of a + b*g*."""
+    a = b = 0
+    for c in all_classes(n):
+        v = value(c)
+        norm = quad_mul(v, QuadValue(v.a, ctx.epsilon * v.b), ctx)
+        a += orbit_size(ctx, c) * norm.a
+        b += orbit_size(ctx, c) * norm.b
+    return a, b
+
+
+def _rank_count(ctx, n, r):
+    """The number of symmetric n x n matrices of rank r >= 1."""
+    return sum(orbit_size(ctx, FormClass(n, r, disc)) for disc in (SQ, NONSQ))
+
+
+@pytest.mark.parametrize("p", [3, 5, 10009, 3037000493])
+def test_thm11_parseval(p):
+    # Parseval over the additive characters of the p^N symmetric T: the
+    # sum of |G*(T)|^2 is p^N times the number of nonsingular S
+    ctx = prime_context(p)
+    for n in range(1, 21):
+        N = n * (n + 1) // 2
+        total = _orbit_weighted_norm(ctx, n, lambda c: thm11_value(ctx, n, c.d, c.disc))
+        assert total == (p**N * _rank_count(ctx, n, n), 0), (p, n)
+
+
+@pytest.mark.parametrize("p", [3, 5, 10009, 3037000493])
+def test_prop41_parseval(p):
+    # likewise for G*(T; r), r >= 1: p^N times the number of rank-r S
+    ctx = prime_context(p)
+    for n in range(1, 11):
+        N = n * (n + 1) // 2
+        for r in range(1, n + 1):
+            total = _orbit_weighted_norm(
+                ctx, n, lambda c: prop41_value(ctx, n, c.d, c.disc, r)
+            )
+            assert total == (p**N * _rank_count(ctx, n, r), 0), (p, n, r)

@@ -1,6 +1,8 @@
+import ast
 import itertools
 import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from isogauss import classify, enumerate_symmetric
 from isogauss import field, oracle
 from isogauss.cyclotomic import reduce_exponent_vector
 from isogauss.oracle import _CHUNK, _ranges, clear_caches, rep_star_bf, subspace_census
-from isogauss.quadform import digits_block
+from isogauss.quadform import digits_block, upper_positions
 
 
 def _zero(n):
@@ -917,6 +919,32 @@ def test_column_cap_is_fixed_and_named(ctx3):
     assert not isinstance(e.value, oracle.CapExceeded)
 
 
+def test_every_budget_message_is_pinned(ctx3, monkeypatch):
+    I2 = ((1, 0), (0, 1))
+    I3 = canonical_matrix(ctx3, FormClass(3, 3, SQ))
+    Z4 = _zero(4)
+    cases = [
+        (lambda b: gauss_untwisted_bf(ctx3, I2, I2, b), 10, "matrix enumeration needs 81 terms"),
+        (lambda b: rep_star_bf(ctx3, I3, ((1,),), b), 26, "vector enumeration needs 27 terms"),
+        (lambda b: iso_subspaces_bf(ctx3, Z4, 2, b), 5, "subspace enumeration needs 130 terms"),
+        # rep_count_bf charges its frontiers: the root row and the 4
+        # one-column rows it spawns (5), then those 4 as the next frontier (9)
+        (lambda b: rep_count_bf(ctx3, I2, I2, budget=b), 1, "representation count needs 5 terms"),
+        (lambda b: rep_count_bf(ctx3, I2, I2, budget=b), 5, "representation count needs 9 terms"),
+    ]
+    for call, limit, msg in cases:
+        with pytest.raises(BudgetExceeded) as e:
+            call(Budget(max_terms=limit))
+        assert str(e.value) == f"{msg}, budget is {limit}"
+        assert not isinstance(e.value, oracle.CapExceeded)
+        # without a Budget the same charge reads ISOGAUSS_MAX_TERMS
+        monkeypatch.setenv("ISOGAUSS_MAX_TERMS", str(limit))
+        with pytest.raises(BudgetExceeded) as e:
+            call(None)
+        assert str(e.value) == f"{msg}, budget is {limit}"
+        monkeypatch.delenv("ISOGAUSS_MAX_TERMS")
+
+
 def test_env_budget(monkeypatch):
     monkeypatch.setenv("ISOGAUSS_MAX_TERMS", "123")
     assert Budget().max_terms == 123
@@ -926,6 +954,10 @@ def test_env_budget(monkeypatch):
     monkeypatch.setenv("ISOGAUSS_MAX_TERMS", "-5")
     with pytest.raises(ValueError, match="ISOGAUSS_MAX_TERMS"):
         Budget()
+    # rep_count_bf reads the budget before its zero-form early return
+    monkeypatch.setenv("ISOGAUSS_MAX_TERMS", "abc")
+    with pytest.raises(ValueError, match="ISOGAUSS_MAX_TERMS"):
+        rep_count_bf(prime_context(3), _zero(2), _zero(1))
     monkeypatch.delenv("ISOGAUSS_MAX_TERMS")
     assert Budget().max_terms == 20_000_000
 
@@ -995,6 +1027,15 @@ def test_small_cells_with_n_at_least_3_recurse(monkeypatch, p, n):
 _GRID = [(3, n) for n in range(1, 6)] + [(5, n) for n in range(1, 5)] + [(7, n) for n in range(1, 4)]
 
 
+def _code_histogram(ctx, n):
+    """The diagonal histogram counted from the enumerated class codes: one
+    column of place values p^(n-1-i) on diagonal digit i, keys mod p^n."""
+    p = ctx.p
+    place = [[p ** (n - 1 - i) if i == j else 0] for i, j in upper_positions(n)]
+    codes = oracle._classified(ctx, n)
+    return oracle._code_counts(p, codes, np.array(place, np.int64), 2 * n + 2, p**n)[0]
+
+
 def test_witt_histogram_equals_the_count_of_the_codes():
     # on every default-grid cell the recursion's histogram equals the one
     # counted from the enumerated class codes, which the tests above check
@@ -1004,10 +1045,61 @@ def test_witt_histogram_equals_the_count_of_the_codes():
     for p, n in _GRID:
         ctx = prime_context(p)
         got = oracle._histogram(ctx, n)
-        want = oracle._diagonal_histogram(p, n, oracle._classified(ctx, n))
+        want = _code_histogram(ctx, n)
         assert got.dtype == np.int64 and got.shape == (2 * n + 2, p**n)
         assert np.array_equal(got, want), (p, n)
     clear_caches()
+
+
+def test_diagonal_n2_tables_read_the_histogram(ctx5, monkeypatch):
+    # at _CHUNK = 25 the (5, 2) histogram has 150 bins, past the chunk, yet
+    # diagonal T still read it: the one pass over the codes counts the
+    # histogram (keys mod p^2) and never a table per T (exponents mod p)
+    Ts = [canonical_matrix(ctx5, c) for c in all_classes(2)]
+    want = _scalar_tables(ctx5, 2, Ts)
+    clear_caches()
+    mods = []
+    orig = oracle._code_counts
+
+    def counted(p, codes, W, rows, mod=None):
+        mods.append(mod)
+        return orig(p, codes, W, rows, mod)
+
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_CHUNK", 25)
+        m.setattr(oracle, "_code_counts", counted)
+        built = _counting_calls(m, "_histogram")
+        assert np.array_equal(class_character_tables(ctx5, Ts), want)
+    assert built == [2] and mods == [25]
+    clear_caches()
+
+
+def test_diagonal_n2_histogram_past_the_chunk():
+    # (211, 2) has 6 * 211^2 > 2^18 histogram bins: its diagonal tables
+    # come from the histogram and equal a table per T over the codes
+    ctx = prime_context(211)
+    Ts = [canonical_matrix(ctx, c) for c in all_classes(2)]
+    clear_caches()
+    assert np.array_equal(class_character_tables(ctx, Ts), _code_tables(ctx, 2, Ts))
+    assert (211, 2) in oracle._hist_cache
+    clear_caches()
+
+
+def test_oracle_imports_no_closed_form():
+    # an oracle may not read a closed form under test: oracle.py imports
+    # neither counts nor formulas, by any path, nor quadform.orbit_size,
+    # the one class count that reads counts
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            names.update(f"{node.module or ''}.{a.name}" for a in node.names)
+    parts = {part for name in names for part in name.split(".")}
+    assert "quadform" in parts and "cyclotomic" in parts
+    assert not parts & {"counts", "formulas", "orbit_size"}
 
 
 def _scalar_histogram(ctx, n):
@@ -1033,10 +1125,8 @@ def test_witt_histogram_equals_a_scalar_loop(p):
 def _code_tables(ctx, n, Ts):
     """class_character_tables counted from the enumerated class codes, as
     a T with an entry off the diagonal is."""
-    p = ctx.p
     W = oracle._exp_weights(ctx, Ts)
-    k_low = oracle._low_digits(p, n * (n + 1) // 2)
-    return oracle._tables_per_t(p, oracle._classified(ctx, n), W, 2 * n + 2, k_low)
+    return oracle._code_counts(ctx.p, oracle._classified(ctx, n), W, 2 * n + 2)
 
 
 def test_diagonal_ts_build_no_class_codes_past_n_2(monkeypatch):
