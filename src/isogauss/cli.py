@@ -85,13 +85,13 @@ def _parse_matrix(ctx, text):
 @lru_cache(maxsize=CACHED_PRIMES)
 def _zero_gaps(ctx):
     """(lead, gaps, trail): the JSON text around the rest items of an
-    embedding list, whose items are first on zeta^0, rest where g*'s
-    mask holds and "0" elsewhere. lead runs from after first up to the
-    first rest, gaps[i] from rest i to rest i + 1, and trail from the
-    last rest through the closing bracket; g*'s mask holds for
-    (p-1)/2 > 0 exponents. Equal runs of zeros share one string, so the
-    gaps tuple costs about 4p bytes of references. Built once per prime
-    and shared, hence a tuple."""
+    irrational value's embedding list (rest != 0), whose items are first
+    on zeta^0, rest where g*'s mask holds and "0" elsewhere. lead runs
+    from after first up to the first rest, gaps[i] from rest i to rest
+    i + 1, and trail from the last rest through the closing bracket;
+    g*'s mask holds for (p-1)/2 > 0 exponents. Equal runs of zeros share
+    one string, so the gaps tuple costs about 4p bytes of references.
+    Built once per prime and shared, hence a tuple."""
     idx = np.flatnonzero(g_star_shape(ctx)[2])
     runs, which = np.unique(np.diff(idx) - 1, return_inverse=True)
     texts = np.array([", " + '"0", ' * k for k in runs.tolist()], object)
@@ -100,17 +100,33 @@ def _zero_gaps(ctx):
     return lead, tuple(texts.take(which).tolist()), trail
 
 
+@lru_cache(maxsize=CACHED_PRIMES)
+def _zero_tail(ctx):
+    """The JSON text after first in a rational value's embedding list
+    (rest = 0): "0" on each of zeta^1..zeta^(p-2), then the closing
+    bracket, 5(p-2) + 1 bytes. Built once per prime and shared, so a
+    rational request allocates nothing beside its line."""
+    return ', "0"' * (ctx.p - 2) + "]"
+
+
 def _eval_line(ctx, head: dict, first: int, rest: int, tail: dict, oracle_too: bool) -> str:
     """json.dumps of head, then "embedding" (first on zeta^0, rest where
     g*'s mask holds, 0 elsewhere, as decimal strings), then the same
     list as "oracle" if oracle_too, then tail; head and tail are
-    nonempty. One join writes the line:
-    its separator is rest's quoted text and its pieces are the cached
-    gaps, so no coefficient is converted on its own and the finished
-    line is never copied."""
+    nonempty. One join writes the line, so no coefficient is converted
+    on its own and the finished line is never copied. A rational value
+    (rest = 0) joins at most five pieces around the prime's cached zero
+    tail and reads no mask. Otherwise the separator is rest's quoted
+    text and the pieces are the cached gaps."""
+    opening = f'{json.dumps(head)[:-1]}, "embedding": ["{first}"'
+    closing = f", {json.dumps(tail)[1:]}"
+    if rest == 0:
+        zeros = _zero_tail(ctx)
+        if oracle_too:
+            return "".join((opening, zeros, f', "oracle": ["{first}"', zeros, closing))
+        return "".join((opening, zeros, closing))
     lead, gaps, trail = _zero_gaps(ctx)
-    opening = f'{json.dumps(head)[:-1]}, "embedding": ["{first}"{lead}'
-    closing = f"{trail}, {json.dumps(tail)[1:]}"
+    opening, closing = opening + lead, trail + closing
     if oracle_too:
         pieces = [opening, *gaps, f'{trail}, "oracle": ["{first}"{lead}', *gaps, closing]
     else:
@@ -118,13 +134,17 @@ def _eval_line(ctx, head: dict, first: int, rest: int, tail: dict, oracle_too: b
     return f'"{rest}"'.join(pieces)
 
 
-def _is_embedding(coords, first, rest, mask) -> bool:
-    """Whether the int64 coordinates equal first on zeta^0, rest where mask
-    holds and 0 elsewhere, exactly. A value past int64 cannot match."""
+def _is_embedding(ctx, coords, first, rest) -> bool:
+    """Whether the int64 coordinates equal first on zeta^0, rest where
+    g*'s mask holds and 0 elsewhere, exactly. A value past int64 cannot
+    match. A rational value (rest = 0) reads no mask: every coordinate
+    after zeta^0 must be 0."""
     if not (_INT64.min <= first <= _INT64.max and _INT64.min <= rest <= _INT64.max):
         return False
+    if rest == 0:
+        return int(coords[0]) == first and not coords[1:].any()
     return int(coords[0]) == first and np.array_equal(
-        coords[1:], np.where(mask, np.int64(rest), np.int64(0))
+        coords[1:], np.where(g_star_shape(ctx)[2], np.int64(rest), np.int64(0))
     )
 
 
@@ -179,7 +199,7 @@ def cmd_eval(args) -> int:
         match = False
         code = 0
     else:
-        match = _is_embedding(orc, first, rest, g_star_shape(ctx)[2])
+        match = _is_embedding(ctx, orc, first, rest)
         if match:  # equal coefficients print alike: reuse the embedding's text
             tail = {"match": True}
         else:

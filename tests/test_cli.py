@@ -18,12 +18,13 @@ from isogauss import (
     cyc_add,
     cyc_const,
     cyc_scale,
+    embed,
     formulas,
     legendre,
     oracle,
     prime_context,
 )
-from isogauss.cyclotomic import g_star_one, g_star_shape, reduce_exponent_vector
+from isogauss.cyclotomic import g_star_shape, reduce_exponent_vector
 
 
 def run(capsys, *argv):
@@ -205,7 +206,8 @@ def test_eval_output_is_unchanged_at_large_p(capsys, argv, cell):
 # sha256 of "<exit code>\n<stdout>" of eval per request, recorded before
 # eval built its output line from shared coefficient strings. The set
 # covers p = 3 (no zero in g*'s tail), b = 0, a = 0, negative values,
-# r = 0, --matrix, budget-skipped oracles and forced mismatches.
+# r = 0, --matrix, budget-skipped oracles and forced mismatches, rational
+# ones among them.
 _EVAL_PINS = [
     (("--p", "3", "--n", "1", "--rank", "1"), None,
      "f0448be43e0eb4421065cef95f1c7fc7f934059279c3bdd46471e2a6c9856fd1"),
@@ -236,6 +238,10 @@ _EVAL_PINS = [
     (("--p", "3", "--n", "2", "--rank", "1", "--restrict", "1"),
      ("prop41_value", QuadValue(-6, 1)),
      "83e485cc0be980e9875580aff0a7f233ec08d1e093a5d1af195bdf351aced8ad"),
+    (("--p", "7", "--n", "2", "--rank", "2"), ("thm11_value", QuadValue(8, 0)),
+     "58f76a6cdced3347820232c68bcfa939322669959335f8337eca3d99776a1956"),
+    (("--p", "100003", "--n", "1", "--rank", "1"), ("thm11_value", QuadValue(8, 0)),
+     "8217cdf453fc582c176a5b784368f8138f98a0717b6fd19079d542486a0693cf"),
 ]
 
 
@@ -248,9 +254,16 @@ def test_eval_output_bytes_are_pinned(capsys, monkeypatch, argv, patch, digest):
     assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("where", ["zeta0", "on_mask", "off_mask"])
-def test_eval_compares_the_oracle_exactly(capsys, monkeypatch, where):
-    # one unit off in one coordinate of the oracle's vector is a mismatch
+@pytest.mark.parametrize(
+    "n, where",
+    [
+        *(pytest.param(1, w, id=w) for w in ("zeta0", "on_mask", "off_mask")),
+        *(pytest.param(2, w, id=f"rational-{w}") for w in ("zeta0", "on_mask", "off_mask")),
+    ],
+)
+def test_eval_compares_the_oracle_exactly(capsys, monkeypatch, n, where):
+    # one unit off in one coordinate of the oracle's vector is a mismatch,
+    # for g* (n = 1) and for the rational value 7 (n = 2)
     ctx = prime_context(7)
     mask = g_star_shape(ctx)[2]
     e = {
@@ -258,7 +271,9 @@ def test_eval_compares_the_oracle_exactly(capsys, monkeypatch, where):
         "on_mask": 1 + int(np.flatnonzero(mask)[0]),
         "off_mask": 1 + int(np.flatnonzero(~mask)[0]),
     }[where]
-    want = oracle.signed_coords(ctx, ((1,),), 1).tolist()
+    value = formulas.thm11_value(ctx, n, n, SQ)
+    assert value == (QuadValue(0, 1) if n == 1 else QuadValue(7, 0))
+    want = oracle.signed_coords(ctx, canonical_matrix(ctx, FormClass(n, n, SQ)), n).tolist()
     want[e] += 1
 
     def perturbed(*args):
@@ -268,11 +283,11 @@ def test_eval_compares_the_oracle_exactly(capsys, monkeypatch, where):
 
     orig = oracle.signed_coords
     monkeypatch.setattr(oracle, "signed_coords", perturbed)
-    code, out, _ = run(capsys, "eval", "--p", "7", "--n", "1", "--rank", "1")
+    code, out, _ = run(capsys, "eval", "--p", "7", "--n", str(n), "--rank", str(n))
     data = json.loads(out)
     assert code == 1 and data["match"] is False
     assert data["oracle"] == [str(c) for c in want]
-    assert data["embedding"] == [str(c) for c in g_star_one(ctx).coeffs]
+    assert data["embedding"] == [str(c) for c in embed(value, ctx).coeffs]
 
 
 def test_eval_value_past_int64_cannot_match(capsys, monkeypatch):
@@ -298,6 +313,38 @@ def test_eval_line_shares_one_string_per_zero_run():
     emb = json.loads(line)["embedding"]
     assert len(emb) == 100002 and emb[0] == "-12"
     assert emb.count("34") == int(mask.sum()) and emb.count("0") == 100001 - int(mask.sum())
+
+
+def test_a_rational_eval_builds_no_o_p_table(capsys, monkeypatch):
+    # b = 0 puts 0 on every power past zeta^0, so neither the line nor the
+    # check reads chi, g*'s mask or the zero gaps. At p = 1000003 the
+    # oracle is skipped by the budget at r = 2 and is the zero vector at
+    # r = 0 (a match). Digests of "<exit code>\n<stdout>" recorded before
+    # rational values had their own path.
+    from isogauss import cyclotomic, field, quadform
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built an O(p) table")
+
+    for module, name in (
+        (field, "tables"),
+        (quadform, "tables"),
+        (oracle, "tables"),
+        (cyclotomic, "tables"),
+        (cyclotomic, "g_star_shape"),
+        (cli, "g_star_shape"),
+        (cli, "_zero_gaps"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+    monkeypatch.delenv("ISOGAUSS_MAX_TERMS", raising=False)
+    for extra, digest in (
+        ((), "eba61fd68161ecdda2a5fc26e6e395e1ecc03c92b523fb23c37d848256a7fcf5"),
+        (("--restrict", "0"), "adefaf649a5bb8ab4d3c760a31ef2a19ec4e17fa043fc7b8d5203457080c8b9e"),
+    ):
+        code, out, _ = run(capsys, "eval", "--p", "1000003", "--n", "4", "--rank", "2", *extra)
+        assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == digest, extra
+    ctx = prime_context(1000003)
+    assert cli._zero_tail(ctx) is cli._zero_tail(ctx)  # built once per prime
 
 
 _BIG = int("7" * 306)

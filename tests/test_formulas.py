@@ -313,3 +313,22 @@ def test_prop41_parseval(p):
                 ctx, n, lambda c: prop41_value(ctx, n, c.d, c.disc, r)
             )
             assert total == (p**N * _rank_count(ctx, n, r), 0), (p, n, r)
+
+
+@pytest.mark.parametrize(
+    "p, max_n",
+    [(3, 40), (5, 40), (7, 40), (11, 40), (127, 40), (131, 40), (32749, 40),
+     (32771, 40), (10009, 40), (10**9 + 7, 20)],
+)
+def test_thm11_scales_by_a_nonsquare(p, max_n):
+    # S -> omega S with omega a nonsquare: G*(omega T) = chi(omega)^n G*(T),
+    # and omega T has T's rank with its disc flipped exactly when the rank
+    # is odd; primes on both sides of the int8 and int16 boundaries
+    ctx = prime_context(p)
+    flip = {SQ: NONSQ, NONSQ: SQ}
+    for n in range(1, max_n + 1):
+        for c in all_classes(n):
+            disc = flip[c.disc] if c.d % 2 else c.disc
+            v = thm11_value(ctx, n, c.d, c.disc)
+            sign = (-1) ** n
+            assert thm11_value(ctx, n, c.d, disc) == QuadValue(sign * v.a, sign * v.b), (p, n, c)
