@@ -278,8 +278,8 @@ def cmd_verify(args) -> int:
     _check_jobs(args)  # no suite starts a pool
     passed = failed = skipped = 0
     for name in names:
-        reports = verify.run_suite(name, primes=primes, max_n=args.max_n, budget=budget)
-        for rep in reports:
+        # each report prints as soon as its check ends
+        for rep in verify.iter_suite(name, primes=primes, max_n=args.max_n, budget=budget):
             if rep.skipped:
                 skipped += 1
             elif rep.match:

@@ -7,12 +7,48 @@ integer (beta, gamma, the division by nu(j,0) in iso_count, and the
 callers' group-order quotients) goes through exact_div, which raises
 ArithmeticError on a nonzero remainder: that means a formula was
 applied outside its domain, not a rounding problem.
+
+qfunc, rep_star_lemma51, orth_order and iso_count are memoized per
+prime (per_prime_memo), as is formulas._even_restricted: a value is
+a function of the context and a few small arguments, and the formulas
+ask for the same ones many times over.
 """
+
+from functools import lru_cache, wraps
 
 from .field import PrimeContext
 from .quadform import SQ, NONSQ, FormClass
 
 _KINDS = ("mu", "delta", "mudelta", "beta", "nu", "gamma")
+# entries each per-prime memo keeps, over all primes
+MEMO_SIZE = 1 << 13
+
+
+def per_prime_memo(fn):
+    """fn behind a bounded lru_cache keyed on all of its arguments, the
+    PrimeContext first (a context hashes in O(1)).
+
+    For closed forms only: no oracle reads a memo. A call with an
+    unhashable argument bypasses the cache, so fn raises the error it
+    raises without one. The result keeps lru_cache's cache_info and
+    cache_clear, and fn as __wrapped__.
+    """
+    cached = lru_cache(maxsize=MEMO_SIZE, typed=True)(fn)
+
+    @wraps(fn)
+    def memo(*args, **kwargs):
+        try:
+            return cached(*args, **kwargs)
+        except TypeError:
+            try:
+                hash((args, tuple(kwargs.values())))
+            except TypeError:
+                return fn(*args, **kwargs)
+            raise
+
+    memo.cache_info = cached.cache_info
+    memo.cache_clear = cached.cache_clear
+    return memo
 
 
 def exact_div(num, den: int, what: str) -> int:
@@ -69,6 +105,7 @@ def frames(p: int, t: int, j: int) -> int:
     return out
 
 
+@per_prime_memo
 def qfunc(ctx: PrimeContext, kind: str, t: int, s: int) -> int:
     """The six product functions.
 
@@ -98,6 +135,7 @@ def qfunc(ctx: PrimeContext, kind: str, t: int, s: int) -> int:
     return _nu(p, t, s)
 
 
+@per_prime_memo
 def rep_star_lemma51(ctx: PrimeContext, form: str, size: int, target) -> int:
     """Primitive representation numbers of nondegenerate forms.
 
@@ -137,6 +175,7 @@ def rep_star_lemma51(ctx: PrimeContext, form: str, size: int, target) -> int:
     raise ValueError(f"unsupported target {target!r}")
 
 
+@per_prime_memo
 def orth_order(ctx: PrimeContext, c: FormClass) -> int:
     """Order of the orthogonal group of the class representative.
 
@@ -164,6 +203,7 @@ def orth_order(ctx: PrimeContext, c: FormClass) -> int:
     return nd * p ** (d * s) * _nu(p, s, 0)
 
 
+@per_prime_memo
 def iso_count(ctx: PrimeContext, c: FormClass, j: int) -> int:
     """Number of j-dimensional totally isotropic subspaces of the class.
 

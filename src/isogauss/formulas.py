@@ -131,6 +131,7 @@ def _rep_star_zeros(ctx: PrimeContext, c: FormClass, want: int) -> int:
     return counts.qfunc(ctx, "nu", want, 0) * counts.iso_count(ctx, c, want)
 
 
+@counts.per_prime_memo
 def _even_restricted(ctx: PrimeContext, n: int, d: int, t: int) -> Fraction:
     """Restricted sum at even rank 2t for a rank-d class in dimension n.
 
@@ -185,27 +186,29 @@ def _even_restricted(ctx: PrimeContext, n: int, d: int, t: int) -> Fraction:
     for k in range(0, min(c, t) + 1):
         x = t - k
         rho = d - 2 * k
-        if x:
-            o_sq = counts.orth_order(ctx, FormClass(2 * x, 2 * x, SQ))
-            o_nsq = counts.orth_order(ctx, FormClass(2 * x, 2 * x, NONSQ))
-        delta_k = 0
+        # delta_k sums w_j * o_odd * (z_I / o_I - z_J / o_J) over j, with
+        # z the zero representations of the two rank-2x forms (o_odd
+        # alone at x = 0, where only a = 0 counts): the two weighted
+        # sums stay integers, divided once per k
+        num_sq = num_nsq = 0
         for j in range(0, rho + 1):
             inj = counts.frames(p, s, j)
-            if inj == 0:
-                continue
             a = rho - j
-            if x == 0:
-                d_aj = o_odd if a == 0 else 0
+            if inj == 0 or (x == 0 and a):
+                continue
+            w = counts.qfunc(ctx, "beta", rho, j) * inj * p ** (s * (d + 1 - j))
+            if a:
+                num_sq += w * counts.rep_star_lemma51(ctx, "I", 2 * x, ("zeros", a))
+                num_nsq += w * counts.rep_star_lemma51(ctx, "J", 2 * x, ("zeros", a))
             else:
-                z_i = counts.rep_star_lemma51(ctx, "I", 2 * x, ("zeros", a)) if a else 1
-                z_j = counts.rep_star_lemma51(ctx, "J", 2 * x, ("zeros", a)) if a else 1
-                d_aj = o_odd * (Fraction(z_i, o_sq) - Fraction(z_j, o_nsq))
-            delta_k += (
-                counts.qfunc(ctx, "beta", rho, j)
-                * inj
-                * p ** (s * (d + 1 - j))
-                * d_aj
-            )
+                num_sq += w
+                num_nsq += w
+        if x == 0:
+            delta_k = o_odd * num_sq
+        else:
+            o_sq = counts.orth_order(ctx, FormClass(2 * x, 2 * x, SQ))
+            o_nsq = counts.orth_order(ctx, FormClass(2 * x, 2 * x, NONSQ))
+            delta_k = o_odd * Fraction(num_sq * o_nsq - num_nsq * o_sq, o_sq * o_nsq)
         total += (
             (-1) ** k
             * eps**k

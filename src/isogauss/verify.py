@@ -105,8 +105,9 @@ def _report(suite, instance, check, data) -> VerifyReport:
     return VerifyReport(suite, instance, _ser(lhs), _ser(rhs), match, 0.0)
 
 
-def _run(suite, groups) -> list:
-    """Turn a suite's groups into reports, in order.
+def _run(suite, groups):
+    """Turn a suite's groups into reports, yielding each in order as
+    soon as its check ends.
 
     Each group is (shared, items). shared is None or a thunk for the
     work its reports have in common; each item is (instance, check),
@@ -117,14 +118,14 @@ def _run(suite, groups) -> list:
     Every report's elapsed is its own check plus an even share of its
     group's set-up: building the group and shared(). The intervals are
     taken back to back, so the elapsed times of a suite's reports add
-    up to its run time.
+    up to the time its consumer takes to draw them all; time the
+    consumer spends between two reports falls to the next one.
 
     A check must bind everything it reads (functools.partial or
     default arguments): a group's items may be built lazily, and a
     suite must not count on its group being used up before its
     generator moves on.
     """
-    reports = []
     mark = perf_counter()  # time before mark is charged to some report
     for shared, items in groups:
         items = list(items)
@@ -142,8 +143,7 @@ def _run(suite, groups) -> list:
                 rep = _skip(suite, instance, failed)
             now = perf_counter()
             rep.elapsed, mark = share + now - mark, now
-            reports.append(rep)
-    return reports
+            yield rep
 
 
 def _class_tables(ctx, classes, budget):
@@ -428,13 +428,14 @@ SUITES = {
 }
 
 
-def run_suite(suite: str, primes=None, max_n=None, budget=None, jobs=None):
-    """Run one named suite over its grid; see SUITES for the names.
+def iter_suite(suite: str, primes=None, max_n=None, budget=None):
+    """Run one named suite over its grid, yielding each VerifyReport as
+    soon as its check ends; see SUITES for the names.
 
     primes/max_n default per suite to the standard verification grid;
     the budget clamps every cell, so oversized requests degrade to
-    skipped reports instead of long enumerations. jobs is accepted
-    and ignored: no suite starts a process pool.
+    skipped reports instead of long enumerations. An unknown suite
+    raises ValueError at the call, before any report.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
@@ -442,3 +443,9 @@ def run_suite(suite: str, primes=None, max_n=None, budget=None, jobs=None):
     if primes is not None:
         primes = tuple(primes)
     return _run(suite, SUITES[suite](primes, max_n, budget))
+
+
+def run_suite(suite: str, primes=None, max_n=None, budget=None, jobs=None):
+    """iter_suite's reports as a list. jobs is accepted and ignored: no
+    suite starts a process pool."""
+    return list(iter_suite(suite, primes, max_n, budget))

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import sys
 import tracemalloc
@@ -23,6 +25,7 @@ from isogauss import (
     legendre,
     oracle,
     prime_context,
+    verify,
 )
 from isogauss.cyclotomic import g_star_shape, reduce_exponent_vector
 
@@ -493,6 +496,48 @@ def test_verify_json(capsys):
     assert lines[-1] == {"summary": {"passed": 8, "failed": 0, "skipped": 0}}
     assert len(lines) == 9
     assert all(l["suite"] == "lemma52" and l["match"] for l in lines[:-1])
+
+
+@pytest.mark.parametrize("suite, check", [("lemma51", "_lemma51"), ("thm11", "_closed_vs_table")])
+def test_verify_prints_each_report_when_its_check_ends(monkeypatch, suite, check):
+    # check k of the suite finds the k - 1 reports before it printed
+    out = io.StringIO()
+    seen = []
+    orig = getattr(verify, check)
+
+    def counted(*args):
+        seen.append(out.getvalue().count("\n"))
+        return orig(*args)
+
+    monkeypatch.setattr(verify, check, counted)
+    argv = ["verify", "--suites", suite, "--primes", "3", "--max-n", "3", "--format", "json"]
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    assert len(seen) > 1 and seen == list(range(len(seen)))
+
+
+def test_verify_json_lines_are_the_suite_reports(capsys):
+    # the verify command of perfbench's verify workload prints, line by
+    # line, what run_suite returns; elapsed, a timing, is left out
+    suites = "thm11,prop41,zero_forms,lemma51,lemma52,lemma54,cor12,scalars,untwisted"
+    code, out, _ = run(
+        capsys,
+        "verify", "--suites", suites, "--primes", "3,5", "--max-n", "4",
+        "--jobs", "2", "--format", "json",
+    )
+    assert code == 0
+
+    def untimed(rep):
+        return json.dumps(dict(rep, elapsed=0))
+
+    want = [
+        untimed(r.to_json())
+        for suite in suites.split(",")
+        for r in verify.run_suite(suite, primes=(3, 5), max_n=4)
+    ]
+    lines = out.splitlines()
+    assert [untimed(json.loads(line)) for line in lines[:-1]] == want
+    assert json.loads(lines[-1]) == {"summary": {"passed": len(want), "failed": 0, "skipped": 0}}
 
 
 def test_verify_names_a_fixed_cap(capsys):

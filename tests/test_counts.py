@@ -9,6 +9,7 @@ from isogauss import (
     canonical_matrix,
     all_classes,
     counts,
+    formulas,
     iso_count,
     iso_subspaces_bf,
     orth_order,
@@ -189,3 +190,79 @@ def test_exact_div_and_frames():
     assert counts.frames(3, 2, 2) == 48  # |GL_2(F_3)|
     assert counts.frames(3, 2, 0) == 1
     assert counts.frames(3, 2, 3) == 0  # no 3 independent vectors in F_3^2
+
+
+# primes on both sides of the int16 boundary, epsilon = -1 and +1, and
+# the largest p a context accepts
+_MEMO_PRIMES = (3, 5, 10009, 32749, 32771, 3037000493)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def _memo_grid(ctx):
+    """(memoized function, arguments) over small grids, some of them
+    outside the functions' domains."""
+    for kind in counts._KINDS + ("zeta",):
+        for t in range(6):
+            for s in range(-1, 7):
+                yield qfunc, (ctx, kind, t, s)
+    for form in ("I", "J", "K"):
+        for size in range(0, 8):
+            for target in ("one", "omega", "two", *(("zeros", d) for d in range(0, 5))):
+                yield rep_star_lemma51, (ctx, form, size, target)
+    for n in range(0, 6):
+        for c in all_classes(n) if n else [FormClass(0, 0, SQ)]:
+            yield orth_order, (ctx, c)
+            for j in range(-1, n + 2):
+                yield iso_count, (ctx, c, j)
+    yield orth_order, (ctx, FormClass(2, 3, SQ))
+    for n in range(1, 7):
+        for d in range(n + 1):
+            for t in range(n // 2 + 1):
+                yield formulas._even_restricted, (ctx, n, d, t)
+
+
+@pytest.mark.parametrize("p", _MEMO_PRIMES)
+def test_memoized_counts_equal_the_plain_functions(p):
+    ctx = prime_context(p)
+    for fn, args in _memo_grid(ctx):
+        want = _outcome(fn.__wrapped__, *args)
+        # twice: the first call may fill the memo, the second reads it
+        assert _outcome(fn, *args) == want, (fn.__name__, args)
+        assert _outcome(fn, *args) == want, (fn.__name__, args)
+
+
+def test_memos_are_bounded():
+    for fn in (qfunc, rep_star_lemma51, orth_order, iso_count, formulas._even_restricted):
+        assert fn.cache_info().maxsize is not None, fn.__name__
+
+
+def test_memoized_counts_reject_as_before(ctx3):
+    # an unhashable argument must reach the function's own checks, not
+    # fail as a TypeError in the cache
+    bad = [
+        (qfunc, (ctx3, ["mu"], 1, 1)),
+        (qfunc, (ctx3, "zeta", 1, 1)),
+        (qfunc, (ctx3, "mu", 2, -1)),
+        (rep_star_lemma51, (ctx3, "I", 3, ["zeros", 2])),
+        (rep_star_lemma51, (ctx3, ["I"], 3, "one")),
+        (rep_star_lemma51, (ctx3, "I", 0, "one")),
+        (rep_star_lemma51, (ctx3, "I", 3, ("zeros", 0))),
+        (orth_order, (ctx3, FormClass(2, 3, SQ))),
+        (iso_count, (ctx3, FormClass(2, 2, SQ), 3)),
+        (formulas._even_restricted, (ctx3, 3, 1, 0)),
+    ]
+    for fn, args in bad:
+        with pytest.raises(Exception) as plain:
+            fn.__wrapped__(*args)
+        with pytest.raises(Exception) as memo:
+            fn(*args)
+        assert type(memo.value) is type(plain.value), (fn.__name__, args)
+        assert str(memo.value) == str(plain.value), (fn.__name__, args)
+    with pytest.raises(ValueError, match="unsupported target"):
+        rep_star_lemma51(ctx3, "I", 3, ["zeros", 2])
