@@ -191,8 +191,10 @@ def _even_restricted(ctx: PrimeContext, n: int, d: int, t: int) -> Fraction:
         # alone at x = 0, where only a = 0 counts): the two weighted
         # sums stay integers, divided once per k
         num_sq = num_nsq = 0
+        inj = 1  # frames(p, s, j), one factor more per j: 0 once j > s
         for j in range(0, rho + 1):
-            inj = counts.frames(p, s, j)
+            if j:
+                inj *= p**s - p ** (j - 1)
             a = rho - j
             if inj == 0 or (x == 0 and a):
                 continue

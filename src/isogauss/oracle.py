@@ -5,24 +5,20 @@ here, which evaluate sums and counts by full enumeration with no
 number-theoretic shortcuts. numpy does the batch work; all
 accumulation is exact integer arithmetic.
 
-The shape of T picks how its character table is counted. A diagonal T
-with n >= 2, at any p, reads it off one histogram per (p, n) cell of
-the symmetric S by (class, diagonal of S), cached once built
-(_histogram); an n >= 3 cell builds it from the (p, n-1) and (p, n-2)
-histograms by recursion on dimension (the Witt decomposition,
-_witt_histogram), with no class code. A T off the diagonal, and any T
-at n = 1, counts the cell's class codes: at n = 1 one bincount over the
-p codes is the table, where the histogram is a (4, p) table to add
-again per T. One pass counts class codes (_code_counts), for those
-tables and for the n <= 2 histograms. Codes are classified once per
-process, every cell with n >= 3 and a large n = 2 cell by the same
-recursion (_recursed); the recursive, chunked and pooled codes agree
-bit for bit and stay the tests' reference for the recursive
-histograms. That int64 table (class_character_tables) is the only one:
-every signed or restricted sum is one reduction of it (signed_rows).
-Its counts are exact while a cell holds at most 2^63 - 1 matrices; past
-that it is refused with CapExceeded whatever the budget. Every budget
-is charged through one check (_charge).
+The shape of T picks how its character table is counted. A canonical
+T, diag(1^a1, omega^a2, 0^a0) with n >= 3, at any p, gets its counts
+by (class, square class of 2*trace(TS)) from a recursion on dimension
+(the Witt decomposition, _canonical_counts), cached per shape, with no
+class code. Every other T, and every T with n <= 2, counts the cell's
+class codes (_code_counts), classified once per process, every cell
+with n >= 3 and a large n = 2 cell by the same decomposition
+(_recursed); the recursive, chunked and pooled codes agree bit for bit
+and stay the tests' reference for the canonical counts. That int64
+table (class_character_tables) is the only one: every signed or
+restricted sum is one reduction of it (signed_rows). Its counts are
+exact while a cell holds at most 2^63 - 1 matrices; past that it is
+refused with CapExceeded whatever the budget. Every budget is charged
+through one check (_charge).
 
 One primitive histograms a quadratic form v^T M v over every vector of
 F_p^N (_quadratic_histogram): the exponents are built one digit of v
@@ -49,12 +45,13 @@ with.
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
 
 from .cyclotomic import CycInt, reduce_exponent_vector
-from .field import PrimeContext, legendre, tables
+from .field import CACHED_PRIMES, PrimeContext, legendre, tables
 from .quadform import (
     NONSQ,
     SQ,
@@ -281,14 +278,15 @@ def _classified(ctx: PrimeContext, n: int, jobs=None) -> np.ndarray:
 
 def clear_caches():
     _class_cache.clear()
-    _hist_cache.clear()
+    _canonical_cache.clear()
+    _class_sums.cache_clear()
     _family_cache.clear()
 
 
-def _digit_exponents(p: int, W: np.ndarray, mod=None) -> np.ndarray:
-    """Row t holds sum_k W[k, t] * d_k mod `mod` (default p), in int64,
-    for every digit string d of length len(W), in enumeration order
-    (first digit most significant).
+def _digit_exponents(p: int, W: np.ndarray) -> np.ndarray:
+    """Row t holds sum_k W[k, t] * d_k mod p, in int64, for every digit
+    string d of length len(W), in enumeration order (first digit most
+    significant).
 
     Built as an iterated outer sum, one broadcast per digit, so the work
     is one add per entry and no digit matrix is formed.
@@ -297,11 +295,8 @@ def _digit_exponents(p: int, W: np.ndarray, mod=None) -> np.ndarray:
     for w in W:
         term = np.multiply.outer(w, np.arange(p, dtype=np.int64))
         e = (e[:, :, None] + term[:, None, :]).reshape(len(e), -1)
-    return e % (mod or p)
+    return e % p
 
-
-# histograms over (class code, diagonal digits), cached per (p, n)
-_hist_cache: dict = {}
 
 # no count of a cell exceeds its p^(n(n+1)/2) matrices, so its int64
 # tables are exact up to this many
@@ -317,120 +312,134 @@ def _low_digits(p: int, K: int) -> int:
     return k_low
 
 
-def _code_counts(p, codes, W, rows, mod=None):
+def _code_counts(p, codes, W, rows):
     """Counts of a cell's class codes by (column t of W, class code,
-    sum_k W[k, t] * d_k mod `mod`, default p), d the digits of the code's
-    enumeration index: int64, of shape (W.shape[1], rows, mod).
+    sum_k W[k, t] * d_k mod p), d the digits of the code's enumeration
+    index: int64, of shape (W.shape[1], rows, p).
 
     The low digits (_low_digits) index within one contiguous block of
     codes, and each high prefix owns a block. Each block is counted by
-    one bincount of code * width + low key per column, and the prefix's
-    own key places the counts: by a slice add while they fit below
-    `mod`, else by one roll. Diagonal keys mod p^n never wrap; exponents
-    mod p wrap only past a nonzero low weight, which takes every
-    residue, so a block that wraps is `mod` wide.
+    one bincount of code * width + low exponent per column, and the
+    prefix's own exponent places the counts: by a slice add while they
+    fit below p, else by one roll (a nonzero low weight takes every
+    residue, so only a block p wide wraps).
     """
-    mod = mod or p
     K = len(W)
     k_low = _low_digits(p, K)
-    low = _digit_exponents(p, W[K - k_low :], mod)
-    high = _digit_exponents(p, W[: K - k_low], mod)
-    width = int(low.max()) + 1  # every low key is below it
+    low = _digit_exponents(p, W[K - k_low :])
+    high = _digit_exponents(p, W[: K - k_low])
+    width = int(low.max()) + 1  # every low exponent is below it
     dt = np.min_scalar_type(rows * width - 1)  # holds every bin index
     low = low.astype(dt)
     size = low.shape[1]
-    acc = np.zeros((W.shape[1], rows, mod), np.int64)
+    acc = np.zeros((W.shape[1], rows, p), np.int64)
     for h, shifts in enumerate(high.T.tolist()):
         base = codes[h * size : (h + 1) * size].astype(dt) * width
         for tab, e, shift in zip(acc, low, shifts):
             cnt = np.bincount(base + e, minlength=rows * width).reshape(rows, width)
-            if shift + width <= mod:
+            if shift + width <= p:
                 tab[:, shift : shift + width] += cnt
             else:
                 tab += np.roll(cnt, shift, axis=1)
     return acc
 
 
-def _flipped(hist: np.ndarray, flip: bool) -> np.ndarray:
-    """hist with the Square and NonSquare row of every rank swapped when
-    flip, as is otherwise."""
-    return hist[np.arange(len(hist)) ^ 1] if flip else hist
+# the counts of each canonical T, cached read-only per (p, a1, a2, a0)
+_canonical_cache: dict = {}
 
 
-def _witt_histogram(ctx: PrimeContext, n: int) -> np.ndarray:
-    """The (p, n) diagonal histogram, n >= 3, built from the cached
-    (p, n-1) and (p, n-2) ones by splitting off the first basis vector,
-    as _recursed does for the codes, without enumerating any S.
+@lru_cache(maxsize=CACHED_PRIMES)
+def _class_sums(ctx: PrimeContext) -> np.ndarray:
+    """A[k, i, j] = #{x : x in class i, rep_k - x in class j} over the
+    square classes of F_p, 0, the nonzero squares and the nonsquares
+    (chi mod 3), with representatives 0, 1 and omega. A function f
+    constant on square classes, convolved with another such g, takes the
+    value sum_ij A[k, i, j] f_i g_j on class k: (A @ g) @ f. Counted with
+    chi in O(p), as Python integers (an object array) that multiply
+    counts of any size exactly."""
+    cls = tables(ctx)[0] % 3
+    x = np.arange(ctx.p)
+    A = [np.bincount(3 * cls + cls[(rep - x) % ctx.p], minlength=9) for rep in (0, 1, ctx.omega)]
+    A = np.array(np.reshape(A, (3, 3, 3)).tolist(), object)
+    A.flags.writeable = False  # shared by every later caller
+    return A
 
-    Write S with first row (d1, s1) and lower-right block S' of
-    diagonal d':
-    - d1 != 0: S = <d1> perp S'', S'' = S' - s1 s1^T / d1, a bijection
-      of S' for each s1, with diagonal d'' = d' - s1*s1 / d1. An entry
-      s of s1 has s^2 / d1 = u for K(u) = 1 + chi(d1 u) values of s, so
-      the (p, n-1) histogram is convolved along each diagonal axis with
-      K, one p x p circulant product per axis, and raised by <d1>:
-      rank + 1, the class flipped when chi(d1) = -1. K depends on
-      chi(d1) only, so two convolutions serve every d1.
-    - d1 = 0, s1 = 0: S = <0> perp S', the (p, n-1) histogram as it is.
-    - d1 = 0, s1 != 0 with support A: S = H perp R, H a hyperbolic
-      plane of discriminant -1 and R = S' restricted to ker s1 (the
-      basis of _restriction). R's diagonal is d'_j at each j outside A
-      and free at the other |A| - 1 basis vectors; its off-diagonal
-      entries are free, and each R comes from p^(n-1-|A|) matrices S'.
-      So the (p, n-2) histogram, summed over |A| - 1 diagonal axes,
-      counts this case (p - 1)^|A| * p^(n-1-|A|) times for each A, with
-      rank + 2 and the class flipped when chi(-1) = -1. The (p, n-2)
-      histogram is symmetric in its diagonal axes (permuting the basis
-      permutes the diagonal), so which axes are summed does not matter.
+
+def _canonical_counts(ctx: PrimeContext, a1: int, a2: int, a0: int):
+    """(J, V) for T = diag(1^a1, omega^a2, 0^a0), n = a1 + a2 + a0, as
+    object arrays of Python integers, by recursion on n; each shape is
+    built once and cached read-only, with every shape it recursed
+    through.
+
+    J[c, k] counts the symmetric S of class code c with 2*trace(TS)
+    equal to one given residue of square class k (0, a nonzero square,
+    a nonsquare), and V[k] the vectors s with 2 s^T T s that residue:
+    the same for each residue of the class, since S -> l^2 S keeps the
+    class of S and multiplies trace(TS) by l^2.
+
+    Write S with first row (d1, s1) and lower-right block S', t1 the
+    first entry of T and T' the rest, of size m = n - 1; the three cases
+    are those of _recursed:
+    - d1 = 0, s1 = 0: S = <0> perp S', J_T' as it is;
+    - d1 != 0: S = <d1> perp S'', S'' = S' - s1 s1^T / d1 a bijection of
+      S' for each s1, and 2 trace(TS) = 2 t1 d1 + 2 trace(T'S'') +
+      2 Q_T'(s1) / d1. So J_T' is convolved with the values of
+      2 Q_T'(s1) / d1 (V_T', its classes swapped when chi(d1) = -1) and
+      with the point masses at 2 t1 d1 over the d1 of each character,
+      two rows up, the class flipped when chi(d1) = -1;
+    - d1 = 0, s1 != 0: S = H perp R, H a hyperbolic plane of
+      discriminant -1 and R = S' restricted to ker s1, four rows up, the
+      class flipped when chi(-1) = -1. S' -> R is onto Sym_(m-1) with
+      fibres of p^m. An s1 supported on the a0' zeros of T' has a zero
+      as the pivot of _restriction's basis, so trace(T'S') = trace(T''R)
+      for T'' = T' with one zero fewer; for any other s1, trace(T'S') is
+      not constant on the fibres and each residue gets p^(m-1) of them.
+      Together: p^m (p^a0' - 1) J_T'' + p^(m-1) (p^m - p^a0') N_(m-1),
+      N_(m-1) the class totals of Sym_(m-1), the zero T's J at 0.
     """
-    p = ctx.p
-    m = n - 1
-    sub = _histogram(ctx, m).reshape((2 * m + 2,) + (p,) * m)
-    hist = np.zeros((2 * n + 2, p) + (p,) * m, np.int64)
-    hist[: 2 * m + 2, 0] = sub
-    chi = tables(ctx)[0].astype(np.int64)
-    shift = (np.arange(p) - np.arange(p)[:, None]) % p  # [b, a] = a - b
-    for sign in (1, -1):
-        circ = 1 + sign * chi[shift]  # new[a] = sum_b K(a - b) old[b]
-        conv = sub
-        for ax in range(1, m + 1):
-            conv = np.moveaxis(np.moveaxis(conv, ax, -1) @ circ, -1, ax)
-        hist[2:, chi == sign] = _flipped(conv, sign == -1)[:, None]
-    low = _histogram(ctx, n - 2).reshape((2 * n - 2,) + (p,) * (n - 2))
-    hyper = np.zeros((2 * n - 2,) + (p,) * m, np.int64)
-    for k in range(1, n):  # |A|
-        marg = low.sum(axis=tuple(range(n - k, n - 1)))  # the last k - 1 axes
-        weight = (p - 1) ** k * p ** (m - k)
-        for A in combinations(range(1, n), k):
-            hyper += weight * np.expand_dims(marg, A)
-    hist[4:, 0] += _flipped(hyper, ctx.epsilon == -1)
-    return hist.reshape(2 * n + 2, -1)
-
-
-def _histogram(ctx: PrimeContext, n: int, jobs=None) -> np.ndarray:
-    """The (p, n) diagonal histogram, n >= 1: counts of symmetric S by
-    (class code, diagonal of S as a base-p key), an int64 array of shape
-    (2n + 2, p^n). The first call for a cell builds it and caches it
-    read-only; later calls return it.
-
-    An n <= 2 cell is counted from its class codes (_code_counts over
-    _classified, through a process pool when jobs > 1); every larger one
-    by recursion on dimension (_witt_histogram), with no class code.
-    """
-    p = ctx.p
-    hist = _hist_cache.get((p, n))
-    if hist is not None:
-        return hist
-    if n <= 2:
-        # one column that reads the diagonal digits as a base-p key
-        place = [[p ** (n - 1 - i) if i == j else 0] for i, j in upper_positions(n)]
-        codes = _classified(ctx, n, jobs)
-        hist = _code_counts(p, codes, np.array(place, np.int64), 2 * n + 2, p**n)[0]
+    key = (ctx.p, a1, a2, a0)
+    state = _canonical_cache.get(key)
+    if state is not None:
+        return state
+    p, n = ctx.p, a1 + a2 + a0
+    if not n:  # the empty matrix: rank 0, trace 0
+        J, V = np.array([[1, 0, 0], [0, 0, 0]], object), np.array([1, 0, 0], object)
     else:
-        hist = _witt_histogram(ctx, n)
-    hist.flags.writeable = False  # shared by every later caller
-    _hist_cache[(p, n)] = hist
-    return hist
+        t1 = 1 if a1 else ctx.omega if a2 else 0
+        sub = (max(a1 - 1, 0), a2 - (t1 == ctx.omega), a0 - (t1 == 0))  # T'
+        m, m_zeros = n - 1, sub[2]
+        sub_J, sub_V = _canonical_counts(ctx, *sub)
+        A = _class_sums(ctx)
+        cls = legendre(ctx, 2 * t1) % 3  # of 2 t1 x^2, x != 0
+        J = np.zeros((2 * n + 2, 3), object)
+        J[: 2 * n] = sub_J
+        for sign in (1, -1):
+            shift = np.zeros(3, object)  # the point masses at 2 t1 d1, chi(d1) = sign
+            shift[cls * sign % 3] = 1 if t1 else (p - 1) // 2
+            K = (A @ shift) @ sub_V[[0, 1, 2] if sign == 1 else [0, 2, 1]]
+            J[(np.arange(2 * n) + 2) ^ (sign == -1)] += sub_J @ (A @ K).T
+        if m:
+            N = _canonical_counts(ctx, 0, 0, m - 1)[0][:, :1]
+            H = p ** (m - 1) * (p**m - p**m_zeros) * N
+            if m_zeros:  # T'' = T' with one zero fewer
+                H = H + p**m * (p**m_zeros - 1) * _canonical_counts(ctx, *sub[:2], m_zeros - 1)[0]
+            J[(np.arange(2 * m) + 4) ^ (ctx.epsilon == -1)] += H
+        # 2 t1 x^2 takes 0 once and each residue of its class twice
+        v = np.array([1, 2 * (cls == 1), 2 * (cls == 2)] if t1 else [p, 0, 0], object)
+        V = (A @ v) @ sub_V
+    J.flags.writeable = V.flags.writeable = False  # shared by every later caller
+    _canonical_cache[key] = J, V
+    return J, V
+
+
+def _canonical_shape(ctx: PrimeContext, T):
+    """(a1, a2, a0) when T = diag(1^a1, omega^a2, 0^a0), else None."""
+    n = len(T)
+    diag = [T[i][i] for i in range(n)]
+    a1, a2 = diag.count(1), diag.count(ctx.omega)
+    entries = [1] * a1 + [ctx.omega] * a2 + [0] * (n - a1 - a2)
+    want = tuple(tuple(entries[i] if i == j else 0 for j in range(n)) for i in range(n))
+    return (a1, a2, n - a1 - a2) if T == want else None
 
 
 def class_character_tables(ctx: PrimeContext, Ts, budget=None, jobs=None):
@@ -441,20 +450,15 @@ def class_character_tables(ctx: PrimeContext, Ts, budget=None, jobs=None):
     against T is a linear functional of T's rows (signed_rows), so one
     table serves all of them.
 
-    The exponent 2*trace(TS) is sum_k w_k * d_k mod p, one term per
-    upper-triangle digit d_k of S; a diagonal T weights only the n
-    diagonal digits. The T's shape picks the count, exact in int64
-    either way:
-    - n >= 2 and every T diagonal, at any p: each T's table is read off
-      the cell's cached histogram over (class code, diagonal digits)
-      (_histogram) with one np.add.at;
-    - a T off the diagonal, or n = 1: the cell's cached class codes are
-      counted against each T's exponents (_code_counts). At n = 1 its one
-      bincount per T over the p codes is the table, where the histogram
-      is a (4, p) table to add again per T.
-    No count diagonalises T or uses congruence invariance; summing out
-    the off-diagonal digits, which a diagonal T does not weight, is
-    counting.
+    The T's shape picks the count, exact in int64 either way:
+    - n >= 3 and every T canonical, diag(1^a1, omega^a2, 0^a0) as
+      canonical_matrix gives: each T's counts by (class code, square
+      class of 2*trace(TS)), built by recursion (_canonical_counts)
+      with no class code, read at each residue's square class;
+    - any other T, and every T at n <= 2: the cell's cached class codes
+      counted against T's exponents 2*trace(TS) = sum_k w_k * d_k mod
+      p, one term per upper-triangle digit d_k of S (_code_counts).
+    Neither diagonalises T or uses congruence invariance.
 
     The budget charges the p^(n(n+1)/2) matrices S. Past 2^63 - 1 of
     them the int64 counts could wrap, so CapExceeded is raised then,
@@ -469,16 +473,11 @@ def class_character_tables(ctx: PrimeContext, Ts, budget=None, jobs=None):
     _charge(budget, total, "symmetric enumeration")
     if total > _INT64_MAX:
         raise CapExceeded(total, _INT64_MAX, "int64 class table")
-    W = _exp_weights(ctx, Ts)
-    rows = 2 * n + 2
-    diag = np.array([i == j for i, j in upper_positions(n)])
-    if n >= 2 and not W[~diag].any():
-        hist = _histogram(ctx, n, jobs)
-        acc = np.zeros((len(Ts), rows, p), np.int64)
-        for tab, e in zip(acc, _digit_exponents(p, W[diag])):
-            np.add.at(tab, (slice(None), e), hist)
-        return acc
-    return _code_counts(p, _classified(ctx, n, jobs), W, rows)
+    shapes = n >= 3 and [_canonical_shape(ctx, T) for T in Ts]
+    if shapes and None not in shapes:
+        states = np.array([_canonical_counts(ctx, *shape)[0] for shape in shapes])
+        return states[:, :, tables(ctx)[0] % 3].astype(np.int64)
+    return _code_counts(p, _classified(ctx, n, jobs), _exp_weights(ctx, Ts), 2 * n + 2)
 
 
 def signed_rows(rows: np.ndarray, r: int) -> np.ndarray:

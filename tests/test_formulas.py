@@ -336,3 +336,22 @@ def test_thm11_scales_by_a_nonsquare(p, max_n):
             v = thm11_value(ctx, n, c.d, c.disc)
             sign = (-1) ** n
             assert thm11_value(ctx, n, c.d, disc) == QuadValue(sign * v.a, sign * v.b), (p, n, c)
+
+
+@pytest.mark.parametrize("p", [3, 5, 127, 131, 32749, 32771, 10009, 10**9 + 7])
+def test_prop41_scales_by_a_nonsquare(p):
+    # S -> omega S maps each rank-r orbit onto one of the same rank and
+    # multiplies the sign chi(disc S) by chi(omega)^r: G*(omega T; r) =
+    # (-1)^r G*(T; r), where omega T has T's rank with its disc flipped
+    # exactly when the rank is odd; primes on both sides of the int8 and
+    # int16 boundaries
+    ctx = prime_context(p)
+    flip = {SQ: NONSQ, NONSQ: SQ}
+    for n in range(1, 21):
+        for c in all_classes(n):
+            disc = flip[c.disc] if c.d % 2 else c.disc
+            for r in range(n + 1):
+                v = prop41_value(ctx, n, c.d, c.disc, r)
+                sign = (-1) ** r
+                got = prop41_value(ctx, n, c.d, disc, r)
+                assert got == QuadValue(sign * v.a, sign * v.b), (p, n, c, r)

@@ -13,12 +13,14 @@ from isogauss import (
     CycInt,
     FormClass,
     NONSQ,
+    QuadValue,
     SQ,
     canonical_matrix,
     class_character_tables,
     cyc_const,
     cyc_neg,
     cyc_zero,
+    embed,
     gauss_restricted_bf,
     gauss_twisted_bf,
     gauss_untwisted_bf,
@@ -30,10 +32,10 @@ from isogauss import (
 )
 from isogauss import all_classes, counts, orth_order, run_suite
 from isogauss import classify, enumerate_symmetric
-from isogauss import field, oracle
+from isogauss import field, formulas, oracle
 from isogauss.cyclotomic import reduce_exponent_vector
 from isogauss.oracle import _CHUNK, _ranges, clear_caches, rep_star_bf, subspace_census
-from isogauss.quadform import digits_block, upper_positions
+from isogauss.quadform import digits_block
 
 
 def _zero(n):
@@ -289,56 +291,59 @@ def _counting_calls(monkeypatch, name):
 
 
 def test_live_digit_histogram_across_many_prefix_blocks(ctx5, monkeypatch):
-    # the diagonal histograms are cached per cell: after clear_caches the
-    # n <= 2 base cells are counted in one pass over their blocks and
-    # (5, 3) is built once by recursion; a later call counts nothing
-    Ts = [canonical_matrix(ctx5, c) for c in all_classes(3)]
-    want = class_character_tables(ctx5, Ts)
+    # at _CHUNK = 25 the (5, 2) codes are 5 prefix blocks of 25, so each
+    # canonical T's table is one bincount per block, on every call; the
+    # (5, 3) tables count no code block and build each recursion state
+    # once after clear_caches, so a later call builds nothing
+    T2 = [canonical_matrix(ctx5, c) for c in all_classes(2)]
+    T3 = [canonical_matrix(ctx5, c) for c in all_classes(3)]
+    want2 = _scalar_tables(ctx5, 2, T2)
+    want3 = class_character_tables(ctx5, T3)
     clear_caches()
     with monkeypatch.context() as m:
-        # at _CHUNK = 25 the low part of (5, 2) keeps 2 of its 3 digits,
-        # so 5 prefix blocks of 25 codes; (5, 1) is one block of 5
         m.setattr(oracle, "_CHUNK", 25)
+        counted = _counting_calls(m, "_code_counts")
+        assert np.array_equal(class_character_tables(ctx5, T3), want3)
+        states = set(oracle._canonical_cache)
         seen = _counting_bincount(m)
-        built = _counting_calls(m, "_witt_histogram")
-        assert np.array_equal(class_character_tables(ctx5, Ts), want)
-        assert seen == [25] * 5 + [5] and built == [3]
-        del seen[:], built[:]
-        assert np.array_equal(class_character_tables(ctx5, Ts), want)
-        zero = Ts.index(_zero(3))
-        assert np.array_equal(class_character_tables(ctx5, [_zero(3)]), want[zero : zero + 1])
-        assert seen == [] and built == []
+        assert np.array_equal(class_character_tables(ctx5, T3), want3)
+        zero = T3.index(_zero(3))
+        assert np.array_equal(class_character_tables(ctx5, [_zero(3)]), want3[zero : zero + 1])
+        assert seen == [] and counted == [] and set(oracle._canonical_cache) == states
+        for _ in range(2):
+            assert np.array_equal(class_character_tables(ctx5, T2), want2)
+            assert seen == [25] * 5 * len(T2)
+            del seen[:]
     clear_caches()
 
 
 def test_one_pass_over_the_cell_for_any_number_of_diagonal_ts(ctx5, monkeypatch):
-    # one build per cell, whatever the number of diagonal T and however
-    # many calls read it: thm11, prop41 and zero_forms share (5, 3), and
-    # the (5, 3) cell itself is never classified
+    # each recursion state is built once, whatever the number of
+    # canonical T and however many calls read it: thm11, prop41 and
+    # zero_forms share (5, 3), and no cell is classified
     Ts = [canonical_matrix(ctx5, c) for c in all_classes(3)]
     clear_caches()
-    seen = _counting_bincount(monkeypatch)
-    built = _counting_calls(monkeypatch, "_witt_histogram")
     classified = _counting_calls(monkeypatch, "_classified")
     one = class_character_tables(ctx5, Ts[:1])
-    # the base cells (5, 2) and (5, 1) are counted from their codes once
-    assert sum(seen) == 5**3 + 5 and built == [3]
-    assert 3 not in classified
-    del seen[:], built[:]
     tabs = class_character_tables(ctx5, Ts)
+    states = set(oracle._canonical_cache)
+    assert {key[1:] for key in states} >= {oracle._canonical_shape(ctx5, T) for T in Ts}
+    seen = _counting_bincount(monkeypatch)
+    again = class_character_tables(ctx5, Ts)
     zero = class_character_tables(ctx5, [_zero(3)])
-    assert len(Ts) == 7 and seen == [] and built == []
-    assert 3 not in classified
+    assert len(Ts) == 7 and seen == [] and set(oracle._canonical_cache) == states
+    assert classified == []
     i = Ts.index(_zero(3))
     assert np.array_equal(tabs[:1], one) and np.array_equal(zero, tabs[i : i + 1])
+    assert np.array_equal(again, tabs)
     clear_caches()
 
 
 def test_counting_pass_expands_no_digits(ctx5, monkeypatch):
     # neither the recursion nor a count over cached codes expands digits:
     # once the n <= 2 cells are classified, the (5, 3) tables are built
-    # cold with digits_block refused, and so is the (5, 2) count, through
-    # the histogram at the default _CHUNK and block by block at 25
+    # cold with digits_block refused, and so is the (5, 2) count, at the
+    # default _CHUNK and block by block at 25
     T3 = [canonical_matrix(ctx5, FormClass(3, 2, NONSQ)), _zero(3)]
     T2 = [canonical_matrix(ctx5, FormClass(2, 1, NONSQ)), _zero(2)]
     want3 = class_character_tables(ctx5, T3)
@@ -1027,61 +1032,74 @@ def test_small_cells_with_n_at_least_3_recurse(monkeypatch, p, n):
 _GRID = [(3, n) for n in range(1, 6)] + [(5, n) for n in range(1, 5)] + [(7, n) for n in range(1, 4)]
 
 
-def _code_histogram(ctx, n):
-    """The diagonal histogram counted from the enumerated class codes: one
-    column of place values p^(n-1-i) on diagonal digit i, keys mod p^n."""
-    p = ctx.p
-    place = [[p ** (n - 1 - i) if i == j else 0] for i, j in upper_positions(n)]
-    codes = oracle._classified(ctx, n)
-    return oracle._code_counts(p, codes, np.array(place, np.int64), 2 * n + 2, p**n)[0]
+def _expanded(ctx, J):
+    """A canonical T's counts (oracle._canonical_counts) at every residue
+    e, read at the square class of e, in Python integers."""
+    return J[:, field.tables(ctx)[0] % 3]
 
 
-def test_witt_histogram_equals_the_count_of_the_codes():
-    # on every default-grid cell the recursion's histogram equals the one
-    # counted from the enumerated class codes, which the tests above check
-    # against direct and scalar classification; p = 3 and 7 have
-    # chi(-1) = -1, where the hyperbolic case flips the class
+def _recursion_rows(ctx, T):
+    return _expanded(ctx, oracle._canonical_counts(ctx, *oracle._canonical_shape(ctx, T))[0])
+
+
+def test_canonical_counts_equal_the_count_of_the_codes():
+    # on every default-grid cell, n = 1 and 2 included, the recursion's
+    # counts of each canonical T, called directly, equal the table counted
+    # from the enumerated class codes, which the tests above check against
+    # direct and scalar classification; its vector counts V equal the
+    # histogram of 2 v^T T v. p = 3 and 7 have chi(-1) = -1, where the
+    # hyperbolic case flips the class
     clear_caches()
     for p, n in _GRID:
         ctx = prime_context(p)
-        got = oracle._histogram(ctx, n)
-        want = _code_histogram(ctx, n)
-        assert got.dtype == np.int64 and got.shape == (2 * n + 2, p**n)
-        assert np.array_equal(got, want), (p, n)
+        Ts = [canonical_matrix(ctx, c) for c in all_classes(n)]
+        for T, want in zip(Ts, _code_tables(ctx, n, Ts)):
+            J, V = oracle._canonical_counts(ctx, *oracle._canonical_shape(ctx, T))
+            assert J.shape == (2 * n + 2, 3) and V.shape == (3,)
+            assert np.array_equal(_expanded(ctx, J), want), (p, n, T)
+            vectors = oracle._quadratic_histogram(p, 2 * np.array(T, np.int64) % p)
+            assert np.array_equal(_expanded(ctx, V[None])[0], vectors), (p, n, T)
     clear_caches()
 
 
-def test_diagonal_n2_tables_read_the_histogram(ctx5, monkeypatch):
-    # at _CHUNK = 25 the (5, 2) histogram has 150 bins, past the chunk, yet
-    # diagonal T still read it: the one pass over the codes counts the
-    # histogram (keys mod p^2) and never a table per T (exponents mod p)
+def test_diagonal_n2_tables_count_the_codes(ctx5, monkeypatch):
+    # at n = 2 canonical T count the cell's class codes, as a T off the
+    # diagonal does, never the recursion on (class, trace square class):
+    # at _CHUNK = 25, past the cell's 125 codes, one pass of
+    # _code_counts serves every T
     Ts = [canonical_matrix(ctx5, c) for c in all_classes(2)]
     want = _scalar_tables(ctx5, 2, Ts)
     clear_caches()
-    mods = []
+    widths = []
     orig = oracle._code_counts
 
-    def counted(p, codes, W, rows, mod=None):
-        mods.append(mod)
-        return orig(p, codes, W, rows, mod)
+    def counted(p, codes, W, rows):
+        widths.append(W.shape[1])
+        return orig(p, codes, W, rows)
 
     with monkeypatch.context() as m:
         m.setattr(oracle, "_CHUNK", 25)
         m.setattr(oracle, "_code_counts", counted)
-        built = _counting_calls(m, "_histogram")
+        built = _counting_calls(m, "_canonical_counts")
+        classified = _counting_calls(m, "_classified")
         assert np.array_equal(class_character_tables(ctx5, Ts), want)
-    assert built == [2] and mods == [25]
+    assert widths == [len(Ts)] and built == [] and classified[0] == 2
+    assert oracle._canonical_cache == {}
     clear_caches()
 
 
 def test_diagonal_n2_histogram_past_the_chunk():
-    # (211, 2) has 6 * 211^2 > 2^18 histogram bins: its diagonal tables
-    # come from the histogram and equal a table per T over the codes
+    # (211, 2) has 211^3 > 2^18 matrices: its canonical tables count the
+    # codes built by recursion on dimension, and equal both a table per T
+    # over the codes and the recursion on (class, trace square class)
     ctx = prime_context(211)
     Ts = [canonical_matrix(ctx, c) for c in all_classes(2)]
     clear_caches()
-    assert np.array_equal(class_character_tables(ctx, Ts), _code_tables(ctx, 2, Ts))
-    assert (211, 2) in oracle._hist_cache
+    tabs = class_character_tables(ctx, Ts)
+    assert np.array_equal(tabs, _code_tables(ctx, 2, Ts))
+    assert (211, 2) in oracle._class_cache
+    for T, tab in zip(Ts, tabs):
+        assert np.array_equal(_recursion_rows(ctx, T), tab)
     clear_caches()
 
 
@@ -1115,10 +1133,53 @@ def _scalar_histogram(ctx, n):
 
 
 @pytest.mark.parametrize("p", [3, 5])
-def test_witt_histogram_equals_a_scalar_loop(p):
+def test_canonical_counts_equal_a_scalar_loop(p):
+    # each canonical T's table is the scalar loop's diagonal histogram
+    # summed by the exponent 2 sum_i t_i d_i of each diagonal d
+    ctx = prime_context(p)
+    hist = _scalar_histogram(ctx, 3)
+    clear_caches()
+    for c in all_classes(3):
+        T = canonical_matrix(ctx, c)
+        want = np.zeros((8, p), np.int64)
+        for key, d in enumerate(itertools.product(range(p), repeat=3)):
+            want[:, 2 * sum(T[i][i] * d[i] for i in range(3)) % p] += hist[:, key]
+        assert np.array_equal(_recursion_rows(ctx, T), want), c
+    clear_caches()
+
+
+def _signed_sum(ctx, rows, r):
+    return CycInt(ctx.p, tuple(oracle.signed_rows(rows, r).tolist()))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_recursion_matches_thm11_and_zero_forms_to_n_40(p):
+    # far past the int64 cap, the recursion's counts in Python integers,
+    # through signed_rows and embed, equal thm11 for every class with
+    # n <= 40, and the zero form's full sum of the zero_forms suite
     ctx = prime_context(p)
     clear_caches()
-    assert np.array_equal(oracle._histogram(ctx, 3), _scalar_histogram(ctx, 3))
+    for n in range(1, 41):
+        for c in all_classes(n):
+            want = embed(formulas.thm11_value(ctx, n, c.d, c.disc), ctx)
+            assert _signed_sum(ctx, _recursion_rows(ctx, canonical_matrix(ctx, c)), n) == want
+        zero = QuadValue(0, 0) if n % 2 else formulas.gauss_zero_even(ctx, n // 2)
+        assert _signed_sum(ctx, _recursion_rows(ctx, _zero(n)), n) == embed(zero, ctx), n
+    clear_caches()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_recursion_matches_prop41_at_every_rank_to_n_12(p):
+    # every class and every rank r >= 1 with n <= 12; the zero form's
+    # rows are those of zero_forms' restricted sums
+    ctx = prime_context(p)
+    clear_caches()
+    for n in range(1, 13):
+        for c in all_classes(n):
+            rows = _recursion_rows(ctx, canonical_matrix(ctx, c))
+            for r in range(1, n + 1):
+                want = embed(formulas.prop41_value(ctx, n, c.d, c.disc, r), ctx)
+                assert _signed_sum(ctx, rows, r) == want, (n, c, r)
     clear_caches()
 
 
@@ -1130,9 +1191,9 @@ def _code_tables(ctx, n, Ts):
 
 
 def test_diagonal_ts_build_no_class_codes_past_n_2(monkeypatch):
-    # once the n <= 2 cells are counted, the tables of diagonal T with
-    # n >= 3 come from the recursion alone: _classified and _recursed
-    # never run, and the tables equal the count of the codes
+    # from a cold cache, the tables of canonical T with n >= 3 come from
+    # the recursion alone: _classified and _recursed never run, and the
+    # tables equal the count of the codes
     def refuse(*args, **kwargs):
         raise AssertionError("class codes were built")
 
@@ -1141,22 +1202,22 @@ def test_diagonal_ts_build_no_class_codes_past_n_2(monkeypatch):
         Ts = [canonical_matrix(ctx, c) for c in all_classes(n)]
         want = _code_tables(ctx, n, Ts)
         clear_caches()
-        for m in (1, 2):
-            oracle._histogram(ctx, m)
         with monkeypatch.context() as mp:
             mp.setattr(oracle, "_classified", refuse)
             mp.setattr(oracle, "_recursed", refuse)
             assert np.array_equal(class_character_tables(ctx, Ts), want), (p, n)
-    # a T with an entry off the diagonal still gets the enumerated codes
+    # a T with an entry off the diagonal, or a diagonal T that is not
+    # canonical, still gets the enumerated codes
     ctx5 = prime_context(5)
     dense = ((1, 2, 0), (2, 0, 3), (0, 3, 4))
-    want = _code_tables(ctx5, 3, [dense])
-    clear_caches()
-    with monkeypatch.context() as mp:
-        classified = _counting_calls(mp, "_classified")
-        recursed = _counting_calls(mp, "_recursed")
-        assert np.array_equal(class_character_tables(ctx5, [dense]), want)
-    assert 3 in classified and recursed == [3]
+    for T in (dense, ((2, 0, 0), (0, 1, 0), (0, 0, 0)), ((0, 0, 0), (0, 1, 0), (0, 0, 0))):
+        want = _code_tables(ctx5, 3, [T])
+        clear_caches()
+        with monkeypatch.context() as mp:
+            classified = _counting_calls(mp, "_classified")
+            recursed = _counting_calls(mp, "_recursed")
+            assert np.array_equal(class_character_tables(ctx5, [T]), want)
+        assert 3 in classified and recursed == [3] and oracle._canonical_cache == {}
     clear_caches()
 
 
@@ -1168,11 +1229,11 @@ def test_int64_cap_refuses_before_any_histogram(monkeypatch):
     T9 = canonical_matrix(ctx, FormClass(9, 9, SQ))
     clear_caches()
     with monkeypatch.context() as m:
-        built = _counting_calls(m, "_histogram")
+        built = _counting_calls(m, "_canonical_counts")
         classified = _counting_calls(m, "_classified")
         with pytest.raises(oracle.CapExceeded) as e:
             class_character_tables(ctx, [T9], lifted)
-    assert built == [] and classified == []
+    assert built == [] and classified == [] and oracle._canonical_cache == {}
     assert isinstance(e.value, BudgetExceeded)
     assert str(e.value) == f"int64 class table needs {3**45} terms, fixed cap is {2**63 - 1}"
     # the default budget refuses first, with the budget's own message
