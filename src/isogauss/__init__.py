@@ -31,10 +31,9 @@ from .quadform import (
     classify,
     canonical_matrix,
     enumerate_symmetric,
-    orbit_size,
     all_classes,
 )
-from .counts import qfunc, rep_star_lemma51, orth_order, iso_count, rep_zero_full
+from .counts import qfunc, rep_star_lemma51, orth_order, orbit_size, iso_count, rep_zero_full
 from .oracle import (
     Budget,
     BudgetExceeded,

@@ -203,6 +203,12 @@ def orth_order(ctx: PrimeContext, c: FormClass) -> int:
     return nd * p ** (d * s) * _nu(p, s, 0)
 
 
+def orbit_size(ctx: PrimeContext, c: FormClass) -> int:
+    """Number of symmetric matrices congruent to the class representative:
+    |GL_n| / |O(c)|."""
+    return exact_div(qfunc(ctx, "nu", c.n, 0), orth_order(ctx, c), f"orbit size of {c}")
+
+
 @per_prime_memo
 def iso_count(ctx: PrimeContext, c: FormClass, j: int) -> int:
     """Number of j-dimensional totally isotropic subspaces of the class.

@@ -18,7 +18,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .field import CACHED_PRIMES, PrimeContext, legendre, tables
+from .field import CACHED_PRIMES, PrimeContext, chi_table, legendre
 
 
 @dataclass(frozen=True)
@@ -145,11 +145,9 @@ def g_star_values(ctx: PrimeContext) -> Tuple[int, int]:
 def g_star_shape(ctx: PrimeContext):
     """(g0, c, mask) with g* = g0 + c * (sum of zeta^e over the e in
     1..p-2 with mask[e-1]); see g_star_values. mask is a read-only bool
-    array, built once per prime from the chi table."""
-    p = ctx.p
-    chi = tables(ctx)[0]
-    e = np.arange(1, p - 1, dtype=np.int64)
-    mask = chi[2 * e % p] != chi[p - 2]  # chi(2e) != chi(-2)
+    array, built once per prime from the chi table: chi(2e) != chi(-2)
+    exactly when chi(e) != chi(-1) = epsilon."""
+    mask = chi_table(ctx)[1 : ctx.p - 1] != ctx.epsilon
     mask.flags.writeable = False
     return (*g_star_values(ctx), mask)
 

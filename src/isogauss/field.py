@@ -2,24 +2,23 @@
 
 A PrimeContext fixes the prime together with the canonical nonsquare
 omega (least positive nonsquare) and epsilon = chi(-1), both found by
-Euler's criterion; it is O(1) in size and hashes in O(1). Everything
-downstream takes the context as first argument; contexts are immutable
-and safe to share. Scalar code reads chi and inverses through pow. The
-O(p) chi and inverse arrays are built by tables(), once per prime, for
-the vectorised callers only, both from one table of the powers of a
-primitive root: chi(g^k) = (-1)^k and (g^k)^-1 = g^(p-1-k).
+Euler's criterion; it is an O(1) tuple of three ints that hashes in C.
+Everything downstream takes the context as first argument; contexts are
+immutable and safe to share. Scalar code reads chi and inverses through
+pow. The one O(p) array, chi as int8, is built by chi_table(), once per
+prime, for the vectorised callers only: 1 at the squares x^2 mod p,
+x = 1 .. (p-1)/2, -1 at every other nonzero residue.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
 from operator import index
+from typing import NamedTuple
 
 import numpy as np
 
 # how many primes each per-prime cache keeps
 CACHED_PRIMES = 32
-# the tables are built in int64: every product of two residues must fit
+# the oracle works in int64: every product of two residues must fit
 _INT64_MAX = np.iinfo(np.int64).max
 
 
@@ -42,8 +41,7 @@ def _euler(p: int, a: int) -> int:
     return -1 if r == p - 1 else r
 
 
-@dataclass(frozen=True)
-class PrimeContext:
+class PrimeContext(NamedTuple):
     p: int
     omega: int
     epsilon: int
@@ -53,8 +51,9 @@ class PrimeContext:
 def prime_context(p: int) -> PrimeContext:
     """The context for an odd prime p, shared by later calls.
 
-    A non-prime, or a p with (p-1)^2 past the int64 range that tables()
-    computes in, raises ValueError on every call.
+    A non-prime, or a p with (p-1)^2 past the int64 range that the
+    oracle's products of two residues are computed in, raises ValueError
+    on every call.
     """
     if p >= 3 and (p - 1) ** 2 > _INT64_MAX:
         raise ValueError(
@@ -66,50 +65,25 @@ def prime_context(p: int) -> PrimeContext:
     return PrimeContext(p=p, omega=omega, epsilon=_euler(p, p - 1))
 
 
-def _primitive_root(p: int) -> int:
-    """The least generator of F_p^*: g with g^((p-1)/q) != 1 for every
-    prime q dividing p - 1, found by trial division of p - 1."""
-    qs, m, q = [], p - 1, 2
-    while q * q <= m:
-        if m % q == 0:
-            qs.append(q)
-            while m % q == 0:
-                m //= q
-        q += 1
-    if m > 1:
-        qs.append(m)
-    return next(g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in qs))
-
-
 @lru_cache(maxsize=CACHED_PRIMES)
-def tables(ctx: PrimeContext):
-    """(chi, inv): chi[a] as int8 and the inverse inv[a] as int64 for a
-    in 0..p-1, with inv[0] = 0. Built once per prime, read-only.
+def chi_table(ctx: PrimeContext) -> np.ndarray:
+    """chi[a], the quadratic character of a, as read-only int8 for a in
+    0..p-1. Built once per prime.
 
-    Both come from one power table pw[k] = g^k, k in 0..p-2, for a
-    primitive root g: chi[g^k] = (-1)^k and inv[g^k] = g^(-k) = pw[-k].
-    pw is an s x s outer product of g^(s*i) and g^j, s = ceil(sqrt(p-1)),
-    so it takes O(sqrt p) Python steps and one numpy pass; every product
-    is below (p-1)^2, inside int64.
+    x and -x have one square, so x = 1..(p-1)/2 reach every nonzero
+    square once: chi is 1 there, 0 at 0 and -1 elsewhere. The squares
+    are taken in place in int64, where x^2 < p^2/4 fits for every p that
+    prime_context accepts.
     """
     p = ctx.p
-    g = _primitive_root(p)
-    s = isqrt(p - 2) + 1
-
-    def powers(x):  # x^0 .. x^(s-1) mod p
-        out = [1]
-        for _ in range(s - 1):
-            out.append(out[-1] * x % p)
-        return np.array(out, np.int64)
-
-    pw = (np.multiply.outer(powers(pow(g, s, p)), powers(g)) % p).ravel()[: p - 1]
-    chi = np.zeros(p, np.int8)
-    chi[pw[0::2]] = 1
-    chi[pw[1::2]] = -1
-    inv = np.zeros(p, np.int64)
-    inv[pw] = pw[-np.arange(p - 1)]
-    chi.flags.writeable = inv.flags.writeable = False
-    return chi, inv
+    x = np.arange(1, (p + 1) // 2, dtype=np.int64)
+    x *= x
+    x %= p
+    chi = np.full(p, -1, np.int8)
+    chi[0] = 0
+    chi[x] = 1
+    chi.flags.writeable = False
+    return chi
 
 
 def legendre(ctx: PrimeContext, a: int) -> int:

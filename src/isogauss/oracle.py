@@ -5,20 +5,20 @@ here, which evaluate sums and counts by full enumeration with no
 number-theoretic shortcuts. numpy does the batch work; all
 accumulation is exact integer arithmetic.
 
-The shape of T picks how its character table is counted. A canonical
-T, diag(1^a1, omega^a2, 0^a0) with n >= 3, at any p, gets its counts
-by (class, square class of 2*trace(TS)) from a recursion on dimension
-(the Witt decomposition, _canonical_counts), cached per shape, with no
-class code. Every other T, and every T with n <= 2, counts the cell's
-class codes (_code_counts), classified once per process, every cell
-with n >= 3 and a large n = 2 cell by the same decomposition
-(_recursed); the recursive, chunked and pooled codes agree bit for bit
-and stay the tests' reference for the canonical counts. That int64
-table (class_character_tables) is the only one: every signed or
-restricted sum is one reduction of it (signed_rows). Its counts are
-exact while a cell holds at most 2^63 - 1 matrices; past that it is
-refused with CapExceeded whatever the budget. Every budget is charged
-through one check (_charge).
+The shape of T picks how its character table is counted. One rule
+(_recurses: n >= 3, or n = 2 past _CHUNK matrices) marks the cells
+built by recursion on dimension (the Witt decomposition). There a
+canonical T, diag(1^a1, omega^a2, 0^a0), gets its counts by (class,
+square class of 2*trace(TS)) from _canonical_counts, cached per shape,
+with no class code. Every other T, and every T in a smaller cell,
+counts the cell's class codes (_code_counts), classified once per
+process, by _recursed in a cell that recurses; the recursive, chunked
+and pooled codes agree bit for bit and stay the tests' reference for
+the canonical counts. That int64 table (class_character_tables) is
+the only one: every signed or restricted sum is one reduction of it
+(signed_rows). Its counts are exact while a cell holds at most
+2^63 - 1 matrices; past that it is refused with CapExceeded whatever
+the budget. Every budget is charged through one check (_charge).
 
 One primitive histograms a quadratic form v^T M v over every vector of
 F_p^N (_quadratic_histogram): the exponents are built one digit of v
@@ -51,7 +51,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .cyclotomic import CycInt, reduce_exponent_vector
-from .field import CACHED_PRIMES, PrimeContext, legendre, tables
+from .field import CACHED_PRIMES, PrimeContext, chi_table, legendre
 from .quadform import (
     NONSQ,
     SQ,
@@ -243,13 +243,21 @@ def _recursed(ctx: PrimeContext, n: int) -> np.ndarray:
 _class_cache: dict = {}
 
 
+def _recurses(p: int, n: int) -> bool:
+    """Whether a (p, n) cell is built by recursion on dimension, its
+    codes by _recursed and its canonical T's tables by _canonical_counts:
+    every cell with n >= 3, and an n = 2 cell of more than _CHUNK
+    matrices."""
+    return n >= 3 or (n == 2 and p**3 > _CHUNK)
+
+
 def _classified(ctx: PrimeContext, n: int, jobs=None) -> np.ndarray:
     """Class codes of every symmetric n x n matrix, in enumeration order.
 
     The first call for a (p, n) cell builds its codes and caches them;
-    later calls return the cached codes. Every cell with n >= 3, and an
-    n = 2 cell of more than _CHUNK matrices, is built by recursion on
-    dimension (_recursed) from the cached (p, n-1) and (p, n-2) cells.
+    later calls return the cached codes. A cell that _recurses is built
+    by recursion on dimension (_recursed) from the cached (p, n-1) and
+    (p, n-2) cells.
     Every other cell, n = 1 at any p included, is classified matrix by
     matrix, through a process pool when jobs > 1.
     """
@@ -258,7 +266,7 @@ def _classified(ctx: PrimeContext, n: int, jobs=None) -> np.ndarray:
     if codes is not None:
         return codes
     total = ctx.p ** (n * (n + 1) // 2)
-    if n >= 3 or (n == 2 and total > _CHUNK):
+    if _recurses(ctx.p, n):
         codes = _recursed(ctx, n)
     elif jobs and jobs > 1:
         codes = np.empty(total, np.uint8)
@@ -357,7 +365,7 @@ def _class_sums(ctx: PrimeContext) -> np.ndarray:
     value sum_ij A[k, i, j] f_i g_j on class k: (A @ g) @ f. Counted with
     chi in O(p), as Python integers (an object array) that multiply
     counts of any size exactly."""
-    cls = tables(ctx)[0] % 3
+    cls = chi_table(ctx) % 3
     x = np.arange(ctx.p)
     A = [np.bincount(3 * cls + cls[(rep - x) % ctx.p], minlength=9) for rep in (0, 1, ctx.omega)]
     A = np.array(np.reshape(A, (3, 3, 3)).tolist(), object)
@@ -451,13 +459,15 @@ def class_character_tables(ctx: PrimeContext, Ts, budget=None, jobs=None):
     table serves all of them.
 
     The T's shape picks the count, exact in int64 either way:
-    - n >= 3 and every T canonical, diag(1^a1, omega^a2, 0^a0) as
-      canonical_matrix gives: each T's counts by (class code, square
-      class of 2*trace(TS)), built by recursion (_canonical_counts)
-      with no class code, read at each residue's square class;
-    - any other T, and every T at n <= 2: the cell's cached class codes
-      counted against T's exponents 2*trace(TS) = sum_k w_k * d_k mod
-      p, one term per upper-triangle digit d_k of S (_code_counts).
+    - a cell that _recurses and every T canonical, diag(1^a1,
+      omega^a2, 0^a0) as canonical_matrix gives: each T's counts by
+      (class code, square class of 2*trace(TS)), built by recursion
+      (_canonical_counts) with no class code, read at each residue's
+      square class;
+    - any other T, and every T in a smaller cell: the cell's cached
+      class codes counted against T's exponents 2*trace(TS) =
+      sum_k w_k * d_k mod p, one term per upper-triangle digit d_k of S
+      (_code_counts).
     Neither diagonalises T or uses congruence invariance.
 
     The budget charges the p^(n(n+1)/2) matrices S. Past 2^63 - 1 of
@@ -473,10 +483,10 @@ def class_character_tables(ctx: PrimeContext, Ts, budget=None, jobs=None):
     _charge(budget, total, "symmetric enumeration")
     if total > _INT64_MAX:
         raise CapExceeded(total, _INT64_MAX, "int64 class table")
-    shapes = n >= 3 and [_canonical_shape(ctx, T) for T in Ts]
+    shapes = _recurses(p, n) and [_canonical_shape(ctx, T) for T in Ts]
     if shapes and None not in shapes:
         states = np.array([_canonical_counts(ctx, *shape)[0] for shape in shapes])
-        return states[:, :, tables(ctx)[0] % 3].astype(np.int64)
+        return states[:, :, chi_table(ctx) % 3].astype(np.int64)
     return _code_counts(p, _classified(ctx, n, jobs), _exp_weights(ctx, Ts), 2 * n + 2)
 
 
@@ -901,10 +911,10 @@ def subspace_census(ctx: PrimeContext, X, ell: int, budget=None) -> dict:
     The Gram matrices B X ^tB are read off the echelon family that
     iso_subspaces_bf filters (_family, budgeted the same way) and
     classified in batches (_codes). The family has more than p
-    subspaces, so the batch classifier's O(p) tables fit the budget
-    too. ell = 0 and ell = t are one subspace each, on which X restricts
-    to the empty form and to X itself: the scalar classify reads those,
-    with no table.
+    subspaces, so the batch classifier's O(p) chi table fits the
+    budget too. ell = 0 and ell = t are one subspace each, on which X
+    restricts to the empty form and to X itself: the scalar classify
+    reads those, with no table.
     """
     X, Xa = _subspace_form(ctx, X, ell)
     p, t = ctx.p, len(X)

@@ -12,7 +12,7 @@ from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .field import PrimeContext, legendre, tables
+from .field import PrimeContext, chi_table, legendre
 
 SQ = "sq"
 NONSQ = "nonsq"
@@ -146,12 +146,26 @@ def int_dtype(p: int):
     return np.int64
 
 
+def _inverses(p: int, x: np.ndarray) -> np.ndarray:
+    """x^(p-2) mod p elementwise, by square-and-multiply in x's dtype:
+    the inverse of each nonzero residue (Fermat), 0 at 0. Each product
+    is of two residues, so it is exact in int_dtype(p)."""
+    out, e = np.ones_like(x), p - 2
+    while e:
+        if e & 1:
+            out = out * x % p
+        x = x * x % p
+        e >>= 1
+    return out
+
+
 def classify_batch(ctx: PrimeContext, mats: np.ndarray):
     """Vectorized classify over a batch of symmetric matrices.
 
     mats: (B, n, n) integer array with entries already reduced mod p.
     Returns (rank, disc) as int arrays; disc is +1/-1, +1 for rank 0.
-    Mirrors the scalar classify step for step.
+    Mirrors the scalar classify step for step; the pivots are inverted
+    by _inverses, with no table.
     """
     p = ctx.p
     dt = int_dtype(p)
@@ -159,7 +173,6 @@ def classify_batch(ctx: PrimeContext, mats: np.ndarray):
     B, n, _ = a.shape
     rank = np.zeros(B, dtype=np.int16)
     prod = np.ones(B, dtype=dt)
-    chitab, invtab = tables(ctx)
 
     for k in range(n):
         need = a[:, k, k] == 0
@@ -210,13 +223,13 @@ def classify_batch(ctx: PrimeContext, mats: np.ndarray):
         rank += act
         prod = np.where(act, prod * piv % p, prod)
         if k + 1 < n:
-            pinv = invtab[piv].astype(dt)
+            pinv = _inverses(p, piv)
             col = a[:, :, k].copy()
             f = col * pinv[:, None] % p
             f[:, : k + 1] = 0
             f[~act] = 0
             a = (a - f[:, :, None] * a[:, k : k + 1, :]) % p
-    disc = chitab[prod]
+    disc = chi_table(ctx)[prod]
     disc = np.where(rank == 0, np.int8(1), disc)
     return rank.astype(np.int64), disc.astype(np.int8)
 
@@ -253,11 +266,3 @@ def digits_block(p: int, K: int, lo: int, hi: int) -> np.ndarray:
         out[:, K - 1 - pos] = idx % p
         idx = idx // p
     return out
-
-
-def orbit_size(ctx: PrimeContext, c: FormClass) -> int:
-    """Number of symmetric matrices congruent to the class representative."""
-    from . import counts  # deferred: counts imports this module
-
-    gl = counts.qfunc(ctx, "nu", c.n, 0)
-    return counts.exact_div(gl, counts.orth_order(ctx, c), f"orbit size of {c}")

@@ -318,27 +318,12 @@ def test_eval_line_shares_one_string_per_zero_run():
     assert emb.count("34") == int(mask.sum()) and emb.count("0") == 100001 - int(mask.sum())
 
 
-def test_a_rational_eval_builds_no_o_p_table(capsys, monkeypatch):
+def test_a_rational_eval_builds_no_o_p_table(capsys, monkeypatch, refuse_o_p_tables):
     # b = 0 puts 0 on every power past zeta^0, so neither the line nor the
     # check reads chi, g*'s mask or the zero gaps. At p = 1000003 the
     # oracle is skipped by the budget at r = 2 and is the zero vector at
     # r = 0 (a match). Digests of "<exit code>\n<stdout>" recorded before
     # rational values had their own path.
-    from isogauss import cyclotomic, field, quadform
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("built an O(p) table")
-
-    for module, name in (
-        (field, "tables"),
-        (quadform, "tables"),
-        (oracle, "tables"),
-        (cyclotomic, "tables"),
-        (cyclotomic, "g_star_shape"),
-        (cli, "g_star_shape"),
-        (cli, "_zero_gaps"),
-    ):
-        monkeypatch.setattr(module, name, refuse)
     monkeypatch.delenv("ISOGAUSS_MAX_TERMS", raising=False)
     for extra, digest in (
         ((), "eba61fd68161ecdda2a5fc26e6e395e1ecc03c92b523fb23c37d848256a7fcf5"),
@@ -587,23 +572,9 @@ def test_verify_usage(capsys):
     assert code == 2 and "--jobs" in err
 
 
-def test_verify_at_a_huge_prime_passes_or_skips(capsys, monkeypatch):
+def test_verify_at_a_huge_prime_passes_or_skips(capsys, monkeypatch, refuse_o_p_tables):
     # every O(p) builder raises: at p = 2147483659 each report passes
     # without one or is skipped by a budget before one is built
-    from isogauss import cyclotomic, field, quadform, verify
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("built an O(p) table")
-
-    for module, name in (
-        (field, "tables"),
-        (quadform, "tables"),
-        (cyclotomic, "tables"),
-        (cyclotomic, "g_star_shape"),
-        (cyclotomic, "g_star_one"),
-        (verify, "g_star_one"),
-    ):
-        monkeypatch.setattr(module, name, refuse)
     monkeypatch.delenv("ISOGAUSS_MAX_TERMS", raising=False)
     code, out, _ = run(
         capsys,

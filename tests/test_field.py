@@ -1,9 +1,11 @@
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from isogauss import cli, field, prime_context, legendre
+from isogauss.quadform import _inverses, int_dtype
 
 
 def test_rejects_non_primes():
@@ -38,7 +40,7 @@ def test_omega_is_least_nonsquare():
 
 
 def test_chi_table(ctx7):
-    chi, _ = field.tables(ctx7)
+    chi = field.chi_table(ctx7)
     assert chi[0] == 0
     squares = {(x * x) % 7 for x in range(1, 7)}
     for a in range(1, 7):
@@ -49,16 +51,10 @@ def test_chi_table(ctx7):
             assert chi[(a * b) % 7] == chi[a] * chi[b]
 
 
-def test_inverse_table(ctx7):
-    _, inv = field.tables(ctx7)
-    for a in range(1, 7):
-        assert (a * inv[a]) % 7 == 1
-
-
 def test_contexts_are_built_once_per_prime():
     assert prime_context(100003) is prime_context(100003)
     assert prime_context(7) is not prime_context(11)
-    assert field.tables(prime_context(101)) is field.tables(prime_context(101))
+    assert field.chi_table(prime_context(101)) is field.chi_table(prime_context(101))
     # a failed build is not cached: a non-prime raises on every call
     for _ in range(3):
         with pytest.raises(ValueError):
@@ -68,15 +64,13 @@ def test_contexts_are_built_once_per_prime():
 @pytest.mark.parametrize("p", (3, 5, 7, 181, 191, 46337, 46349, 100003))
 def test_tables_match_the_scalar_definitions(p):
     ctx = prime_context(p)
-    chi, inv = field.tables(ctx)
-    assert (chi.dtype, inv.dtype) == (np.int8, np.int64)
-    assert not chi.flags.writeable and not inv.flags.writeable
+    chi = field.chi_table(ctx)
+    assert chi.dtype == np.int8 and not chi.flags.writeable
     squares = {(a * a) % p for a in range(1, p)}
     assert chi.tolist() == [
         0 if a == 0 else (1 if a in squares else -1) for a in range(p)
     ]
     assert [legendre(ctx, a) for a in range(p)] == chi.tolist()
-    assert inv.tolist() == [0 if a == 0 else pow(a, p - 2, p) for a in range(p)]
     assert ctx.omega == next(a for a in range(2, p) if a not in squares)
     assert ctx.epsilon == (1 if p - 1 in squares else -1)
 
@@ -124,13 +118,16 @@ def test_eval_refuses_an_oversized_embedding(monkeypatch, capsys):
 
 
 def _check_tables(p, sample):
+    # chi_table against Euler's criterion, and classify_batch's pivot
+    # inverses against pow, on the same residues
     ctx = prime_context(p)
-    chi, inv = field.tables(ctx)
-    assert not chi.flags.writeable and not inv.flags.writeable
-    assert chi[0] == 0 and inv[0] == 0
-    for a in sample:
-        assert chi[a] == field._euler(p, a), (p, a)
-        assert inv[a] == pow(a, -1, p), (p, a)
+    chi = field.chi_table(ctx)
+    assert not chi.flags.writeable and chi[0] == 0
+    sample = np.array(sample, int_dtype(p))
+    assert chi[sample].tolist() == [field._euler(p, a) for a in sample.tolist()], p
+    inv = _inverses(p, sample)
+    assert inv.dtype == sample.dtype
+    assert inv.tolist() == [pow(a, -1, p) for a in sample.tolist()], p
 
 
 def test_tables_agree_with_euler_and_pow_below_2000():
@@ -144,6 +141,20 @@ def test_tables_agree_with_euler_and_pow_at_sampled_points(p):
     # 65537: p - 1 = 2^16; 2039: a safe prime, p - 1 = 2 * 1019;
     # 46337 and 46349 straddle (p-1)^2 = 2^31
     rng = np.random.default_rng(p)
-    sample = {1, 2, p - 2, p - 1, field._primitive_root(p)}
+    sample = {1, 2, p - 2, p - 1}
     sample.update(rng.integers(1, p, 2000).tolist())
     _check_tables(p, sorted(sample))
+
+
+def test_chi_table_stays_within_a_few_bytes_per_residue():
+    # the squares are taken in place: one int64 per square and one int8
+    # per residue, about 5 MB at p = 1000003
+    ctx = prime_context(1000003)
+    field.chi_table.cache_clear()
+    tracemalloc.start()
+    try:
+        field.chi_table(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20, peak

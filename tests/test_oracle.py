@@ -32,7 +32,7 @@ from isogauss import (
 )
 from isogauss import all_classes, counts, orth_order, run_suite
 from isogauss import classify, enumerate_symmetric
-from isogauss import field, formulas, oracle
+from isogauss import field, formulas, oracle, quadform
 from isogauss.cyclotomic import reduce_exponent_vector
 from isogauss.oracle import _CHUNK, _ranges, clear_caches, rep_star_bf, subspace_census
 from isogauss.quadform import digits_block
@@ -291,11 +291,12 @@ def _counting_calls(monkeypatch, name):
 
 
 def test_live_digit_histogram_across_many_prefix_blocks(ctx5, monkeypatch):
-    # at _CHUNK = 25 the (5, 2) codes are 5 prefix blocks of 25, so each
-    # canonical T's table is one bincount per block, on every call; the
-    # (5, 3) tables count no code block and build each recursion state
-    # once after clear_caches, so a later call builds nothing
-    T2 = [canonical_matrix(ctx5, c) for c in all_classes(2)]
+    # at _CHUNK = 25 the (5, 2) codes are 5 prefix blocks of 25, so with
+    # a T off the diagonal among them each T's table is one bincount per
+    # block, on every call; the (5, 3) tables, and the (5, 2) tables of
+    # canonical T alone, count no code block and build each recursion
+    # state once after clear_caches, so a later call builds nothing
+    T2 = [canonical_matrix(ctx5, c) for c in all_classes(2)] + [((1, 1), (1, 0))]
     T3 = [canonical_matrix(ctx5, c) for c in all_classes(3)]
     want2 = _scalar_tables(ctx5, 2, T2)
     want3 = class_character_tables(ctx5, T3)
@@ -310,6 +311,8 @@ def test_live_digit_histogram_across_many_prefix_blocks(ctx5, monkeypatch):
         zero = T3.index(_zero(3))
         assert np.array_equal(class_character_tables(ctx5, [_zero(3)]), want3[zero : zero + 1])
         assert seen == [] and counted == [] and set(oracle._canonical_cache) == states
+        assert np.array_equal(class_character_tables(ctx5, T2[:-1]), want2[:-1])
+        assert seen == [] and counted == []
         for _ in range(2):
             assert np.array_equal(class_character_tables(ctx5, T2), want2)
             assert seen == [25] * 5 * len(T2)
@@ -424,7 +427,7 @@ def test_large_cells_use_no_pool(ctx5, monkeypatch):
     ctx = prime_context(1000003)
     codes = oracle._classified(ctx, 1)
     assert sum(shape[0] for shape in seen) == ctx.p
-    want = 2 + (field.tables(ctx)[0] == -1)
+    want = 2 + (field.chi_table(ctx) == -1)
     want[0] = 0
     assert np.array_equal(codes, want)
     clear_caches()
@@ -1035,7 +1038,7 @@ _GRID = [(3, n) for n in range(1, 6)] + [(5, n) for n in range(1, 5)] + [(7, n) 
 def _expanded(ctx, J):
     """A canonical T's counts (oracle._canonical_counts) at every residue
     e, read at the square class of e, in Python integers."""
-    return J[:, field.tables(ctx)[0] % 3]
+    return J[:, field.chi_table(ctx) % 3]
 
 
 def _recursion_rows(ctx, T):
@@ -1063,10 +1066,11 @@ def test_canonical_counts_equal_the_count_of_the_codes():
 
 
 def test_diagonal_n2_tables_count_the_codes(ctx5, monkeypatch):
-    # at n = 2 canonical T count the cell's class codes, as a T off the
-    # diagonal does, never the recursion on (class, trace square class):
-    # at _CHUNK = 25, past the cell's 125 codes, one pass of
-    # _code_counts serves every T
+    # in an n = 2 cell of at most _CHUNK matrices canonical T count the
+    # cell's class codes, as a T off the diagonal does, never the
+    # recursion on (class, trace square class): one pass of _code_counts
+    # serves every T. At _CHUNK = 25 the cell's 125 matrices are past
+    # the chunk, so the same T read the recursion and classify nothing
     Ts = [canonical_matrix(ctx5, c) for c in all_classes(2)]
     want = _scalar_tables(ctx5, 2, Ts)
     clear_caches()
@@ -1078,7 +1082,6 @@ def test_diagonal_n2_tables_count_the_codes(ctx5, monkeypatch):
         return orig(p, codes, W, rows)
 
     with monkeypatch.context() as m:
-        m.setattr(oracle, "_CHUNK", 25)
         m.setattr(oracle, "_code_counts", counted)
         built = _counting_calls(m, "_canonical_counts")
         classified = _counting_calls(m, "_classified")
@@ -1086,38 +1089,52 @@ def test_diagonal_n2_tables_count_the_codes(ctx5, monkeypatch):
     assert widths == [len(Ts)] and built == [] and classified[0] == 2
     assert oracle._canonical_cache == {}
     clear_caches()
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_CHUNK", 25)
+        classified = _counting_calls(m, "_classified")
+        assert np.array_equal(class_character_tables(ctx5, Ts), want)
+    assert classified == [] and oracle._class_cache == {}
+    assert {key[1:] for key in oracle._canonical_cache} >= {(2, 0, 0), (1, 1, 0)}
+    clear_caches()
 
 
 def test_diagonal_n2_histogram_past_the_chunk():
-    # (211, 2) has 211^3 > 2^18 matrices: its canonical tables count the
-    # codes built by recursion on dimension, and equal both a table per T
-    # over the codes and the recursion on (class, trace square class)
+    # (211, 2) has 211^3 > 2^18 matrices: its canonical tables come from
+    # the recursion on (class, trace square class) with no class code,
+    # and equal a table per T over the codes built by recursion on
+    # dimension, which a T off the diagonal still builds
     ctx = prime_context(211)
     Ts = [canonical_matrix(ctx, c) for c in all_classes(2)]
     clear_caches()
     tabs = class_character_tables(ctx, Ts)
-    assert np.array_equal(tabs, _code_tables(ctx, 2, Ts))
-    assert (211, 2) in oracle._class_cache
+    assert oracle._class_cache == {}
     for T, tab in zip(Ts, tabs):
         assert np.array_equal(_recursion_rows(ctx, T), tab)
+    class_character_tables(ctx, [((1, 1), (1, 0))])
+    assert (211, 2) in oracle._class_cache
+    assert np.array_equal(tabs, _code_tables(ctx, 2, Ts))
     clear_caches()
 
 
 def test_oracle_imports_no_closed_form():
     # an oracle may not read a closed form under test: oracle.py imports
-    # neither counts nor formulas, by any path, nor quadform.orbit_size,
-    # the one class count that reads counts
-    tree = ast.parse(Path(oracle.__file__).read_text())
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            names.update(a.name for a in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            names.add(node.module or "")
-            names.update(f"{node.module or ''}.{a.name}" for a in node.names)
-    parts = {part for name in names for part in name.split(".")}
+    # neither counts nor formulas, by any path, and nor does quadform,
+    # which it imports; orbit_size, the one class count that reads the
+    # group orders, lives in counts
+    def imported(module):
+        names = set()
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+            if isinstance(node, ast.Import):
+                names.update(a.name for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                names.add(node.module or "")
+                names.update(f"{node.module or ''}.{a.name}" for a in node.names)
+        return {part for name in names for part in name.split(".")}
+
+    parts = imported(oracle)
     assert "quadform" in parts and "cyclotomic" in parts
     assert not parts & {"counts", "formulas", "orbit_size"}
+    assert not imported(quadform) & {"counts", "formulas", "orbit_size"}
 
 
 def _scalar_histogram(ctx, n):

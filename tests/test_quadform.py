@@ -17,6 +17,7 @@ from isogauss import (
     sym_matrix,
 )
 from isogauss.quadform import (
+    _inverses,
     block_diag,
     classify_batch,
     digits_block,
@@ -147,6 +148,18 @@ def test_int_dtype_boundaries():
     assert int_dtype(3) is np.int16 and int_dtype(181) is np.int16
     assert int_dtype(191) is np.int32 and int_dtype(46337) is np.int32
     assert int_dtype(46349) is np.int64
+
+
+@pytest.mark.parametrize("p", [181, 191, 46337, 46349, 3037000493])
+def test_pivot_inverses_match_pow(p):
+    # classify_batch inverts its pivots by squaring in int_dtype(p), with
+    # no O(p) table: both sides of each dtype boundary, and the largest
+    # prime that prime_context accepts
+    rng = np.random.default_rng(p)
+    x = np.concatenate([[0, 1, 2, p - 2, p - 1], rng.integers(1, p, 2000)]).astype(int_dtype(p))
+    inv = _inverses(p, x)
+    assert inv.dtype == x.dtype
+    assert inv.tolist() == [0] + [pow(a, -1, p) for a in x.tolist()[1:]]
 
 
 @pytest.mark.parametrize("p", [127, 131, 181, 191, 1009, 32771])
