@@ -272,8 +272,12 @@ def cmd_verify(args) -> int:
             primes = [int(x) for x in args.primes.split(",") if x.strip()]
         except ValueError:
             raise UsageError("--primes must be a comma-separated integer list")
+        if not primes:
+            raise UsageError("--primes must list at least one prime")
         for p in primes:
             _context(p)
+    if args.max_n is not None and args.max_n < 0:
+        raise UsageError("--max-n must be at least 0")
     budget = _budget(args)
     _check_jobs(args)  # no suite starts a pool
     passed = failed = skipped = 0

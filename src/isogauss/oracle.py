@@ -32,10 +32,14 @@ every p that prime_context accepts. The untwisted sums
 entries of U, and the nonzero scalar targets of rep_star_bf read the
 histogram of X.
 
-The subspaces of F_p^t are enumerated once per (p, t, ell) as a family
-of echelon bases (_family), cached read-only like the codes;
-iso_subspaces_bf filters it by a table of q(v) over the lines of F_p^t,
-and subspace_census classifies its Gram matrices. The lemma 5.1 counts
+The subspaces of F_p^t rest on one primitive, the row sets (_row_set):
+each row of a reduced-row-echelon basis ranges over its own set of
+lines, independently of the other rows. subspace_census classifies the
+Gram matrices of a family of echelon bases (_family), the Cartesian
+products of the row sets, built once per (p, t, ell) and cached
+read-only like the codes. iso_subspaces_bf reads no family: pattern by
+pattern it keeps the isotropic members of each row set and grows
+partial bases one orthogonal row at a time. The lemma 5.1 counts
 (rep_star_bf) come from the vector histogram or from the totally
 isotropic subspaces of iso_subspaces_bf; rep_count_bf, the general
 column-by-column count, stays as the reference the tests compare them
@@ -47,6 +51,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, product
+from math import prod
 
 import numpy as np
 
@@ -289,6 +294,7 @@ def clear_caches():
     _canonical_cache.clear()
     _class_sums.cache_clear()
     _family_cache.clear()
+    _iso_memo.clear()
 
 
 def _digit_exponents(p: int, W: np.ndarray) -> np.ndarray:
@@ -714,8 +720,9 @@ def rep_count_bf(ctx: PrimeContext, X, Y, primitive: bool = False, budget=None) 
 
 
 # echelon families, each built once and kept read-only like the class
-# codes: (p, t) holds the digits of the lines of F_p^t, (p, t, ell) the
-# ell-dimensional subspaces as rows of line indices
+# codes: (p, t) holds the digits of the lines of F_p^t, (p, t, lead,
+# later) the line indices of one row set, (p, t, ell) the ell-dimensional
+# subspaces as rows of line indices
 _family_cache: dict = {}
 
 
@@ -754,6 +761,32 @@ def _lines(p: int, t: int) -> np.ndarray:
     return L
 
 
+def _row_set(p: int, t: int, lead: int, later) -> np.ndarray:
+    """The line indices (see _lines), ascending in int64, of a row of a
+    reduced-row-echelon basis with its leading 1 at column lead and the
+    basis's later pivots at the columns `later`.
+
+    The row has zeros at the later pivots and a free digit at every
+    other column after lead; each free digit d at column c adds
+    d * p^(t-1-c) to its line index. So each row of a basis ranges over
+    its own set independently of the other rows, and the bases of one
+    pivot pattern are the Cartesian product of its row sets.
+    """
+    key = (p, t, lead, later)
+    s = _family_cache.get(key)
+    if s is not None:
+        return s
+    x = np.arange(p, dtype=np.int64)
+    s = np.array([(p**t - p ** (t - lead)) // (p - 1)], np.int64)  # offset(lead)
+    for c in range(lead + 1, t):
+        if c not in later:
+            s = (s[:, None] + x * p ** (t - 1 - c)).ravel()
+    if (p**t - 1) // (p - 1) <= _CHUNK:
+        s.flags.writeable = False  # shared by every later caller
+        _family_cache[key] = s
+    return s
+
+
 def _echelon_blocks(p: int, t: int, ell: int):
     """One row of ell line indices (see _lines) per reduced-row-echelon
     basis of an ell-dimensional subspace of F_p^t, pivot pattern by
@@ -761,28 +794,20 @@ def _echelon_blocks(p: int, t: int, ell: int):
     dtype that holds every line index. Blocks are column-major, so the
     line indices of one basis row position are contiguous.
 
-    Row r of a basis has its leading 1 at pivots[r], zeros at the other
-    pivots and a free digit at every other later column; each free digit
-    d at column c adds d * p^(t-1-c) to the line index of its row. Every
-    partial sum stays below the number of lines.
+    Each pattern's bases are the Cartesian product of its row sets
+    (_row_set), the first row varying slowest.
     """
-    offset = np.cumsum([0] + [p ** (t - 1 - c) for c in range(t - 1)])
-    dt = np.min_scalar_type(offset[-1])  # the index of the last line
+    dt = np.min_scalar_type((p**t - 1) // (p - 1) - 1)  # the index of the last line
     for pivots in combinations(range(t), ell):
-        free = [
-            (r, c)
-            for r in range(ell)
-            for c in range(pivots[r] + 1, t)
-            if c not in pivots
-        ]
-        place = np.zeros((len(free), ell), np.int64)
-        for k, (r, c) in enumerate(free):
-            place[k, r] = p ** (t - 1 - c)
-        first = offset[list(pivots)].astype(np.int64)
-        cnt = p ** len(free)
+        sets = [_row_set(p, t, c, pivots[r + 1 :]) for r, c in enumerate(pivots)]
+        cnt = prod(len(s) for s in sets)
         for lo in range(0, cnt, _CHUNK):
-            digits = digits_block(p, len(free), lo, min(lo + _CHUNK, cnt))
-            yield (digits.astype(np.int64) @ place + first).astype(dt, order="F")
+            k = np.arange(lo, min(lo + _CHUNK, cnt), dtype=np.int64)
+            block = np.empty((len(k), ell), dt, order="F")
+            for r in reversed(range(ell)):
+                k, d = np.divmod(k, len(sets[r]))
+                block[:, r] = sets[r][d]
+            yield block
 
 
 def _family(p: int, t: int, ell: int, budget):
@@ -816,56 +841,127 @@ def _forms(p: int, U: np.ndarray, V: np.ndarray, Xa: np.ndarray) -> np.ndarray:
     before it is summed.
     """
     t = len(Xa)
-    if t * (p - 1) ** 2 <= np.iinfo(np.int64).max:
+    if t * (p - 1) ** 2 <= _INT64_MAX:
         return ((V @ Xa) % p * U).sum(axis=-1) % p
     W = sum((V[..., k, None] * Xa[k]) % p for k in range(t)) % p
     return sum((U[..., k] * W[..., k]) % p for k in range(t)) % p
 
 
-def _subspace_form(ctx: PrimeContext, X, ell: int):
-    """X checked and reduced, as a tuple and as an int64 array, for a
-    subspace dimension ell in 0..t."""
+def _subspace_form(ctx: PrimeContext, X):
+    """X checked and reduced, as a tuple and as an int64 array."""
     X = sym_matrix(ctx, X)
-    if not 0 <= ell <= len(X):
-        raise ValueError(f"subspace dimension {ell} out of range")
     return X, np.array(X, np.int64)
+
+
+def _check_dim(ell: int, t: int):
+    if not 0 <= ell <= t:
+        raise ValueError(f"subspace dimension {ell} out of range")
+
+
+def _orthogonal(p: int, B: np.ndarray, C: np.ndarray, Xa: np.ndarray) -> np.ndarray:
+    """mask[k, c]: whether the digit row C[c] is orthogonal under X to
+    every row of the partial basis B[k]; B of shape (k, r, t), C (c, t).
+
+    Exact in int64 by the rule of _forms: one product of matrices while
+    no sum of t products of residues can pass 2^63 - 1, else _forms on
+    every pair.
+    """
+    k, r, t = B.shape
+    rows = B.reshape(k * r, t)
+    if t * (p - 1) ** 2 <= _INT64_MAX:
+        G = rows @ ((C @ Xa) % p).T % p
+    else:
+        G = _forms(p, rows[:, None], C, Xa)
+    return (G.reshape(k, r, -1) == 0).all(axis=1)
+
+
+def _extend(p: int, L: np.ndarray, Xa: np.ndarray, prefixes: np.ndarray, cand: np.ndarray):
+    """Yield (block, mask), block a run of the partial bases `prefixes`
+    (rows of line indices) and mask[k, c] whether line cand[c] is
+    orthogonal to every row of block[k] (_orthogonal); each block
+    tests at most _CHUNK (prefix, candidate) pairs."""
+    C = L[cand]
+    step = max(1, _CHUNK // len(cand))
+    for lo in range(0, len(prefixes), step):
+        block = prefixes[lo : lo + step]
+        yield block, _orthogonal(p, L[block], C, Xa)
+
+
+def _orthogonal_bases(p: int, L: np.ndarray, Xa: np.ndarray, sets) -> int:
+    """The number of bases with row r in sets[r] (line indices) and every
+    two rows orthogonal under X.
+
+    Partial bases grow one row at a time, keeping only the candidates
+    orthogonal to every earlier row (_extend); the last row is counted,
+    not kept, so no more than _CHUNK of its pairs are held at a time.
+    """
+    if len(sets) == 1:
+        return len(sets[0])
+    prefixes = sets[0][:, None]
+    for cand in sets[1:-1]:
+        if not len(prefixes):
+            return 0
+        grown = []
+        for block, ok in _extend(p, L, Xa, prefixes, cand):
+            k, c = np.nonzero(ok)
+            grown.append(np.column_stack([block[k], cand[c]]))
+        prefixes = np.concatenate(grown)
+    return sum(int(np.count_nonzero(ok)) for _, ok in _extend(p, L, Xa, prefixes, sets[-1]))
+
+
+# the form iso_subspaces_bf counted last, keyed on (p, X) as the caller
+# passed it: [X reduced, its int64 array, whether q(v) = 0 on each line
+# (None until a charge passes)]
+_iso_memo: dict = {}
 
 
 def iso_subspaces_bf(ctx: PrimeContext, X, j: int, budget=None) -> int:
     """Count the j-dimensional totally isotropic subspaces of X.
 
     A subspace is totally isotropic when the rows of its echelon basis
-    are isotropic and pairwise orthogonal. So each call builds one table
-    of q(v) = ^tv X v over the lines of F_p^t, keeps the bases of the
-    family (_family) whose rows are all isotropic, and tests pairwise
-    orthogonality on those survivors only; at j = 1 the count is the
-    number of isotropic lines, with no pair to test. The table has no
-    more entries than the family has subspaces.
+    are isotropic and pairwise orthogonal. Row r of a basis with pivots
+    P ranges over its own set (_row_set), independently of the other
+    rows, so pattern by pattern only the isotropic members of each row
+    set are kept, read from a table of q(v) = ^tv X v over the lines of
+    F_p^t. Partial bases then grow one row at a time, keeping only the
+    candidates orthogonal to every earlier row (_orthogonal_bases), and
+    the bases that reach the last row are counted. Each tested (prefix,
+    candidate) pair is the prefix of a different basis, so at most
+    (j - 1) [t, j]_p pairs are tested. The budget charges the [t, j]_p
+    subspaces before any table is built, and the table has no more
+    entries than there are subspaces.
 
-    j = 0 (the zero subspace) and j = t (the whole space, totally
+    The form last counted on, with its table, is kept in a one-entry
+    memo (_iso_memo): cor12 and lemma 5.1 ask for every j of one form in
+    a row; clear_caches empties it. j = 0 (the zero subspace) and j = t (the whole space, totally
     isotropic exactly when X = 0) are one subspace each, within every
     budget, and build no table.
     """
-    X, Xa = _subspace_form(ctx, X, j)
+    key = (ctx.p, tuple(map(tuple, X)))
+    memo = _iso_memo.get(key)
+    if memo is None:
+        _iso_memo.clear()
+        memo = _iso_memo[key] = [*_subspace_form(ctx, X), None]
+    X, Xa, zero = memo
     p, t = ctx.p, len(X)
+    _check_dim(j, t)
     if j == 0 or j == t:
         return int(j == 0 or not Xa.any())
-    blocks = _family(p, t, j, budget)
+    _charge(budget, _subspace_count(p, t, j), "subspace enumeration")
     L = _lines(p, t)
-    isotropic = _forms(p, L, L, Xa) == 0
-    pairs = list(combinations(range(j), 2))  # every pair of basis rows
-    a = [u for u, _ in pairs]
-    b = [v for _, v in pairs]
+    if zero is None:  # whether q(v) = 0, line by line
+        zero = memo[2] = _forms(p, L, L, Xa) == 0
+
     total = 0
-    for rows in blocks:
-        keep = isotropic[rows[:, 0]]
-        if j == 1:  # a line has no pair of rows to test
-            total += int(np.count_nonzero(keep))
-            continue
-        for r in range(1, j):
-            keep &= isotropic[rows[:, r]]
-        B = L[rows[keep]]
-        total += int((_forms(p, B[:, a], B[:, b], Xa) == 0).all(axis=1).sum())
+    for pivots in combinations(range(t), j):
+        sets = []  # the isotropic members of each row set
+        for r, lead in enumerate(pivots):
+            s = _row_set(p, t, lead, pivots[r + 1 :])
+            sets.append(s[zero[s]])
+            if not len(sets[-1]):  # no basis of this pattern is isotropic
+                break
+        else:
+            total += _orthogonal_bases(p, L, Xa, sets)
     return total
 
 
@@ -908,16 +1004,17 @@ def subspace_census(ctx: PrimeContext, X, ell: int, budget=None) -> dict:
     classes. The count of class Y is r*(X, Y)/|O(Y)|: the bases of W
     with Gram matrix Y form one O(Y)-torsor.
 
-    The Gram matrices B X ^tB are read off the echelon family that
-    iso_subspaces_bf filters (_family, budgeted the same way) and
-    classified in batches (_codes). The family has more than p
+    The Gram matrices B X ^tB are read off the echelon family (_family,
+    budgeted as iso_subspaces_bf is) and classified in batches
+    (_codes). The family has more than p
     subspaces, so the batch classifier's O(p) chi table fits the
     budget too. ell = 0 and ell = t are one subspace each, on which X
     restricts to the empty form and to X itself: the scalar classify
     reads those, with no table.
     """
-    X, Xa = _subspace_form(ctx, X, ell)
+    X, Xa = _subspace_form(ctx, X)
     p, t = ctx.p, len(X)
+    _check_dim(ell, t)
     if ell == 0 or ell == t:
         return {classify(ctx, X if ell else ()): 1}
     blocks = _family(p, t, ell, budget)

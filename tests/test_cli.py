@@ -567,6 +567,12 @@ def test_verify_usage(capsys):
     assert code == 2
     code, _, err = run(capsys, "verify", "--suites", "scalars", "--primes", "3,3037000507")
     assert code == 2 and "2^63-1" in err
+    # a list with no prime would fall back to the suites' own primes
+    for primes in (",", "", " , "):
+        code, out, err = run(capsys, "verify", "--suites", "scalars", "--primes", primes)
+        assert code == 2 and out == "" and "--primes" in err
+    code, out, err = run(capsys, "verify", "--suites", "scalars", "--primes", "3", "--max-n", "-1")
+    assert code == 2 and out == "" and "--max-n" in err
     # --jobs reaches no suite, but it is still checked
     code, _, err = run(capsys, "verify", "--suites", "scalars", "--primes", "3", "--jobs", "0")
     assert code == 2 and "--jobs" in err

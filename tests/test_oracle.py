@@ -35,7 +35,7 @@ from isogauss import classify, enumerate_symmetric
 from isogauss import field, formulas, oracle, quadform
 from isogauss.cyclotomic import reduce_exponent_vector
 from isogauss.oracle import _CHUNK, _ranges, clear_caches, rep_star_bf, subspace_census
-from isogauss.quadform import digits_block
+from isogauss.quadform import block_diag, digits_block
 
 
 def _zero(n):
@@ -610,15 +610,31 @@ def test_subspace_counts_of_congruent_and_degenerate_forms(p, t):
 def test_subspace_family_budget_and_cache(ctx3, monkeypatch):
     # [4, 2]_3 = 130 planes in F_3^4
     I4 = canonical_matrix(ctx3, FormClass(4, 4, SQ))
+
+    def no_table(*args):
+        raise AssertionError("a refused count must build no table")
+
+    # iso charges the planes before it builds any line table
+    clear_caches()
+    with monkeypatch.context() as m:
+        for name in ("_lines", "_row_set", "_forms"):
+            m.setattr(oracle, name, no_table)
+        with pytest.raises(BudgetExceeded) as e:
+            iso_subspaces_bf(ctx3, I4, 2, Budget(max_terms=129))
+    assert (e.value.needed, e.value.limit) == (130, 129)
+    assert not oracle._family_cache
+    assert iso_subspaces_bf(ctx3, I4, 2, Budget(max_terms=130)) == counts.iso_count(
+        ctx3, FormClass(4, 4, SQ), 2
+    )
+    assert (3, 4, 2) not in oracle._family_cache  # iso reads no family
     for cached in (False, True):
-        for count in (iso_subspaces_bf, subspace_census):
-            if not cached:
-                clear_caches()
-            with pytest.raises(BudgetExceeded) as e:
-                count(ctx3, I4, 2, Budget(max_terms=129))
-            assert (e.value.needed, e.value.limit) == (130, 129)
-            assert ((3, 4, 2) in oracle._family_cache) == cached
-            count(ctx3, I4, 2, Budget(max_terms=130))
+        if not cached:
+            clear_caches()
+        with pytest.raises(BudgetExceeded) as e:
+            subspace_census(ctx3, I4, 2, Budget(max_terms=129))
+        assert (e.value.needed, e.value.limit) == (130, 129)
+        assert ((3, 4, 2) in oracle._family_cache) == cached
+        subspace_census(ctx3, I4, 2, Budget(max_terms=130))
     rows = oracle._family_cache[(3, 4, 2)]
     assert rows.shape == (130, 2) and not rows.flags.writeable
     with pytest.raises(ValueError):
@@ -631,12 +647,15 @@ def test_subspace_family_budget_and_cache(ctx3, monkeypatch):
     monkeypatch.setattr(oracle, "_echelon_blocks", refuse)
     X = ((1, 1, 0, 0), (1, 2, 0, 1), (0, 0, 0, 2), (0, 1, 2, 1))
     C = canonical_matrix(ctx3, classify(ctx3, X))
-    assert iso_subspaces_bf(ctx3, X, 2) == iso_subspaces_bf(ctx3, C, 2)
     assert subspace_census(ctx3, X, 2) == subspace_census(ctx3, C, 2)
     clear_caches()
-    assert not oracle._family_cache
+    assert not oracle._family_cache and not oracle._iso_memo
     with pytest.raises(AssertionError, match="no bases"):
-        iso_subspaces_bf(ctx3, X, 2)
+        subspace_census(ctx3, X, 2)
+    # iso counts from cold caches with no family at all
+    monkeypatch.setattr(oracle, "_family", refuse)
+    assert iso_subspaces_bf(ctx3, X, 2) == iso_subspaces_bf(ctx3, C, 2)
+    assert iso_subspaces_bf(ctx3, C, 2) == counts.iso_count(ctx3, classify(ctx3, X), 2)
 
 
 def test_large_families_are_built_in_blocks_and_not_kept(ctx3, monkeypatch):
@@ -648,12 +667,73 @@ def test_large_families_are_built_in_blocks_and_not_kept(ctx3, monkeypatch):
     census = [subspace_census(ctx3, X, ell) for ell in (1, 2, 3)]
     clear_caches()
     monkeypatch.setattr(oracle, "_CHUNK", 7)
-    assert [iso_subspaces_bf(ctx3, X, ell) for ell in (1, 2, 3)] == want
     assert [subspace_census(ctx3, X, ell) for ell in (1, 2, 3)] == census
     assert all(len(key) == 2 for key in oracle._family_cache)  # lines only
     blocks = list(oracle._echelon_blocks(3, 4, 2))
     assert max(len(b) for b in blocks) <= 7 and sum(map(len, blocks)) == 130
+
+    def refuse(*args):
+        raise AssertionError("iso must read no family")
+
+    # iso builds no bases, and counts the same in blocks of 7 pairs
+    monkeypatch.setattr(oracle, "_echelon_blocks", refuse)
+    monkeypatch.setattr(oracle, "_family", refuse)
+    assert [iso_subspaces_bf(ctx3, X, ell) for ell in (1, 2, 3)] == want
+    assert all(len(key) == 2 for key in oracle._family_cache)
     clear_caches()
+
+
+def _hyperbolic(t):
+    """Hyperbolic planes, with <1> at odd t."""
+    planes = [((0, 1), (1, 0))] * (t // 2)
+    return block_diag(*planes, *[((1,),)] * (t % 2))
+
+
+@pytest.mark.parametrize("p, t", [(3, 4), (5, 3)])
+def test_iso_tests_fewer_pairs_than_j_per_subspace(p, t, monkeypatch):
+    # every (prefix, candidate) pair handed to the orthogonality step is
+    # the prefix of a different basis: at most (j - 1) [t, j]_p pairs
+    ctx = prime_context(p)
+    seen = []
+    orthogonal = oracle._orthogonal
+
+    def spy(p_, B, C, Xa):
+        seen.append((len(B), len(C)))
+        return orthogonal(p_, B, C, Xa)
+
+    monkeypatch.setattr(oracle, "_orthogonal", spy)
+    forms = (_zero(t), _hyperbolic(t))
+    got = {}
+    for chunk in (_CHUNK, 7):
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        clear_caches()
+        for X in forms:
+            for j in range(t + 1):
+                seen.clear()
+                n = iso_subspaces_bf(ctx, X, j)
+                assert got.setdefault((X, j), n) == n
+                tested = sum(b * c for b, c in seen)
+                assert tested <= max(j - 1, 0) * oracle._subspace_count(p, t, j), (X, j)
+                assert all(b == 1 or b * c <= chunk for b, c in seen)
+                if X == _zero(t) and 1 < j < t:
+                    assert tested  # the spy sees the step
+    for j in range(t + 1):
+        assert got[_zero(t), j] == oracle._subspace_count(p, t, j)
+        assert got[forms[1], j] == counts.iso_count(ctx, classify(ctx, forms[1]), j)
+
+
+@pytest.mark.parametrize("p, t", [(3, 5), (5, 4), (7, 3)])
+def test_iso_count_is_the_census_zero_class(p, t):
+    # the totally isotropic subspaces are those on which X restricts to
+    # the zero form; iso and the census share only the row sets
+    ctx = prime_context(p)
+    rng = random.Random(7 * p + t)
+    for c in all_classes(t):
+        C = canonical_matrix(ctx, c)
+        for X in (C, _congruent(ctx, C, rng)):
+            for j in range(t + 1):
+                zero = subspace_census(ctx, X, j).get(FormClass(j, 0, SQ), 0)
+                assert iso_subspaces_bf(ctx, X, j) == zero, (X, j)
 
 
 @pytest.mark.parametrize("p", [181, 191, 46337, 46349, 2147483659, 3037000493])
@@ -712,6 +792,28 @@ def test_forms_are_exact_in_int64(p):
         want = [
             sum(u[i] * X[i][j] * v[j] for i in range(t) for j in range(t)) % p
             for u, v in zip(U, V)
+        ]
+        assert got.tolist() == want
+
+
+@pytest.mark.parametrize("p", [181, 46349, 2147483659, 3037000493])
+def test_orthogonality_is_exact_in_int64(p):
+    # the orthogonality step against Python integers, on both sides of
+    # the matrix-product bound t (p-1)^2 <= 2^63 - 1
+    rng = random.Random(p)
+    for t in (1, 2, 3):
+        X = [[rng.randrange(p) for _ in range(t)] for _ in range(t)]
+        X = [[X[min(i, j)][max(i, j)] for j in range(t)] for i in range(t)]
+        B = [[[p - 1 - rng.randrange(3) for _ in range(t)] for _ in range(2)] for _ in range(4)]
+        C = [[rng.randrange(p) for _ in range(t)] for _ in range(5)]
+        C[0] = [0] * t  # orthogonal to everything
+        got = oracle._orthogonal(p, np.array(B), np.array(C), np.array(X))
+        want = [
+            [
+                all(sum(u[i] * X[i][k] * v[k] for i in range(t) for k in range(t)) % p == 0 for u in rows)
+                for v in C
+            ]
+            for rows in B
         ]
         assert got.tolist() == want
 
