@@ -151,7 +151,7 @@ def _is_embedding(ctx, coords, first, rest) -> bool:
 def cmd_eval(args) -> int:
     ctx = _context(args.p)
     budget = _budget(args)
-    _check_jobs(args)  # large cells recurse on dimension, no pool
+    _check_jobs(args)  # no pool: a large cell classifies only T, a small one serially
     if args.matrix is not None:
         mat = _parse_matrix(ctx, args.matrix)
         cls = classify(ctx, mat)

@@ -51,15 +51,16 @@ def per_prime_memo(fn):
     return memo
 
 
-def exact_div(num, den: int, what: str) -> int:
-    """num / den, which must be an integer; `what` names it in the error.
+def exact_div(num, den: int, what: str, *args) -> int:
+    """num / den, which must be an integer; what.format(*args) names it
+    in the error, formatted only when it is raised.
 
     num may be a Fraction: divmod then gives an int quotient and a
     Fraction remainder.
     """
     q, r = divmod(num, den)
     if r:
-        raise ArithmeticError(f"{what} is not integral")
+        raise ArithmeticError(f"{what.format(*args)} is not integral")
     return q
 
 
@@ -123,9 +124,9 @@ def qfunc(ctx: PrimeContext, kind: str, t: int, s: int) -> int:
     if s < 0:
         raise ValueError(f"{kind} needs s >= 0")
     if kind == "beta":
-        return exact_div(_mu(p, t, s), _mu(p, s, s), f"beta({t},{s})")
+        return exact_div(_mu(p, t, s), _mu(p, s, s), "beta({},{})", t, s)
     if kind == "gamma":
-        return exact_div(_mudelta(p, t, s), _mudelta(p, s, s), f"gamma({t},{s})")
+        return exact_div(_mudelta(p, t, s), _mudelta(p, s, s), "gamma({},{})", t, s)
     if kind == "mu":
         return _mu(p, t, s)
     if kind == "delta":
@@ -206,7 +207,7 @@ def orth_order(ctx: PrimeContext, c: FormClass) -> int:
 def orbit_size(ctx: PrimeContext, c: FormClass) -> int:
     """Number of symmetric matrices congruent to the class representative:
     |GL_n| / |O(c)|."""
-    return exact_div(qfunc(ctx, "nu", c.n, 0), orth_order(ctx, c), f"orbit size of {c}")
+    return exact_div(qfunc(ctx, "nu", c.n, 0), orth_order(ctx, c), "orbit size of {}", c)
 
 
 @per_prime_memo
@@ -235,7 +236,7 @@ def iso_count(ctx: PrimeContext, c: FormClass, j: int) -> int:
         if x > d or d == 0:
             return 0
         rstar = rep_star_lemma51(ctx, form, d, ("zeros", x))
-        return exact_div(rstar, _nu(p, x, 0), f"iso count for {c}, j={x}")
+        return exact_div(rstar, _nu(p, x, 0), "iso count for {}, j={}", c, x)
 
     total = 0
     for i in range(0, min(j, s) + 1):

@@ -247,13 +247,16 @@ def prop41_value(ctx: PrimeContext, n: int, d: int, disc: str, r: int) -> QuadVa
             * p**c
             * (_even_restricted(ctx, n - 1, 2 * c, t) if t >= 1 else 1),
             counts.qfunc(ctx, "nu", n - 1, 2 * c),
-            f"odd-rank value at ({n},{d},{r})",
+            "odd-rank value at ({},{},{})",
+            n,
+            d,
+            r,
         )
         if disc == NONSQ:
             b = -b
         return QuadValue(0, b)
     val = counts.exact_div(
-        _even_restricted(ctx, n, d, t), 1, f"even-rank value at ({n},{d},{r})"
+        _even_restricted(ctx, n, d, t), 1, "even-rank value at ({},{},{})", n, d, r
     )
     return QuadValue(val, 0)
 

@@ -5,20 +5,20 @@ here, which evaluate sums and counts by full enumeration with no
 number-theoretic shortcuts. numpy does the batch work; all
 accumulation is exact integer arithmetic.
 
-The shape of T picks how its character table is counted. One rule
-(_recurses: n >= 3, or n = 2 past _CHUNK matrices) marks the cells
-built by recursion on dimension (the Witt decomposition). There a
-canonical T, diag(1^a1, omega^a2, 0^a0), gets its counts by (class,
-square class of 2*trace(TS)) from _canonical_counts, cached per shape,
-with no class code. Every other T, and every T in a smaller cell,
-counts the cell's class codes (_code_counts), classified once per
-process, by _recursed in a cell that recurses; the recursive, chunked
-and pooled codes agree bit for bit and stay the tests' reference for
-the canonical counts. That int64 table (class_character_tables) is
-the only one: every signed or restricted sum is one reduction of it
-(signed_rows). Its counts are exact while a cell holds at most
-2^63 - 1 matrices; past that it is refused with CapExceeded whatever
-the budget. Every budget is charged through one check (_charge).
+The cell picks how a character table is counted. One rule (_recurses:
+n >= 3, or n = 2 past _CHUNK matrices) marks the cells counted by
+recursion on dimension (the Witt decomposition). There every T is
+classified and reads the counts by (class, square class of
+2*trace(TS)) of its class's canonical T, diag(1^a1, omega^a2, 0^a0),
+from _canonical_counts, cached per shape, with no class code: a
+congruence S -> P S P^T carries one table to the other. The smaller
+cells, n = 1 at any p and n = 2 up to _CHUNK matrices, count their
+class codes (_code_counts), classified once per process, chunked or
+pooled. That int64 table (class_character_tables) is the only one:
+every signed or restricted sum is one reduction of it (signed_rows).
+Its counts are exact while a cell holds at most 2^63 - 1 matrices; past
+that it is refused with CapExceeded whatever the budget. Every budget
+is charged through one check (_charge).
 
 One primitive histograms a quadratic form v^T M v over every vector of
 F_p^N (_quadratic_histogram): the exponents are built one digit of v
@@ -161,119 +161,32 @@ def _class_codes(ctx: PrimeContext, n: int, lo: int, hi: int) -> np.ndarray:
     return _codes(ctx, _mats_from_digits(n, digits))
 
 
-def _restriction(ctx: PrimeContext, s1) -> np.ndarray:
-    """C with digits(N^T S' N) = digits(S') @ C mod p, where the columns
-    of N are a basis of the kernel of the nonzero row s1.
-
-    Digits are upper-triangle entries in enumeration order, so C has one
-    row per digit of S' and one column per digit of N^T S' N.
-    """
-    p = ctx.p
-    m = len(s1)
-    piv = next(i for i, v in enumerate(s1) if v)
-    inv = pow(s1[piv], -1, p)
-    N = np.zeros((m, m - 1), np.int64)
-    for col, i in enumerate(i for i in range(m) if i != piv):
-        N[i, col] = 1
-        N[piv, col] = -s1[i] * inv % p
-    I, J = np.array(upper_positions(m), np.int64).reshape(-1, 2).T
-    A, B = np.array(upper_positions(m - 1), np.int64).reshape(-1, 2).T
-    # digit (i, j) of S' stands for E_ij + E_ji, or E_ii on the diagonal
-    C = N[I][:, A] * N[J][:, B]
-    C += np.where((I != J)[:, None], N[J][:, A] * N[I][:, B], 0)
-    return C % p
-
-
-def _recursed(ctx: PrimeContext, n: int) -> np.ndarray:
-    """Class codes of the (p, n) cell built from the (p, n-1) and
-    (p, n-2) cells, by splitting off the first basis vector (Witt
-    decomposition).
-
-    Write S with first row (s11, s1) and lower-right block S'. Each
-    prefix (s11, s1) owns one contiguous block of codes, indexed by the
-    digits of S' in (p, n-1) enumeration order:
-    - s11 != 0: S = <s11> perp (S' - s1 s1^T / s11), so the block is the
-      (p, n-1) codes rolled by the digits of s1 s1^T / s11, with rank + 1
-      and the class flipped when chi(s11) = -1;
-    - s11 = 0, s1 = 0: S = <0> perp S', the (p, n-1) codes as they are;
-    - s11 = 0, s1 != 0: S = H perp (S' restricted to ker s1), H a
-      hyperbolic plane of discriminant -1, so the block looks up the
-      (p, n-2) codes at the digits of N^T S' N, with rank + 2 and the
-      class flipped when chi(-1) = -1.
-
-    Prefixes with the same block, (l^2 s11, l s1) for every l != 0 in the
-    first case and every multiple of s1 in the last, build it once and
-    copy it.
-    """
-    p = ctx.p
-    k1 = n * (n - 1) // 2
-    k2 = (n - 1) * (n - 2) // 2
-    sub = _classified(ctx, n - 1)
-    raised = (sub + 2).reshape((p,) * k1)
-    aniso = {1: raised, -1: raised ^ 1}
-    hyper = (_classified(ctx, n - 2) + 4) ^ int(ctx.epsilon == -1)
-    pos = upper_positions(n - 1)
-    axes = tuple(range(k1))
-    digits = digits_block(p, k1, 0, p**k1).astype(np.int64)
-    powers = p ** np.arange(k2 - 1, -1, -1, dtype=np.int64)
-    size = p**k1
-    codes = np.empty(p**n * size, np.uint8)
-    seen = {}  # block key -> first prefix holding that block
-    for h, (s11, *s1) in enumerate(product(range(p), repeat=n)):
-        block = codes[h * size : (h + 1) * size]
-        if s11:
-            # (l^2 s11, l s1) gives the same block for every l != 0
-            inv = pow(s11, -1, p)
-            key = (legendre(ctx, s11), *(s1[i] * s1[j] * inv % p for i, j in pos))
-        elif any(s1):
-            # N, and so the block, depends only on the line of s1; the
-            # leading 0 keeps these keys apart from the chi(s11) = +-1 ones
-            inv = pow(next(v for v in s1 if v), -1, p)
-            key = (0, *(v * inv % p for v in s1))
-        else:
-            block[:] = sub
-            continue
-        if key in seen:
-            block[:] = codes[seen[key] * size : (seen[key] + 1) * size]
-            continue
-        seen[key] = h
-        if s11:
-            block[:] = np.roll(aniso[key[0]], key[1:], axes).ravel()
-        else:
-            block[:] = hyper[(digits @ _restriction(ctx, key[1:])) % p @ powers]
-    return codes
-
-
 # class codes of the full symmetric space, cached per (p, n)
 _class_cache: dict = {}
 
 
 def _recurses(p: int, n: int) -> bool:
-    """Whether a (p, n) cell is built by recursion on dimension, its
-    codes by _recursed and its canonical T's tables by _canonical_counts:
-    every cell with n >= 3, and an n = 2 cell of more than _CHUNK
-    matrices."""
+    """Whether the tables of a (p, n) cell come from the recursion on
+    dimension (_canonical_counts) and not from its class codes: every
+    cell with n >= 3, and an n = 2 cell of more than _CHUNK matrices."""
     return n >= 3 or (n == 2 and p**3 > _CHUNK)
 
 
 def _classified(ctx: PrimeContext, n: int, jobs=None) -> np.ndarray:
-    """Class codes of every symmetric n x n matrix, in enumeration order.
+    """Class codes of every symmetric n x n matrix of a cell that does not
+    _recurse (n = 1 at any p, n = 2 up to _CHUNK matrices), in
+    enumeration order.
 
-    The first call for a (p, n) cell builds its codes and caches them;
-    later calls return the cached codes. A cell that _recurses is built
-    by recursion on dimension (_recursed) from the cached (p, n-1) and
-    (p, n-2) cells.
-    Every other cell, n = 1 at any p included, is classified matrix by
-    matrix, through a process pool when jobs > 1.
+    The first call for a (p, n) cell classifies it matrix by matrix,
+    through a process pool when jobs > 1, and caches the codes; later
+    calls return the cached codes.
     """
     key = (ctx.p, n)
     codes = _class_cache.get(key)
     if codes is not None:
         return codes
     total = ctx.p ** (n * (n + 1) // 2)
-    if _recurses(ctx.p, n):
-        codes = _recursed(ctx, n)
-    elif jobs and jobs > 1:
+    if jobs and jobs > 1:
         codes = np.empty(total, np.uint8)
         ranges = _ranges(total, jobs)
         with ProcessPoolExecutor(max_workers=jobs) as ex:
@@ -318,8 +231,9 @@ _INT64_MAX = np.iinfo(np.int64).max
 
 
 def _low_digits(p: int, K: int) -> int:
-    """How many of a cell's K digits form the low part of its counting
-    passes: the most whose p^k entries fit _CHUNK, and at least one."""
+    """How many of K digits form the low part of a histogram pass
+    (_quadratic_histogram): the most whose p^k entries fit _CHUNK, and
+    at least one."""
     k_low = 1
     while k_low < K and p ** (k_low + 1) <= _CHUNK:
         k_low += 1
@@ -329,33 +243,16 @@ def _low_digits(p: int, K: int) -> int:
 def _code_counts(p, codes, W, rows):
     """Counts of a cell's class codes by (column t of W, class code,
     sum_k W[k, t] * d_k mod p), d the digits of the code's enumeration
-    index: int64, of shape (W.shape[1], rows, p).
-
-    The low digits (_low_digits) index within one contiguous block of
-    codes, and each high prefix owns a block. Each block is counted by
-    one bincount of code * width + low exponent per column, and the
-    prefix's own exponent places the counts: by a slice add while they
-    fit below p, else by one roll (a nonzero low weight takes every
-    residue, so only a block p wide wraps).
+    index: int64, of shape (W.shape[1], rows, p), one bincount of
+    code * p + exponent per column. Only a cell that does not _recurse
+    counts codes: n = 2 with at most _CHUNK matrices, or n = 1, one
+    digit, so each column's exponents are a single array.
     """
-    K = len(W)
-    k_low = _low_digits(p, K)
-    low = _digit_exponents(p, W[K - k_low :])
-    high = _digit_exponents(p, W[: K - k_low])
-    width = int(low.max()) + 1  # every low exponent is below it
-    dt = np.min_scalar_type(rows * width - 1)  # holds every bin index
-    low = low.astype(dt)
-    size = low.shape[1]
-    acc = np.zeros((W.shape[1], rows, p), np.int64)
-    for h, shifts in enumerate(high.T.tolist()):
-        base = codes[h * size : (h + 1) * size].astype(dt) * width
-        for tab, e, shift in zip(acc, low, shifts):
-            cnt = np.bincount(base + e, minlength=rows * width).reshape(rows, width)
-            if shift + width <= p:
-                tab[:, shift : shift + width] += cnt
-            else:
-                tab += np.roll(cnt, shift, axis=1)
-    return acc
+    base = codes * np.int64(p)
+    acc = np.empty((W.shape[1], rows * p), np.int64)
+    for tab, e in zip(acc, _digit_exponents(p, W)):
+        tab[:] = np.bincount(base + e, minlength=rows * p)
+    return acc.reshape(-1, rows, p)
 
 
 # the counts of each canonical T, cached read-only per (p, a1, a2, a0)
@@ -392,8 +289,8 @@ def _canonical_counts(ctx: PrimeContext, a1: int, a2: int, a0: int):
     class of S and multiplies trace(TS) by l^2.
 
     Write S with first row (d1, s1) and lower-right block S', t1 the
-    first entry of T and T' the rest, of size m = n - 1; the three cases
-    are those of _recursed:
+    first entry of T and T' the rest, of size m = n - 1; splitting off
+    the first basis vector (Witt decomposition) gives three cases:
     - d1 = 0, s1 = 0: S = <0> perp S', J_T' as it is;
     - d1 != 0: S = <d1> perp S'', S'' = S' - s1 s1^T / d1 a bijection of
       S' for each s1, and 2 trace(TS) = 2 t1 d1 + 2 trace(T'S'') +
@@ -404,9 +301,10 @@ def _canonical_counts(ctx: PrimeContext, a1: int, a2: int, a0: int):
     - d1 = 0, s1 != 0: S = H perp R, H a hyperbolic plane of
       discriminant -1 and R = S' restricted to ker s1, four rows up, the
       class flipped when chi(-1) = -1. S' -> R is onto Sym_(m-1) with
-      fibres of p^m. An s1 supported on the a0' zeros of T' has a zero
-      as the pivot of _restriction's basis, so trace(T'S') = trace(T''R)
-      for T'' = T' with one zero fewer; for any other s1, trace(T'S') is
+      fibres of p^m, in the basis of ker s1 that corrects each other unit
+      vector at the pivot of s1. An s1 supported on the a0' zeros of T'
+      has its pivot at a zero, so trace(T'S') = trace(T''R) for T'' = T'
+      with one zero fewer; for any other s1, trace(T'S') is
       not constant on the fibres and each residue gets p^(m-1) of them.
       Together: p^m (p^a0' - 1) J_T'' + p^(m-1) (p^m - p^a0') N_(m-1),
       N_(m-1) the class totals of Sym_(m-1), the zero T's J at 0.
@@ -446,16 +344,6 @@ def _canonical_counts(ctx: PrimeContext, a1: int, a2: int, a0: int):
     return J, V
 
 
-def _canonical_shape(ctx: PrimeContext, T):
-    """(a1, a2, a0) when T = diag(1^a1, omega^a2, 0^a0), else None."""
-    n = len(T)
-    diag = [T[i][i] for i in range(n)]
-    a1, a2 = diag.count(1), diag.count(ctx.omega)
-    entries = [1] * a1 + [ctx.omega] * a2 + [0] * (n - a1 - a2)
-    want = tuple(tuple(entries[i] if i == j else 0 for j in range(n)) for i in range(n))
-    return (a1, a2, n - a1 - a2) if T == want else None
-
-
 def class_character_tables(ctx: PrimeContext, Ts, budget=None, jobs=None):
     """Counts of symmetric S by (T, class code of S, 2*trace(TS) mod p),
     as an int64 array of shape (len(Ts), 2n + 2, p). Class code
@@ -464,17 +352,20 @@ def class_character_tables(ctx: PrimeContext, Ts, budget=None, jobs=None):
     against T is a linear functional of T's rows (signed_rows), so one
     table serves all of them.
 
-    The T's shape picks the count, exact in int64 either way:
-    - a cell that _recurses and every T canonical, diag(1^a1,
-      omega^a2, 0^a0) as canonical_matrix gives: each T's counts by
-      (class code, square class of 2*trace(TS)), built by recursion
-      (_canonical_counts) with no class code, read at each residue's
-      square class;
-    - any other T, and every T in a smaller cell: the cell's cached
-      class codes counted against T's exponents 2*trace(TS) =
-      sum_k w_k * d_k mod p, one term per upper-triangle digit d_k of S
-      (_code_counts).
-    Neither diagonalises T or uses congruence invariance.
+    The cell picks the count (_recurses), exact in int64 either way:
+    - n >= 3, or n = 2 past _CHUNK matrices: each T is classified
+      (classify) and reads the counts of its class's canonical D =
+      diag(1^a1, omega^a2, 0^a0), as canonical_matrix gives, by (class
+      code, square class of 2*trace(DS)), built by recursion on
+      dimension (_canonical_counts) with no class code, at each
+      residue's square class. T = P^T D P, and S -> P S P^T is a
+      bijection of the symmetric matrices that keeps the class of S,
+      with trace(TS) = trace(D P S P^T): a fact of linear algebra, not a
+      closed form under test;
+    - every other cell, n = 1 or n = 2 of at most _CHUNK matrices: the
+      cell's cached class codes counted against T's exponents
+      2*trace(TS) = sum_k w_k * d_k mod p, one term per upper-triangle
+      digit d_k of S (_code_counts).
 
     The budget charges the p^(n(n+1)/2) matrices S. Past 2^63 - 1 of
     them the int64 counts could wrap, so CapExceeded is raised then,
@@ -489,8 +380,9 @@ def class_character_tables(ctx: PrimeContext, Ts, budget=None, jobs=None):
     _charge(budget, total, "symmetric enumeration")
     if total > _INT64_MAX:
         raise CapExceeded(total, _INT64_MAX, "int64 class table")
-    shapes = _recurses(p, n) and [_canonical_shape(ctx, T) for T in Ts]
-    if shapes and None not in shapes:
+    if _recurses(p, n):
+        classes = [classify(ctx, T) for T in Ts]
+        shapes = [(c.d - (c.disc == NONSQ), int(c.disc == NONSQ), n - c.d) for c in classes]
         states = np.array([_canonical_counts(ctx, *shape)[0] for shape in shapes])
         return states[:, :, chi_table(ctx) % 3].astype(np.int64)
     return _code_counts(p, _classified(ctx, n, jobs), _exp_weights(ctx, Ts), 2 * n + 2)
@@ -573,7 +465,7 @@ def _quadratic_histogram(p: int, M: np.ndarray) -> np.ndarray:
     len(M), M symmetric with int64 residue entries: an int64 array of
     length p.
 
-    The digits of v split as in the counting pass (_low_digits): the low
+    The digits of v split in two (_low_digits): the low
     part, at most _CHUNK vectors (a single digit when p alone exceeds
     it), gets its exponents once (_quadratic_exponents). Each high
     prefix h then adds its own value h^T M_hh h and the cross term

@@ -17,6 +17,7 @@ import pytest
 from isogauss import (
     NONSQ,
     SQ,
+    CycInt,
     FormClass,
     all_classes,
     canonical_matrix,
@@ -32,6 +33,8 @@ from isogauss import (
     thm11_value,
 )
 from isogauss import oracle
+
+import reference
 
 _JOBS = os.cpu_count() or 1
 _CAP = None
@@ -250,19 +253,28 @@ def test_criterion_10_infrastructure(monkeypatch):
                 ok = ok and classify(ctx, canonical_matrix(ctx, cls)) == cls
 
     # congruence invariance: 100 random changes of basis per cell,
-    # cycling the base form through every class of the cell
+    # cycling the base form through every class of the cell. The sums
+    # are read from the tests' code-count reference, which counts each
+    # T's own exponents and reads no class of T, and the oracle's sum of
+    # each moved T equals it
     for p in (3, 5, 7):
         ctx = prime_context(p)
         for n in (1, 2, 3):
             rng = random.Random(10007 * p + n)
-            classes = all_classes(n)
-            bases = [(c, canonical_matrix(ctx, c)) for c in classes]
-            values = {c: gauss_twisted_bf(ctx, m) for c, m in bases}
+            bases = [(c, canonical_matrix(ctx, c)) for c in all_classes(n)]
+            moved = []
             for i in range(100):
                 cls, base = bases[i % len(bases)]
-                U = _random_gl(rng, p, n)
-                moved = _congruent(p, U, base)
-                ok = ok and classify(ctx, moved) == cls
-                ok = ok and gauss_twisted_bf(ctx, moved) == values[cls]
+                moved.append((cls, _congruent(p, _random_gl(rng, p, n), base)))
+            Ts = [m for _, m in bases] + [m for _, m in moved]
+            sums = [
+                CycInt(p, tuple(oracle.signed_rows(rows, n).tolist()))
+                for rows in reference.code_tables(ctx, n, Ts)
+            ]
+            values = dict(zip(all_classes(n), sums))
+            for (cls, T), want in zip(moved, sums[len(bases) :]):
+                ok = ok and classify(ctx, T) == cls
+                ok = ok and want == values[cls] == gauss_twisted_bf(ctx, T)
+    reference.clear()
 
     _report(10, "parallel equality, round trips, congruence invariance", t0, ok)

@@ -245,6 +245,22 @@ _EVAL_PINS = [
      "58f76a6cdced3347820232c68bcfa939322669959335f8337eca3d99776a1956"),
     (("--p", "100003", "--n", "1", "--rank", "1"), ("thm11_value", QuadValue(8, 0)),
      "8217cdf453fc582c176a5b784368f8138f98a0717b6fd19079d542486a0693cf"),
+    # T with entries off the diagonal in cells that recurse, as they are
+    # and with a wrong closed value, so that the oracle's vector prints
+    (("--p", "3", "--matrix", "[[1, 1, 0], [1, 2, 1], [0, 1, 0]]"), None,
+     "b5875c22756f6834d31c786f064331a5c5c4e8295a78fcdce1b24b79ccb11f2d"),
+    (("--p", "3", "--matrix", "[[1, 1, 0], [1, 2, 1], [0, 1, 0]]"),
+     ("thm11_value", QuadValue(8, 0)),
+     "28be87de675edf8d50d70a8cc474c9a850440d4c97972928f95d7e8268c80212"),
+    (("--p", "7", "--matrix", "[[1, 2, 3], [2, 4, 6], [3, 6, 1]]"), None,
+     "2682812565d70ca11c58df4b39c2a3e21bc74a4894cf1ab7dcb6bad3034a9964"),
+    (("--p", "7", "--matrix", "[[1, 2, 3], [2, 4, 6], [3, 6, 1]]"),
+     ("thm11_value", QuadValue(8, 0)),
+     "487fe4cb83493ccbec205cd10ee01ba8cba1dee2344f3941ea5b6bc6fa33bd66"),
+    (("--p", "211", "--matrix", "[[2, 1], [1, 5]]"), None,
+     "0ff84224a73882bafa3cc615dd0d81de07b632275704bd10432cdb2dcdc1bf41"),
+    (("--p", "211", "--matrix", "[[2, 1], [1, 5]]"), ("thm11_value", QuadValue(8, 0)),
+     "ca875a65f08c12d739dc6ccff8db33ea5e824b5c3a2482b44e10da5d7e1153bf"),
 ]
 
 

@@ -187,6 +187,17 @@ def test_exact_div_and_frames():
         counts.exact_div(7, 2, "x")
     with pytest.raises(ArithmeticError):
         counts.exact_div(Fraction(1, 2), 1, "x")
+    # the message is formatted only when it is raised, and names the
+    # quantity as the arguments give it
+    class Unformattable:
+        def __format__(self, spec):
+            raise AssertionError("formatted a message that was not raised")
+
+    assert counts.exact_div(6, 3, "iso count for {}, j={}", Unformattable(), 1) == 2
+    c = FormClass(3, 2, SQ)
+    with pytest.raises(ArithmeticError) as e:
+        counts.exact_div(7, 2, "iso count for {}, j={}", c, 1)
+    assert str(e.value) == "iso count for FormClass(n=3, d=2, disc='sq'), j=1 is not integral"
     assert counts.frames(3, 2, 2) == 48  # |GL_2(F_3)|
     assert counts.frames(3, 2, 0) == 1
     assert counts.frames(3, 2, 3) == 0  # no 3 independent vectors in F_3^2

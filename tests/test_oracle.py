@@ -37,6 +37,8 @@ from isogauss.cyclotomic import reduce_exponent_vector
 from isogauss.oracle import _CHUNK, _ranges, clear_caches, rep_star_bf, subspace_census
 from isogauss.quadform import block_diag, digits_block
 
+import reference
+
 
 def _zero(n):
     return tuple(tuple(0 for _ in range(n)) for _ in range(n))
@@ -227,15 +229,17 @@ def test_tables_match_a_scalar_loop_across_dtype_boundaries(p):
 
 
 def test_tables_across_many_prefix_blocks(ctx3, ctx5, monkeypatch):
+    # the reference's count of the codes, prefix block by prefix block,
+    # equals the tables at any _CHUNK: a small _CHUNK leaves a high
+    # prefix above the low digits; below p it still keeps one low digit
     rng = random.Random(5)
     for ctx, n, chunk in ((ctx3, 3, 9), (ctx3, 3, 2), (ctx5, 2, 3)):
         Ts = [_random_symmetric(rng, ctx.p, n) for _ in range(3)]
-        want = class_character_tables(ctx, Ts)  # also caches the classes
+        want = class_character_tables(ctx, Ts)
         with monkeypatch.context() as m:
-            # a small _CHUNK leaves a high prefix above the low digits;
-            # below p it still keeps one low digit
             m.setattr(oracle, "_CHUNK", chunk)
             assert np.array_equal(class_character_tables(ctx, Ts), want)
+            assert np.array_equal(reference.code_tables(ctx, n, Ts), want)
 
 
 def _counting_bincount(monkeypatch):
@@ -254,7 +258,8 @@ def _counting_bincount(monkeypatch):
 
 def test_live_digit_tables_match_a_scalar_loop(monkeypatch):
     # canonical T are diagonal, so only the n diagonal digits are live;
-    # at n = 1 the one digit is live and the per-T pass counts
+    # at n = 1 the one digit is live and the per-T pass counts. In a cell
+    # that recurses, a dense T counts no code either
     rng = random.Random(13)
     cells = [(p, n) for p in (3, 5) for n in (1, 2, 3)] + [(7, 2)]
     for p, n in cells:
@@ -268,12 +273,18 @@ def test_live_digit_tables_match_a_scalar_loop(monkeypatch):
         # the zero T alone leaves no digit live (L = 0)
         zero = Ts.index(_zero(n))
         assert np.array_equal(class_character_tables(ctx, [_zero(n)]), want[zero : zero + 1])
-        # one dense T makes every digit live: the per-T pass, one
-        # bincount per T over the single block of the cell
+        # one dense T makes every digit live: in a cell of codes, the
+        # per-T pass, one bincount per T over the single block of the
+        # cell; in a cell that recurses, no bincount and no code
+        clear_caches()
         with monkeypatch.context() as m:
+            counted = _counting_calls(m, "_code_counts")
             seen = _counting_bincount(m)
             assert np.array_equal(class_character_tables(ctx, Ts + [dense]), want)
-        assert len(seen) == len(Ts) + 1
+        if oracle._recurses(p, n):
+            assert counted == [] and oracle._class_cache == {}, (p, n)
+        else:
+            assert len(seen) == len(Ts) + 1 and len(counted) == 1, (p, n)
 
 
 def _counting_calls(monkeypatch, name):
@@ -291,11 +302,12 @@ def _counting_calls(monkeypatch, name):
 
 
 def test_live_digit_histogram_across_many_prefix_blocks(ctx5, monkeypatch):
-    # at _CHUNK = 25 the (5, 2) codes are 5 prefix blocks of 25, so with
-    # a T off the diagonal among them each T's table is one bincount per
-    # block, on every call; the (5, 3) tables, and the (5, 2) tables of
-    # canonical T alone, count no code block and build each recursion
-    # state once after clear_caches, so a later call builds nothing
+    # at _CHUNK = 25 the (5, 2) cell of 125 matrices recurses: its
+    # tables, with a T off the diagonal among them, and the (5, 3)
+    # tables count no code block and build each recursion state once
+    # after clear_caches, so a later call builds nothing. The reference
+    # counts the (5, 2) codes as 5 prefix blocks of 25, each T's table
+    # one bincount per block, on every call
     T2 = [canonical_matrix(ctx5, c) for c in all_classes(2)] + [((1, 1), (1, 0))]
     T3 = [canonical_matrix(ctx5, c) for c in all_classes(3)]
     want2 = _scalar_tables(ctx5, 2, T2)
@@ -313,11 +325,17 @@ def test_live_digit_histogram_across_many_prefix_blocks(ctx5, monkeypatch):
         assert seen == [] and counted == [] and set(oracle._canonical_cache) == states
         assert np.array_equal(class_character_tables(ctx5, T2[:-1]), want2[:-1])
         assert seen == [] and counted == []
+        states = set(oracle._canonical_cache)
+        assert np.array_equal(class_character_tables(ctx5, T2), want2)
+        assert seen == [] and counted == [] and set(oracle._canonical_cache) == states
+        assert oracle._class_cache == {}
+        reference.classified(ctx5, 2)
         for _ in range(2):
-            assert np.array_equal(class_character_tables(ctx5, T2), want2)
+            assert np.array_equal(reference.code_tables(ctx5, 2, T2), want2)
             assert seen == [25] * 5 * len(T2)
             del seen[:]
     clear_caches()
+    reference.clear()
 
 
 def test_one_pass_over_the_cell_for_any_number_of_diagonal_ts(ctx5, monkeypatch):
@@ -330,7 +348,7 @@ def test_one_pass_over_the_cell_for_any_number_of_diagonal_ts(ctx5, monkeypatch)
     one = class_character_tables(ctx5, Ts[:1])
     tabs = class_character_tables(ctx5, Ts)
     states = set(oracle._canonical_cache)
-    assert {key[1:] for key in states} >= {oracle._canonical_shape(ctx5, T) for T in Ts}
+    assert {key[1:] for key in states} >= {reference.canonical_shape(ctx5, T) for T in Ts}
     seen = _counting_bincount(monkeypatch)
     again = class_character_tables(ctx5, Ts)
     zero = class_character_tables(ctx5, [_zero(3)])
@@ -345,8 +363,8 @@ def test_one_pass_over_the_cell_for_any_number_of_diagonal_ts(ctx5, monkeypatch)
 def test_counting_pass_expands_no_digits(ctx5, monkeypatch):
     # neither the recursion nor a count over cached codes expands digits:
     # once the n <= 2 cells are classified, the (5, 3) tables are built
-    # cold with digits_block refused, and so is the (5, 2) count, at the
-    # default _CHUNK and block by block at 25
+    # cold with digits_block refused, and so are the (5, 2) tables, from
+    # the codes at the default _CHUNK and by the recursion at 25
     T3 = [canonical_matrix(ctx5, FormClass(3, 2, NONSQ)), _zero(3)]
     T2 = [canonical_matrix(ctx5, FormClass(2, 1, NONSQ)), _zero(2)]
     want3 = class_character_tables(ctx5, T3)
@@ -386,27 +404,28 @@ def _counting_classify_batch(monkeypatch):
 
 
 def test_recursion_matches_direct_classification(monkeypatch):
-    # with _CHUNK = 1 every cell with n >= 2 recurses down to n = 1 and
-    # n = 0; p = 3, 7, 11 have chi(-1) = -1, where the hyperbolic case
-    # flips the class, and p = 5, 13 have chi(-1) = +1
+    # the reference's codes: with _CHUNK = 1 every cell with n >= 2
+    # recurses down to n = 1 and n = 0; p = 3, 7, 11 have chi(-1) = -1,
+    # where the hyperbolic case flips the class, and p = 5, 13 have
+    # chi(-1) = +1
     for p in (3, 5, 7, 11, 13):
         ctx = prime_context(p)
         n = 0
         while p ** (n * (n + 1) // 2) <= 10**6:
-            clear_caches()
+            reference.clear()
             with monkeypatch.context() as m:
                 m.setattr(oracle, "_CHUNK", 1)
                 seen = _counting_classify_batch(m)
-                got = oracle._classified(ctx, n)
+                got = reference.classified(ctx, n)
             assert all(shape[1] <= 1 for shape in seen)
             assert np.array_equal(got, _direct_codes(ctx, n)), (p, n)
             n += 1
     # cells that exceed one chunk on their own, both residues mod 4
     for p in (101, 103):
         ctx = prime_context(p)
-        clear_caches()
-        assert np.array_equal(oracle._classified(ctx, 2), _direct_codes(ctx, 2))
-    clear_caches()
+        reference.clear()
+        assert np.array_equal(reference.classified(ctx, 2), _direct_codes(ctx, 2))
+    reference.clear()
 
 
 def test_large_cells_use_no_pool(ctx5, monkeypatch):
@@ -417,10 +436,11 @@ def test_large_cells_use_no_pool(ctx5, monkeypatch):
     seen = _counting_classify_batch(monkeypatch)
     clear_caches()
     Ts = [canonical_matrix(ctx5, c) for c in all_classes(4)]
+    Ts.append(_random_symmetric(random.Random(4), 5, 4))
     tabs = class_character_tables(ctx5, Ts, None, 2)
     assert all(tab.sum() == 5**10 for tab in tabs)
-    # only the two leaf sub-cells, (5, 3) and (5, 2), are classified
-    assert sum(shape[0] for shape in seen) <= 5**6 + 5**3
+    # no matrix is classified in a batch, not even a sub-cell's
+    assert seen == [] and oracle._class_cache == {}
 
     # n = 1 is classified directly at any p, never by recursion
     del seen[:]
@@ -1122,15 +1142,15 @@ def test_lemma51_oracle_shapes_and_budget(ctx3, monkeypatch):
 
 @pytest.mark.parametrize("p, n", [(3, 3), (3, 4), (5, 3), (7, 3)])
 def test_small_cells_with_n_at_least_3_recurse(monkeypatch, p, n):
-    # at the default _CHUNK these cells fit one chunk, yet only their
-    # sub-cells reach classify_batch
+    # at the default _CHUNK these cells fit one chunk, yet the
+    # reference's codes reach classify_batch only for their sub-cells
     ctx = prime_context(p)
-    clear_caches()
+    reference.clear()
     seen = _counting_classify_batch(monkeypatch)
-    codes = oracle._classified(ctx, n)
+    codes = reference.classified(ctx, n)
     assert seen and all(shape[1] < n for shape in seen)
     assert np.array_equal(codes, _direct_codes(ctx, n))
-    clear_caches()
+    reference.clear()
 
 
 # the default verify grid: max_dim_for under the default budget
@@ -1144,7 +1164,52 @@ def _expanded(ctx, J):
 
 
 def _recursion_rows(ctx, T):
-    return _expanded(ctx, oracle._canonical_counts(ctx, *oracle._canonical_shape(ctx, T))[0])
+    return _expanded(ctx, oracle._canonical_counts(ctx, *reference.canonical_shape(ctx, T))[0])
+
+
+def _random_congruent(rng, ctx, c):
+    """A random T = P^T D P of class c, D = canonical_matrix(ctx, c),
+    with an entry off the diagonal once n >= 2 and rank > 0."""
+    p, n = ctx.p, c.n
+    D = np.array(canonical_matrix(ctx, c), np.int64)
+    while True:
+        P = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(n)], np.int64)
+        T = tuple(map(tuple, (P.T @ D @ P % p).tolist()))
+        off = n < 2 or c.d == 0 or any(T[i][j] for i in range(n) for j in range(n) if i != j)
+        if off and classify(ctx, T) == c:
+            return T
+
+
+@pytest.mark.parametrize("p, n", _GRID + [(211, 2)])
+def test_tables_of_random_congruent_ts_match_the_code_count(p, n):
+    # the oracle reads each T's class (classify) in a cell that recurses;
+    # the reference counts the cell's class codes against T itself, so
+    # the two sides share no classification of T. Two random T per
+    # class, each with an entry off the diagonal where there is one. The
+    # reference keeps the codes for the test below
+    ctx = prime_context(p)
+    rng = random.Random(97 * p + n)
+    Ts = [_random_congruent(rng, ctx, c) for c in all_classes(n) for _ in range(2 if c.d else 1)]
+    clear_caches()
+    assert np.array_equal(class_character_tables(ctx, Ts), reference.code_tables(ctx, n, Ts))
+    clear_caches()
+
+
+def test_off_diagonal_tables_cache_no_class_codes():
+    # one T off the diagonal at each of the 8 primes from 211 to 251: no
+    # cell's codes (p^3 bytes, 9.4 MB at p = 211) are built or cached
+    clear_caches()
+    tracemalloc.start()
+    try:
+        for p in (211, 223, 227, 229, 233, 239, 241, 251):
+            (tab,) = class_character_tables(prime_context(p), [((1, 1), (1, 0))])
+            assert tab.sum() == p**3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert oracle._class_cache == {}
+    assert peak < 10**6, peak
+    clear_caches()
 
 
 def test_canonical_counts_equal_the_count_of_the_codes():
@@ -1158,13 +1223,14 @@ def test_canonical_counts_equal_the_count_of_the_codes():
     for p, n in _GRID:
         ctx = prime_context(p)
         Ts = [canonical_matrix(ctx, c) for c in all_classes(n)]
-        for T, want in zip(Ts, _code_tables(ctx, n, Ts)):
-            J, V = oracle._canonical_counts(ctx, *oracle._canonical_shape(ctx, T))
+        for T, want in zip(Ts, reference.code_tables(ctx, n, Ts)):
+            J, V = oracle._canonical_counts(ctx, *reference.canonical_shape(ctx, T))
             assert J.shape == (2 * n + 2, 3) and V.shape == (3,)
             assert np.array_equal(_expanded(ctx, J), want), (p, n, T)
             vectors = oracle._quadratic_histogram(p, 2 * np.array(T, np.int64) % p)
             assert np.array_equal(_expanded(ctx, V[None])[0], vectors), (p, n, T)
     clear_caches()
+    reference.clear()
 
 
 def test_diagonal_n2_tables_count_the_codes(ctx5, monkeypatch):
@@ -1203,8 +1269,8 @@ def test_diagonal_n2_tables_count_the_codes(ctx5, monkeypatch):
 def test_diagonal_n2_histogram_past_the_chunk():
     # (211, 2) has 211^3 > 2^18 matrices: its canonical tables come from
     # the recursion on (class, trace square class) with no class code,
-    # and equal a table per T over the codes built by recursion on
-    # dimension, which a T off the diagonal still builds
+    # and so does a T off the diagonal; both equal a table per T over
+    # the reference's codes, built by recursion on dimension
     ctx = prime_context(211)
     Ts = [canonical_matrix(ctx, c) for c in all_classes(2)]
     clear_caches()
@@ -1212,10 +1278,13 @@ def test_diagonal_n2_histogram_past_the_chunk():
     assert oracle._class_cache == {}
     for T, tab in zip(Ts, tabs):
         assert np.array_equal(_recursion_rows(ctx, T), tab)
-    class_character_tables(ctx, [((1, 1), (1, 0))])
-    assert (211, 2) in oracle._class_cache
-    assert np.array_equal(tabs, _code_tables(ctx, 2, Ts))
+    dense = ((1, 1), (1, 0))
+    (off,) = class_character_tables(ctx, [dense])
+    assert oracle._class_cache == {}
+    want = reference.code_tables(ctx, 2, Ts + [dense])
+    assert np.array_equal(tabs, want[:-1]) and np.array_equal(off, want[-1])
     clear_caches()
+    reference.clear()
 
 
 def test_oracle_imports_no_closed_form():
@@ -1302,41 +1371,36 @@ def test_recursion_matches_prop41_at_every_rank_to_n_12(p):
     clear_caches()
 
 
-def _code_tables(ctx, n, Ts):
-    """class_character_tables counted from the enumerated class codes, as
-    a T with an entry off the diagonal is."""
-    W = oracle._exp_weights(ctx, Ts)
-    return oracle._code_counts(ctx.p, oracle._classified(ctx, n), W, 2 * n + 2)
-
-
 def test_diagonal_ts_build_no_class_codes_past_n_2(monkeypatch):
     # from a cold cache, the tables of canonical T with n >= 3 come from
-    # the recursion alone: _classified and _recursed never run, and the
-    # tables equal the count of the codes
+    # the recursion alone: no class code is classified or counted, and
+    # the tables equal the reference's count of the codes
     def refuse(*args, **kwargs):
         raise AssertionError("class codes were built")
 
     for p, n in ((3, 4), (5, 3), (7, 3)):
         ctx = prime_context(p)
         Ts = [canonical_matrix(ctx, c) for c in all_classes(n)]
-        want = _code_tables(ctx, n, Ts)
+        want = reference.code_tables(ctx, n, Ts)
         clear_caches()
         with monkeypatch.context() as mp:
             mp.setattr(oracle, "_classified", refuse)
-            mp.setattr(oracle, "_recursed", refuse)
+            mp.setattr(oracle, "_code_counts", refuse)
             assert np.array_equal(class_character_tables(ctx, Ts), want), (p, n)
-    # a T with an entry off the diagonal, or a diagonal T that is not
-    # canonical, still gets the enumerated codes
+    # so do a T with an entry off the diagonal and a diagonal T that is
+    # not canonical: each reads the canonical T of its class
     ctx5 = prime_context(5)
     dense = ((1, 2, 0), (2, 0, 3), (0, 3, 4))
     for T in (dense, ((2, 0, 0), (0, 1, 0), (0, 0, 0)), ((0, 0, 0), (0, 1, 0), (0, 0, 0))):
-        want = _code_tables(ctx5, 3, [T])
+        want = reference.code_tables(ctx5, 3, [T])
+        c = classify(ctx5, T)
         clear_caches()
         with monkeypatch.context() as mp:
-            classified = _counting_calls(mp, "_classified")
-            recursed = _counting_calls(mp, "_recursed")
+            mp.setattr(oracle, "_classified", refuse)
+            mp.setattr(oracle, "_code_counts", refuse)
             assert np.array_equal(class_character_tables(ctx5, [T]), want)
-        assert 3 in classified and recursed == [3] and oracle._canonical_cache == {}
+        shape = reference.canonical_shape(ctx5, canonical_matrix(ctx5, c))
+        assert (5, *shape) in oracle._canonical_cache and oracle._class_cache == {}
     clear_caches()
 
 
