@@ -263,6 +263,8 @@ def cmd_verify(args) -> int:
         names = list(verify.SUITES)
     else:
         names = [s.strip() for s in args.suites.split(",") if s.strip()]
+        if not names:
+            raise UsageError("--suites must name at least one suite")
         for s in names:
             if s not in verify.SUITES:
                 raise UsageError(f"unknown suite {s!r}")

@@ -20,17 +20,12 @@ Its counts are exact while a cell holds at most 2^63 - 1 matrices; past
 that it is refused with CapExceeded whatever the budget. Every budget
 is charged through one check (_charge).
 
-One primitive histograms a quadratic form v^T M v over every vector of
-F_p^N (_quadratic_histogram): the exponents are built one digit of v
-at a time, each prefix carrying the linear coefficient it gives every
-later digit (_quadratic_exponents), over a low part of at most _CHUNK
-vectors that each high prefix shifts by its own value and a linear
-cross term. Every product of residues is reduced before it is summed,
-so its int64 arithmetic is exact while (p - 1)^2 <= 2^63 - 1, for
-every p that prime_context accepts. The untwisted sums
-(gauss_untwisted_bf) are the histogram of M = 2 (A kron B) on the
-entries of U, and the nonzero scalar targets of rep_star_bf read the
-histogram of X.
+The values of a quadratic form over every vector are counted the same
+way (_vector_counts): T = P^T D P, and v -> P v is a bijection of
+F_p^t with v^T T v = (P v)^T D (P v), so T reads the vector counts V
+of its class's canonical D, in Python integers. The untwisted sums
+(gauss_untwisted_bf) are those of T = A kron B on the entries of U, and
+the nonzero scalar targets of rep_star_bf those of X / 2.
 
 The subspaces of F_p^t rest on one primitive, the row sets (_row_set):
 each row of a reduced-row-echelon basis ranges over its own set of
@@ -40,7 +35,7 @@ products of the row sets, built once per (p, t, ell) and cached
 read-only like the codes. iso_subspaces_bf reads no family: pattern by
 pattern it keeps the isotropic members of each row set and grows
 partial bases one orthogonal row at a time. The lemma 5.1 counts
-(rep_star_bf) come from the vector histogram or from the totally
+(rep_star_bf) come from the vector counts or from the totally
 isotropic subspaces of iso_subspaces_bf; rep_count_bf, the general
 column-by-column count, stays as the reference the tests compare them
 with.
@@ -50,7 +45,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from math import prod
 
 import numpy as np
@@ -230,16 +225,6 @@ def _digit_exponents(p: int, W: np.ndarray) -> np.ndarray:
 _INT64_MAX = np.iinfo(np.int64).max
 
 
-def _low_digits(p: int, K: int) -> int:
-    """How many of K digits form the low part of a histogram pass
-    (_quadratic_histogram): the most whose p^k entries fit _CHUNK, and
-    at least one."""
-    k_low = 1
-    while k_low < K and p ** (k_low + 1) <= _CHUNK:
-        k_low += 1
-    return k_low
-
-
 def _code_counts(p, codes, W, rows):
     """Counts of a cell's class codes by (column t of W, class code,
     sum_k W[k, t] * d_k mod p), d the digits of the code's enumeration
@@ -344,6 +329,23 @@ def _canonical_counts(ctx: PrimeContext, a1: int, a2: int, a0: int):
     return J, V
 
 
+def _class_shape(ctx: PrimeContext, T):
+    """(a1, a2, a0) with T congruent to diag(1^a1, omega^a2, 0^a0), the
+    canonical_matrix of its class (classify)."""
+    c = classify(ctx, T)
+    nonsq = c.disc == NONSQ
+    return c.d - nonsq, int(nonsq), c.n - c.d
+
+
+def _vector_counts(ctx: PrimeContext, T):
+    """V[k], the number of v in F_p^t with 2 v^T T v equal to one given
+    residue of square class k (0, a nonzero square, a nonsquare), for a
+    symmetric T of size t: the V of T's canonical D (_canonical_counts),
+    in Python integers. T = P^T D P, and v -> P v is a bijection of F_p^t
+    with v^T T v = (P v)^T D (P v)."""
+    return _canonical_counts(ctx, *_class_shape(ctx, T))[1]
+
+
 def class_character_tables(ctx: PrimeContext, Ts, budget=None, jobs=None):
     """Counts of symmetric S by (T, class code of S, 2*trace(TS) mod p),
     as an int64 array of shape (len(Ts), 2n + 2, p). Class code
@@ -354,7 +356,7 @@ def class_character_tables(ctx: PrimeContext, Ts, budget=None, jobs=None):
 
     The cell picks the count (_recurses), exact in int64 either way:
     - n >= 3, or n = 2 past _CHUNK matrices: each T is classified
-      (classify) and reads the counts of its class's canonical D =
+      (_class_shape) and reads the counts of its class's canonical D =
       diag(1^a1, omega^a2, 0^a0), as canonical_matrix gives, by (class
       code, square class of 2*trace(DS)), built by recursion on
       dimension (_canonical_counts) with no class code, at each
@@ -381,9 +383,7 @@ def class_character_tables(ctx: PrimeContext, Ts, budget=None, jobs=None):
     if total > _INT64_MAX:
         raise CapExceeded(total, _INT64_MAX, "int64 class table")
     if _recurses(p, n):
-        classes = [classify(ctx, T) for T in Ts]
-        shapes = [(c.d - (c.disc == NONSQ), int(c.disc == NONSQ), n - c.d) for c in classes]
-        states = np.array([_canonical_counts(ctx, *shape)[0] for shape in shapes])
+        states = np.array([_canonical_counts(ctx, *_class_shape(ctx, T))[0] for T in Ts])
         return states[:, :, chi_table(ctx) % 3].astype(np.int64)
     return _code_counts(p, _classified(ctx, n, jobs), _exp_weights(ctx, Ts), 2 * n + 2)
 
@@ -430,81 +430,16 @@ def gauss_twisted_bf(ctx: PrimeContext, T, budget=None) -> CycInt:
     return gauss_restricted_bf(ctx, T, len(T), budget)
 
 
-def _quadratic_exponents(p: int, M: np.ndarray) -> np.ndarray:
-    """v^T M v mod p, M symmetric with int64 residue entries, for every
-    digit string v of length len(M), in enumeration order (first digit
-    most significant).
-
-    Built one digit at a time. The state is the exponent of each prefix
-    and, for each later digit k, the linear coefficient c_k that the
-    prefix gives it. Step m extends every prefix by a digit x: it adds
-    M[m, m] x^2 + c_m x to the exponent and 2 M[m, k] x to each later
-    c_k. Every product of residues is reduced before it is summed, so
-    the int64 arithmetic is exact while (p - 1)^2 <= 2^63 - 1, that is
-    for every p that prime_context accepts. With N = len(M), no array
-    holds more than max(p^N, N (N + 1) p) entries.
-    """
-    N = len(M)
-    x = np.arange(p, dtype=np.int64)
-    # step[m, k] is what digit m adds for each x: 2 M[m, k] x to c_k, and
-    # at k = N, M[m, m] x^2 to the exponent
-    step = np.empty((N, N + 1, p), np.int64)
-    step[:, :N] = np.multiply.outer(2 * M % p, x) % p
-    step[:, N] = np.multiply.outer(M.diagonal(), x * x % p) % p
-    state = np.zeros((N + 1, 1), np.int64)  # rows c_m, ..., c_(N-1), exponent
-    for m in range(N):
-        lin = np.multiply.outer(state[0], x) % p  # c_m x
-        state = state[1:, :, None] + step[m, m + 1 :, None, :]
-        state[-1] += lin
-        state = (state % p).reshape(N - m, -1)
-    return state[0]
-
-
-def _quadratic_histogram(p: int, M: np.ndarray) -> np.ndarray:
-    """Counts of v^T M v mod p over all p^N vectors v of F_p^N, N =
-    len(M), M symmetric with int64 residue entries: an int64 array of
-    length p.
-
-    The digits of v split in two (_low_digits): the low
-    part, at most _CHUNK vectors (a single digit when p alone exceeds
-    it), gets its exponents once (_quadratic_exponents). Each high
-    prefix h then adds its own value h^T M_hh h and the cross term
-    2 h^T M_hl v, a linear form in the low digits (_digit_exponents).
-    The prefix's value and coefficients are reduced Python integers, and
-    _digit_exponents sums more than one product only when p^2 fits
-    _CHUNK, so the counts are exact for every p that prime_context
-    accepts. No array holds more entries than the low part has vectors.
-    """
-    N = len(M)
-    k = max(N - _low_digits(p, N), 0)  # number of high digits (0 when N = 0)
-    low = _quadratic_exponents(p, M[k:, k:])
-    if not k:  # one block holds every vector
-        return np.bincount(low, minlength=p)
-    Mh = M[:k].tolist()
-    hist = np.zeros(p, np.int64)
-    for h in product(range(p), repeat=k):
-        row = [sum(a * Mh[i][j] for i, a in enumerate(h)) % p for j in range(N)]  # h^T M
-        own = sum(a * r for a, r in zip(h, row)) % p  # h^T M_hh h
-        coef = 2 * np.array(row[k:], np.int64) % p  # of each low digit in 2 h^T M_hl v
-        e = low + own
-        if coef.any():
-            e += _digit_exponents(p, coef[:, None])[0]
-        hist += np.bincount(e % p, minlength=p)
-    return hist
-
-
 def gauss_untwisted_bf(ctx: PrimeContext, A, B, budget=None) -> CycInt:
     """Sum of character(trace(^tU A U B)) over all square matrices U.
 
     With the n^2 entries of U in row-major order as a vector u,
-    2 trace(^tU A U B) = u^T M u with M = 2 (A kron B) mod p, so the sum
-    is the Gauss sum of one quadratic form on F_p^(n^2): the histogram
-    of u^T M u over every u (_quadratic_histogram) reduced to the power
-    basis. The exponent of every U is still computed, one digit of U at
-    a time; nothing is diagonalised. The int64 arithmetic reduces every
-    product of residues before summing it, so it is exact while
-    (p - 1)^2 <= 2^63 - 1, for every p that prime_context accepts. The
-    budget charges the p^(n^2) matrices U.
+    trace(^tU A U B) = u^T T u with T = A kron B mod p, so the sum is the
+    Gauss sum of one quadratic form on F_p^(n^2): the counts of
+    2 u^T T u over every u, read from the vector counts of T's class
+    (_vector_counts) at each residue's square class and reduced to the
+    power basis. The counts are Python integers, exact at every size.
+    The budget charges the p^(n^2) matrices U before anything is built.
     """
     A = sym_matrix(ctx, A)
     B = sym_matrix(ctx, B)
@@ -513,8 +448,8 @@ def gauss_untwisted_bf(ctx: PrimeContext, A, B, budget=None) -> CycInt:
     if len(B) != n:
         raise ValueError("A and B must have the same size")
     _charge(budget, p ** (n * n), "matrix enumeration")
-    M = 2 * (np.kron(np.array(A, np.int64), np.array(B, np.int64)) % p) % p
-    return CycInt(p, reduce_exponent_vector(p, _quadratic_histogram(p, M)))
+    T = tuple(tuple(a * b % p for a in ra for b in rb) for ra in A for rb in B)
+    return CycInt(p, reduce_exponent_vector(p, _vector_counts(ctx, T)[chi_table(ctx) % 3]))
 
 
 # representation counts ------------------------------------------------
@@ -861,11 +796,10 @@ def rep_star_bf(ctx: PrimeContext, X, Y, budget=None) -> int:
     """Count the rank-s matrices C with ^tC X C = Y (the primitive
     representations of Y by X) for the two target shapes of lemma 5.1.
 
-    - Y = (a), a != 0: the vectors v with ^tv X v = a, entry a of the
-      histogram of ^tv X v over the p^t vectors (_quadratic_histogram),
-      exact in int64 for every p that prime_context accepts, since
-      every product of residues is reduced before it is summed. The
-      budget charges p^t terms.
+    - Y = (a), a != 0: the vectors v with ^tv X v = a, that is with
+      2 v^T T v = a for T = X / 2: the vector count of T's class at the
+      square class of a (_vector_counts), in Python integers. The
+      budget charges p^t terms before anything is built.
     - Y the s x s zero form: the columns of C are an ordered basis of an
       s-dimensional totally isotropic subspace, and each such subspace
       has |GL_s(F_p)| = prod_{i<s} (p^s - p^i) ordered bases. So the
@@ -886,7 +820,9 @@ def rep_star_bf(ctx: PrimeContext, X, Y, budget=None) -> int:
     if s != 1:
         raise ValueError("target must be a nonzero 1 x 1 form or a zero form")
     _charge(budget, p**t, "vector enumeration")
-    return int(_quadratic_histogram(p, np.array(X, np.int64).reshape(t, t))[Y[0][0]])
+    half = pow(2, -1, p)
+    T = tuple(tuple(x * half % p for x in row) for row in X)
+    return int(_vector_counts(ctx, T)[legendre(ctx, Y[0][0]) % 3])
 
 
 def subspace_census(ctx: PrimeContext, X, ell: int, budget=None) -> dict:

@@ -12,6 +12,9 @@ other cells are classified matrix by matrix (oracle._class_codes). The
 codes are then counted prefix block by prefix block (code_counts), so
 no exponent array holds more than oracle._CHUNK entries.
 
+vector_counts counts the values of a quadratic form over every vector
+directly, the reference for the vector counts of oracle._canonical_counts.
+
 pytest does not collect this module; the test modules import it.
 """
 
@@ -139,12 +142,22 @@ def recursed(ctx, n: int) -> np.ndarray:
     return codes
 
 
+def low_digits(p: int, K: int) -> int:
+    """How many of K digits form the low part of a counting pass
+    (code_counts): the most whose p^k entries fit oracle._CHUNK, and at
+    least one."""
+    k_low = 1
+    while k_low < K and p ** (k_low + 1) <= oracle._CHUNK:
+        k_low += 1
+    return k_low
+
+
 def code_counts(p, codes, W, rows):
     """Counts of a cell's class codes by (column t of W, class code,
     sum_k W[k, t] * d_k mod p), d the digits of the code's enumeration
     index: int64, of shape (W.shape[1], rows, p).
 
-    The low digits (oracle._low_digits) index within one contiguous
+    The low digits (low_digits) index within one contiguous
     block of codes, and each high prefix owns a block. Each block is
     counted by one bincount of code * width + low exponent per column,
     and the prefix's own exponent places the counts: by a slice add
@@ -152,7 +165,7 @@ def code_counts(p, codes, W, rows):
     every residue, so only a block p wide wraps).
     """
     K = len(W)
-    k_low = oracle._low_digits(p, K)
+    k_low = low_digits(p, K)
     low = oracle._digit_exponents(p, W[K - k_low :])
     high = oracle._digit_exponents(p, W[: K - k_low])
     width = int(low.max()) + 1  # every low exponent is below it
@@ -176,3 +189,13 @@ def code_tables(ctx, n, Ts):
     codes of the whole (p, n) cell."""
     W = oracle._exp_weights(ctx, Ts)
     return code_counts(ctx.p, classified(ctx, n), W, 2 * n + 2)
+
+
+def vector_counts(p: int, T) -> np.ndarray:
+    """Counts of 2 v^T T v mod p over every v of F_p^t, t = len(T), from
+    the digit rows of digits_block: int64, of length p, exact while
+    t (p - 1)^2 fits int64."""
+    t = len(T)
+    v = digits_block(p, t, 0, p**t).astype(np.int64)
+    M = 2 * np.array(T, np.int64).reshape(t, t) % p
+    return np.bincount((v @ M % p * v).sum(axis=1) % p, minlength=p)

@@ -583,6 +583,10 @@ def test_verify_usage(capsys):
     assert code == 2
     code, _, err = run(capsys, "verify", "--suites", "scalars", "--primes", "3,3037000507")
     assert code == 2 and "2^63-1" in err
+    # a list with no suite would run nothing and pass
+    for suites in (",", "", " , "):
+        code, out, err = run(capsys, "verify", "--suites", suites)
+        assert code == 2 and out == "" and "--suites" in err
     # a list with no prime would fall back to the suites' own primes
     for primes in (",", "", " , "):
         code, out, err = run(capsys, "verify", "--suites", "scalars", "--primes", primes)

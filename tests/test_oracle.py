@@ -32,7 +32,7 @@ from isogauss import (
 )
 from isogauss import all_classes, counts, orth_order, run_suite
 from isogauss import classify, enumerate_symmetric
-from isogauss import field, formulas, oracle, quadform
+from isogauss import field, formulas, oracle, quadform, verify
 from isogauss.cyclotomic import reduce_exponent_vector
 from isogauss.oracle import _CHUNK, _ranges, clear_caches, rep_star_bf, subspace_census
 from isogauss.quadform import block_diag, digits_block
@@ -925,12 +925,10 @@ def _form_pairs(ctx, n, rng):
     return pairs
 
 
-@pytest.mark.parametrize("chunk", [_CHUNK, 27, 3])
-def test_untwisted_matches_the_matmul_reference(monkeypatch, chunk):
-    # at _CHUNK = 27 and 3 the histogram has high prefixes: (3, 3) keeps
-    # 3 and 1 of its 9 digits low, (5, 2) 2 and 1 of its 4
-    monkeypatch.setattr(oracle, "_CHUNK", chunk)
-    rng = random.Random(chunk)
+@pytest.mark.parametrize("seed", [262144, 27, 3])
+def test_untwisted_matches_the_matmul_reference(seed):
+    # three draws of random congruent pairs, off the diagonal
+    rng = random.Random(seed)
     cells = [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 2), (11, 2)]
     for p, n in cells:
         ctx = prime_context(p)
@@ -955,43 +953,12 @@ def test_untwisted_matches_a_plain_loop():
             assert gauss_untwisted_bf(ctx, A, B) == _untwisted_loop(ctx, A, B), (p, A, B)
 
 
-def _recording_exponents(monkeypatch):
-    """Record the number of digits of every _quadratic_exponents call,
-    and of every _digit_exponents call that it follows."""
-    seen = []
-    for name in ("_quadratic_exponents", "_digit_exponents"):
-        orig = getattr(oracle, name)
-
-        def record(p, M, *args, orig=orig, name=name):
-            seen.append((name, len(M)))
-            return orig(p, M, *args)
-
-        monkeypatch.setattr(oracle, name, record)
-    return seen
-
-
-def test_quadratic_histogram_blocks_fit_the_chunk(ctx3, monkeypatch):
-    # at _CHUNK = 27 no exponent array may pass 27 entries: every call
-    # gets at most 3 of the 9 digits of (3, 3), or of the 5 of F_3^5
-    A = canonical_matrix(ctx3, FormClass(3, 3, NONSQ))
-    B = _congruent(ctx3, canonical_matrix(ctx3, FormClass(3, 2, SQ)), random.Random(3))
-    X = _congruent(ctx3, canonical_matrix(ctx3, FormClass(5, 4, SQ)), random.Random(5))
-    want = _untwisted_matmul(ctx3, A, B), rep_count_bf(ctx3, X, ((2,),), primitive=True)
-    monkeypatch.setattr(oracle, "_CHUNK", 27)
-    seen = _recording_exponents(monkeypatch)
-    assert gauss_untwisted_bf(ctx3, A, B) == want[0]
-    assert ("_quadratic_exponents", 3) in seen
-    assert rep_star_bf(ctx3, X, ((2,),)) == want[1]
-    assert seen and max(k for _, k in seen) <= 3
-
-
-@pytest.mark.parametrize("chunk", [_CHUNK, 9, 2])
-def test_scalar_targets_match_the_column_frontier(monkeypatch, chunk):
+@pytest.mark.parametrize("seed", [262144, 9, 2])
+def test_scalar_targets_match_the_column_frontier(seed):
     # nonzero 1 x 1 targets over forms of every rank, X = 0 included,
-    # with the vector histogram split into high prefixes when chunk is small
-    monkeypatch.setattr(oracle, "_CHUNK", chunk)
-    rng = random.Random(chunk)
-    for p, t_max in ((3, 4), (5, 3), (7, 2)):
+    # each X congruent to its canonical form by a random P
+    rng = random.Random(seed)
+    for p, t_max in ((3, 5), (5, 3), (7, 2)):
         ctx = prime_context(p)
         for t in range(1, t_max + 1):
             for c in all_classes(t):
@@ -1000,6 +967,77 @@ def test_scalar_targets_match_the_column_frontier(monkeypatch, chunk):
                     want = rep_count_bf(ctx, X, ((a,),), primitive=True)
                     assert rep_star_bf(ctx, X, ((a,),)) == want, (p, X, a)
         assert rep_star_bf(ctx, (), ((1,),)) == 0  # the empty form takes only 0
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_untwisted_equals_the_closed_form_to_n_7(p):
+    # T = A kron B has size n^2 = 49 at n = 7, read through its class with
+    # no enumeration: each kind at canonical A and B, then one random
+    # congruent pair per n, off the diagonal from n = 2
+    ctx = prime_context(p)
+    rng = random.Random(p)
+    kinds = list(verify._UNTWISTED_AB.items())
+    for n in range(1, 8):
+        budget = Budget(max_terms=p ** (n * n))
+        pairs = [
+            (which, canonical_matrix(ctx, FormClass(n, n, da)), canonical_matrix(ctx, FormClass(n, n, db)))
+            for which, (da, db) in kinds
+        ]
+        which, (da, db) = rng.choice(kinds)
+        pairs.append(
+            (
+                which,
+                _random_congruent(rng, ctx, FormClass(n, n, da)),
+                _random_congruent(rng, ctx, FormClass(n, n, db)),
+            )
+        )
+        for which, A, B in pairs:
+            want = embed(formulas.untwisted_closed(ctx, n, which), ctx)
+            assert gauss_untwisted_bf(ctx, A, B, budget) == want, (p, n, which, A, B)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_scalar_targets_equal_lemma51_to_size_12(p):
+    # the targets 1 and omega of both nondegenerate forms, past any size
+    # that a vector enumeration could reach (7^12 vectors)
+    ctx = prime_context(p)
+    for size in range(1, 13):
+        budget = Budget(max_terms=p**size)
+        for form, disc in (("I", SQ), ("J", NONSQ)):
+            X = canonical_matrix(ctx, FormClass(size, size, disc))
+            for target, a in (("one", 1), ("omega", ctx.omega)):
+                want = counts.rep_star_lemma51(ctx, form, size, target)
+                assert rep_star_bf(ctx, X, ((a,),), budget) == want, (p, size, form, target)
+
+
+def test_vector_counts_are_charged_first(monkeypatch, refuse_o_p_tables):
+    # at p = 2147483659 the p vectors of F_p, and the p matrices U of
+    # size 1, pass the default budget: both charges raise before any
+    # O(p) table or canonical state is built
+    monkeypatch.delenv("ISOGAUSS_MAX_TERMS", raising=False)
+    ctx = prime_context(2147483659)
+    clear_caches()
+    for call, what in (
+        (lambda: gauss_untwisted_bf(ctx, ((1,),), ((1,),)), "matrix enumeration"),
+        (lambda: rep_star_bf(ctx, ((1,),), ((1,),)), "vector enumeration"),
+    ):
+        with pytest.raises(BudgetExceeded) as e:
+            call()
+        assert str(e.value) == f"{what} needs 2147483659 terms, budget is 20000000"
+    assert oracle._canonical_cache == {}
+
+
+@pytest.mark.parametrize("p", [46337, 46349])
+def test_scalar_targets_match_a_plain_count_at_large_p(p):
+    # t = 1 on both sides of the int32 product boundary: the count of
+    # x X x = a over every x in F_p
+    ctx = prime_context(p)
+    rng = random.Random(p)
+    x = np.arange(p, dtype=np.int64)
+    for X in (1, ctx.omega, rng.randrange(1, p)):
+        q = x * x % p * X % p
+        for a in (1, ctx.omega, p - 1, rng.randrange(1, p)):
+            assert rep_star_bf(ctx, ((X,),), ((a,),)) == int(np.count_nonzero(q == a)), (X, a)
 
 
 @pytest.mark.parametrize("p, t_max", [(3, 5), (5, 4)])
@@ -1216,9 +1254,9 @@ def test_canonical_counts_equal_the_count_of_the_codes():
     # on every default-grid cell, n = 1 and 2 included, the recursion's
     # counts of each canonical T, called directly, equal the table counted
     # from the enumerated class codes, which the tests above check against
-    # direct and scalar classification; its vector counts V equal the
-    # histogram of 2 v^T T v. p = 3 and 7 have chi(-1) = -1, where the
-    # hyperbolic case flips the class
+    # direct and scalar classification; its vector counts V equal a
+    # plain count of 2 v^T T v over every v. p = 3 and 7 have
+    # chi(-1) = -1, where the hyperbolic case flips the class
     clear_caches()
     for p, n in _GRID:
         ctx = prime_context(p)
@@ -1227,8 +1265,7 @@ def test_canonical_counts_equal_the_count_of_the_codes():
             J, V = oracle._canonical_counts(ctx, *reference.canonical_shape(ctx, T))
             assert J.shape == (2 * n + 2, 3) and V.shape == (3,)
             assert np.array_equal(_expanded(ctx, J), want), (p, n, T)
-            vectors = oracle._quadratic_histogram(p, 2 * np.array(T, np.int64) % p)
-            assert np.array_equal(_expanded(ctx, V[None])[0], vectors), (p, n, T)
+            assert np.array_equal(_expanded(ctx, V[None])[0], reference.vector_counts(p, T)), (p, n, T)
     clear_caches()
     reference.clear()
 
