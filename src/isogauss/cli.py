@@ -4,6 +4,14 @@ Three subcommands: eval (one value, with oracle cross-check), table
 (closed-form values over classes), verify (identity suites). Exit
 codes: 0 success or oracle-skipped, 1 mismatch, 2 usage error. JSON
 output carries big integers as decimal strings.
+
+Each subcommand and its options are declared once, in _COMMANDS. A
+plain command line (a known subcommand, then exact --option value
+pairs and store_true flags whose values pass their type and choices,
+every required option present) is read from that table by _plain_args
+and builds no parser. Every other command line falls back to argparse
+(build_parser, from the same table), which prints the help and every
+parse error as it always has.
 """
 
 import argparse
@@ -153,6 +161,11 @@ def cmd_eval(args) -> int:
     budget = _budget(args)
     _check_jobs(args)  # no pool: a large cell classifies only T, a small one serially
     if args.matrix is not None:
+        # the matrix fixes its class: a class option beside it would go unread
+        given = (("--n", args.n), ("--rank", args.rank), ("--disc", args.disc))
+        extra = [flag for flag, value in given if value is not None]
+        if extra:
+            raise UsageError(f"--matrix takes no {', '.join(extra)}")
         mat = _parse_matrix(ctx, args.matrix)
         cls = classify(ctx, mat)
     else:
@@ -160,9 +173,10 @@ def cmd_eval(args) -> int:
             raise UsageError("need --matrix or both --n and --rank")
         if args.n < 1 or not 0 <= args.rank <= args.n:
             raise UsageError("need n >= 1 and 0 <= rank <= n")
-        if args.rank == 0 and args.disc == NONSQ:
+        disc = SQ if args.disc is None else args.disc
+        if args.rank == 0 and disc == NONSQ:
             raise UsageError("rank 0 has no nonsquare class")
-        cls = FormClass(args.n, args.rank, args.disc)
+        cls = FormClass(args.n, args.rank, disc)
         mat = canonical_matrix(ctx, cls)
     r = args.restrict
     if r is not None and not 0 <= r <= cls.n:
@@ -258,6 +272,12 @@ def _inst_str(inst):
     return " ".join(f"{k}={v}" for k, v in inst.items())
 
 
+def _check_distinct(option, entries):
+    for i, e in enumerate(entries):
+        if e in entries[:i]:
+            raise UsageError(f"{option} names {e!r} twice")
+
+
 def cmd_verify(args) -> int:
     if args.suites == "all":
         names = list(verify.SUITES)
@@ -268,6 +288,7 @@ def cmd_verify(args) -> int:
         for s in names:
             if s not in verify.SUITES:
                 raise UsageError(f"unknown suite {s!r}")
+        _check_distinct("--suites", names)
     primes = None
     if args.primes is not None:
         try:
@@ -276,6 +297,7 @@ def cmd_verify(args) -> int:
             raise UsageError("--primes must be a comma-separated integer list")
         if not primes:
             raise UsageError("--primes must list at least one prime")
+        _check_distinct("--primes", primes)
         for p in primes:
             _context(p)
     if args.max_n is not None and args.max_n < 0:
@@ -316,40 +338,59 @@ def cmd_verify(args) -> int:
     return 0 if failed == 0 else 1
 
 
+# each subcommand declared once: (help line, handler, (flag, argparse
+# keyword arguments) pairs). build_parser and _plain_args both read it
+_COMMANDS = {
+    "eval": (
+        "evaluate one class, cross-check the oracle",
+        cmd_eval,
+        (
+            ("--p", {"type": int, "required": True}),
+            ("--matrix", {"type": str, "help": "symmetric matrix as JSON rows"}),
+            ("--n", {"type": int}),
+            ("--rank", {"type": int}),
+            ("--disc", {"choices": (SQ, NONSQ), "default": None}),
+            ("--restrict", {"type": int, "default": None}),
+            ("--max-terms", {"type": int, "default": None}),
+            ("--jobs", {"type": int, "default": None}),
+        ),
+    ),
+    "table": (
+        "closed-form values over all classes",
+        cmd_table,
+        (
+            ("--p", {"type": int, "required": True}),
+            ("--max-n", {"type": int, "required": True}),
+            ("--format", {"choices": ("json", "csv", "text"), "default": "text"}),
+            ("--restrict-all", {"action": "store_true"}),
+        ),
+    ),
+    "verify": (
+        "run identity suites",
+        cmd_verify,
+        (
+            ("--suites", {"type": str, "default": "all"}),
+            ("--primes", {"type": str, "default": None}),
+            ("--max-n", {"type": int, "default": None}),
+            ("--format", {"choices": ("json", "csv", "text"), "default": "text"}),
+            ("--max-terms", {"type": int, "default": None}),
+            ("--jobs", {"type": int, "default": None}),
+        ),
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="isogauss",
         description="Exact twisted Gauss sums of symmetric matrix arguments",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    pe = sub.add_parser("eval", help="evaluate one class, cross-check the oracle")
-    pe.add_argument("--p", type=int, required=True)
-    pe.add_argument("--matrix", type=str, help="symmetric matrix as JSON rows")
-    pe.add_argument("--n", type=int)
-    pe.add_argument("--rank", type=int)
-    pe.add_argument("--disc", choices=(SQ, NONSQ), default=SQ)
-    pe.add_argument("--restrict", type=int, default=None)
-    pe.add_argument("--max-terms", type=int, default=None)
-    pe.add_argument("--jobs", type=int, default=None)
-    pe.set_defaults(func=cmd_eval)
-
-    pt = sub.add_parser("table", help="closed-form values over all classes")
-    pt.add_argument("--p", type=int, required=True)
-    pt.add_argument("--max-n", type=int, required=True)
-    pt.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    pt.add_argument("--restrict-all", action="store_true")
-    pt.set_defaults(func=cmd_table)
-
-    pv = sub.add_parser("verify", help="run identity suites")
-    pv.add_argument("--suites", type=str, default="all")
-    pv.add_argument("--primes", type=str, default=None)
-    pv.add_argument("--max-n", type=int, default=None)
-    pv.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    pv.add_argument("--max-terms", type=int, default=None)
-    pv.add_argument("--jobs", type=int, default=None)
-    pv.set_defaults(func=cmd_verify)
-
+    for name, (help_line, handler, options) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_line)
+        for flag, kwargs in options:
+            sp.add_argument(flag, **kwargs)
+        sp.set_defaults(func=handler)
     return parser
 
 
@@ -359,8 +400,55 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _plain_args(argv):
+    """The argparse.Namespace that _parser().parse_args(argv) returns,
+    read from _COMMANDS without building or running argparse, for a
+    plain command line: a known command, then exact --option value pairs
+    and store_true flags. Each value goes through its option's type and
+    choices, the last repeat of an option wins and every required option
+    must be present. Anything else returns None and is left to argparse,
+    which prints the help or the error: no command or an unknown one, an
+    unknown option, -h or --help, an abbreviation, --option=value, a
+    missing value or one that starts with "-", a value that fails its
+    type or choices, a missing required option."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, handler, options = _COMMANDS[argv[0]]
+    spec = dict(options)
+    given = {}
+    rest = iter(argv[1:])
+    for flag in rest:
+        kwargs = spec.get(flag)
+        if kwargs is None:
+            return None
+        if kwargs.get("action") == "store_true":
+            given[flag] = True
+            continue
+        text = next(rest, None)
+        if text is None or text.startswith("-"):
+            return None
+        convert = kwargs.get("type")
+        try:
+            value = text if convert is None else convert(text)
+        except (TypeError, ValueError):
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        given[flag] = value
+    values = {"cmd": argv[0]}
+    for flag, kwargs in options:
+        if flag not in given and kwargs.get("required"):
+            return None
+        flag_default = False if kwargs.get("action") == "store_true" else None
+        values[flag[2:].replace("-", "_")] = given.get(flag, kwargs.get("default", flag_default))
+    return argparse.Namespace(func=handler, **values)
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # a plain command line builds no parser; argparse reads the rest
+    args = _plain_args(argv) or _parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as e:

@@ -23,7 +23,8 @@ is charged through one check (_charge).
 The values of a quadratic form over every vector are counted the same
 way (_vector_counts): T = P^T D P, and v -> P v is a bijection of
 F_p^t with v^T T v = (P v)^T D (P v), so T reads the vector counts V
-of its class's canonical D, in Python integers. The untwisted sums
+of its class's canonical D, in Python integers, from their own cached
+recursion (_canonical_vectors), which builds no J. The untwisted sums
 (gauss_untwisted_bf) are those of T = A kron B on the entries of U, and
 the nonzero scalar targets of rep_star_bf those of X / 2.
 
@@ -200,6 +201,7 @@ def _classified(ctx: PrimeContext, n: int, jobs=None) -> np.ndarray:
 def clear_caches():
     _class_cache.clear()
     _canonical_cache.clear()
+    _vector_cache.clear()
     _class_sums.cache_clear()
     _family_cache.clear()
     _iso_memo.clear()
@@ -265,7 +267,7 @@ def _canonical_counts(ctx: PrimeContext, a1: int, a2: int, a0: int):
     """(J, V) for T = diag(1^a1, omega^a2, 0^a0), n = a1 + a2 + a0, as
     object arrays of Python integers, by recursion on n; each shape is
     built once and cached read-only, with every shape it recursed
-    through.
+    through. V comes from its own recursion (_canonical_vectors).
 
     J[c, k] counts the symmetric S of class code c with 2*trace(TS)
     equal to one given residue of square class k (0, a nonzero square,
@@ -299,15 +301,14 @@ def _canonical_counts(ctx: PrimeContext, a1: int, a2: int, a0: int):
     if state is not None:
         return state
     p, n = ctx.p, a1 + a2 + a0
+    V = _canonical_vectors(ctx, a1, a2, a0)
     if not n:  # the empty matrix: rank 0, trace 0
-        J, V = np.array([[1, 0, 0], [0, 0, 0]], object), np.array([1, 0, 0], object)
+        J = np.array([[1, 0, 0], [0, 0, 0]], object)
     else:
-        t1 = 1 if a1 else ctx.omega if a2 else 0
-        sub = (max(a1 - 1, 0), a2 - (t1 == ctx.omega), a0 - (t1 == 0))  # T'
+        t1, sub, cls = _first_entry(ctx, a1, a2, a0)
         m, m_zeros = n - 1, sub[2]
-        sub_J, sub_V = _canonical_counts(ctx, *sub)
+        sub_J, sub_V = _canonical_counts(ctx, *sub)[0], _canonical_vectors(ctx, *sub)
         A = _class_sums(ctx)
-        cls = legendre(ctx, 2 * t1) % 3  # of 2 t1 x^2, x != 0
         J = np.zeros((2 * n + 2, 3), object)
         J[: 2 * n] = sub_J
         for sign in (1, -1):
@@ -321,12 +322,44 @@ def _canonical_counts(ctx: PrimeContext, a1: int, a2: int, a0: int):
             if m_zeros:  # T'' = T' with one zero fewer
                 H = H + p**m * (p**m_zeros - 1) * _canonical_counts(ctx, *sub[:2], m_zeros - 1)[0]
             J[(np.arange(2 * m) + 4) ^ (ctx.epsilon == -1)] += H
-        # 2 t1 x^2 takes 0 once and each residue of its class twice
-        v = np.array([1, 2 * (cls == 1), 2 * (cls == 2)] if t1 else [p, 0, 0], object)
-        V = (A @ v) @ sub_V
-    J.flags.writeable = V.flags.writeable = False  # shared by every later caller
+    J.flags.writeable = False  # shared by every later caller
     _canonical_cache[key] = J, V
     return J, V
+
+
+def _first_entry(ctx: PrimeContext, a1: int, a2: int, a0: int):
+    """(t1, the shape of T', the square class of 2 t1 x^2 for x != 0):
+    t1 the first diagonal entry of T = diag(1^a1, omega^a2, 0^a0), n >= 1,
+    and T' the rest."""
+    t1 = 1 if a1 else ctx.omega if a2 else 0
+    sub = (max(a1 - 1, 0), a2 - (t1 == ctx.omega), a0 - (t1 == 0))
+    return t1, sub, legendre(ctx, 2 * t1) % 3
+
+
+# the vector counts V of each canonical T, cached read-only per
+# (p, a1, a2, a0) apart from _canonical_cache: V needs no J
+_vector_cache: dict = {}
+
+
+def _canonical_vectors(ctx: PrimeContext, a1: int, a2: int, a0: int):
+    """V of _canonical_counts for T = diag(1^a1, omega^a2, 0^a0), by its
+    own recursion on n: v = (x, v') gives 2 v^T T v = 2 t1 x^2 +
+    2 v'^T T' v', so V_T is the values of 2 t1 x^2 convolved with V_T'.
+    Each shape is built once and cached read-only; no J table is built."""
+    key = (ctx.p, a1, a2, a0)
+    V = _vector_cache.get(key)
+    if V is not None:
+        return V
+    if not a1 + a2 + a0:  # the empty vector: 2 v^T T v = 0
+        V = np.array([1, 0, 0], object)
+    else:
+        t1, sub, cls = _first_entry(ctx, a1, a2, a0)
+        # 2 t1 x^2 takes 0 once and each residue of its class twice
+        v = np.array([1, 2 * (cls == 1), 2 * (cls == 2)] if t1 else [ctx.p, 0, 0], object)
+        V = (_class_sums(ctx) @ v) @ _canonical_vectors(ctx, *sub)
+    V.flags.writeable = False  # shared by every later caller
+    _vector_cache[key] = V
+    return V
 
 
 def _class_shape(ctx: PrimeContext, T):
@@ -340,10 +373,10 @@ def _class_shape(ctx: PrimeContext, T):
 def _vector_counts(ctx: PrimeContext, T):
     """V[k], the number of v in F_p^t with 2 v^T T v equal to one given
     residue of square class k (0, a nonzero square, a nonsquare), for a
-    symmetric T of size t: the V of T's canonical D (_canonical_counts),
+    symmetric T of size t: the V of T's canonical D (_canonical_vectors),
     in Python integers. T = P^T D P, and v -> P v is a bijection of F_p^t
     with v^T T v = (P v)^T D (P v)."""
-    return _canonical_counts(ctx, *_class_shape(ctx, T))[1]
+    return _canonical_vectors(ctx, *_class_shape(ctx, T))
 
 
 def class_character_tables(ctx: PrimeContext, Ts, budget=None, jobs=None):

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -110,6 +111,12 @@ def test_eval_usage_errors(capsys):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("error:")
+    # the matrix fixes the class: a class option beside it would go unread
+    for extra in (("--n", "5"), ("--rank", "9"), ("--disc", "nonsq"), ("--disc", "sq")):
+        code, out, err = run(capsys, "eval", "--p", "3", "--matrix", "[[1]]", *extra)
+        assert code == 2 and out == "" and err == f"error: --matrix takes no {extra[0]}\n"
+    code, _, err = run(capsys, "eval", "--p", "3", "--matrix", "[[1]]", "--n", "5", "--rank", "9")
+    assert code == 2 and err == "error: --matrix takes no --n, --rank\n"
 
 
 def test_eval_budget_skip(capsys):
@@ -591,6 +598,14 @@ def test_verify_usage(capsys):
     for primes in (",", "", " , "):
         code, out, err = run(capsys, "verify", "--suites", "scalars", "--primes", primes)
         assert code == 2 and out == "" and "--primes" in err
+    # a suite or a prime named twice would run twice
+    code, out, err = run(capsys, "verify", "--suites", "thm11,thm11", "--primes", "3")
+    assert code == 2 and out == "" and err == "error: --suites names 'thm11' twice\n"
+    code, out, err = run(capsys, "verify", "--suites", "thm11, scalars,thm11 ", "--primes", "3")
+    assert code == 2 and out == "" and "'thm11'" in err
+    for primes in ("3,3,5", "3,5,3", "3,03"):
+        code, out, err = run(capsys, "verify", "--suites", "thm11", "--primes", primes)
+        assert code == 2 and out == "" and err == "error: --primes names 3 twice\n"
     code, out, err = run(capsys, "verify", "--suites", "scalars", "--primes", "3", "--max-n", "-1")
     assert code == 2 and out == "" and "--max-n" in err
     # --jobs reaches no suite, but it is still checked
@@ -656,12 +671,117 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
             assert code == 0 and out.splitlines()[0] == "p,n,d,disc,r,a,b"
         code, _, err = run(capsys, "table", "--p", "3", "--max-n", "0")
         assert code == 2 and err.startswith("error:")
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["eval", "--p", "3", "--disc", "nope"])
-        assert exc.value.code == 2
+        code, _, _ = run(capsys, *_PERFBENCH_VERIFY[:-4], "--max-n", "1")
+        assert code == 0
+        # a plain command line, well formed or refused by its handler,
+        # builds no parser
+        assert built == []
+        for argv in (["eval", "--p", "3", "--disc", "nope"], ["eval", "--p", "x"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+        code, _, _ = run(capsys, "table", "--p=3", "--max-n", "1")
+        assert code == 0
     finally:
         cli._parser.cache_clear()
     assert built == [1]
+
+
+# lines of the shapes perfbench's two workloads send
+_PERFBENCH_VERIFY = [
+    "verify",
+    "--suites", "thm11,prop41,zero_forms,lemma51,lemma52,lemma54,cor12,scalars,untwisted",
+    "--primes", "3,5", "--max-n", "4", "--jobs", "2", "--format", "json",
+]
+_PERFBENCH_EVALS = [
+    ["eval", "--p", "100003", "--n", "12", "--rank", "7", "--disc", "nonsq",
+     "--restrict", "3", "--jobs", "2", "--max-terms", "1000000"],
+    ["eval", "--p", "13", "--matrix", "[[4, 2, 0], [2, 1, 0], [0, 0, 0]]",
+     "--jobs", "2", "--max-terms", "1000000"],
+]
+_PLAIN_LINES = [
+    _PERFBENCH_VERIFY,
+    *_PERFBENCH_EVALS,
+    # every option of each command
+    ["eval", "--p", "5", "--n", "3", "--rank", "2", "--disc", "sq", "--restrict", "1",
+     "--max-terms", "100", "--jobs", "1", "--matrix", "[[1]]"],
+    ["table", "--p", "3", "--max-n", "2", "--format", "csv", "--restrict-all"],
+    ["verify", "--suites", "scalars", "--primes", "3", "--max-n", "1", "--format", "text",
+     "--max-terms", "50", "--jobs", "1"],
+    # only the required options, in another order
+    ["eval", "--p", "3"],
+    ["table", "--max-n", "1", "--p", "5"],
+    ["verify"],
+    # repeats: the last wins
+    ["eval", "--p", "3", "--p", "5", "--n", "1", "--n", "2", "--disc", "nonsq", "--disc", "sq"],
+    ["table", "--restrict-all", "--p", "3", "--restrict-all", "--max-n", "1", "--max-n", "2"],
+    ["verify", "--format", "json", "--format", "csv", "--primes", "3", "--primes", "5,7"],
+    # values as int() and argparse read them
+    ["eval", "--p", " 3", "--matrix", ""],
+    ["eval", "--p", "3", "--matrix", "[[1, -1], [-1, 0]]", "--restrict", "1_0"],
+    ["verify", "--suites", "", "--primes", " , "],
+]
+
+
+def _typed(ns):
+    return {k: (type(v), v) for k, v in vars(ns).items()}
+
+
+@pytest.mark.parametrize("argv", _PLAIN_LINES)
+def test_plain_args_equal_argparse(argv):
+    plain = cli._plain_args(argv)
+    assert plain is not None
+    assert _typed(plain) == _typed(cli._parser().parse_args(argv))
+
+
+# left to argparse: (line, the plain line it parses to, or None if
+# argparse refuses it)
+_FALLBACK_LINES = [
+    ([], None),
+    (["frobnicate"], None),
+    (["--help"], None),
+    (["eval", "-h"], None),
+    (["table", "--p", "3", "--max-n", "1", "--help"], None),
+    (["eval", "--p", "3", "--bogus", "1"], None),
+    (["eval", "--p", "3", "stray"], None),
+    (["table", "--p", "3", "--max-n", "1", "--restrict-all", "x"], None),
+    (["verify", "--max", "1"], None),
+    (["eval", "--p"], None),
+    (["eval", "--p", "3", "--n"], None),
+    (["eval", "--p", "3", "--n", "--rank", "1"], None),
+    (["eval", "--p", "x"], None),
+    (["eval", "--p", "3", "--disc", "nope"], None),
+    (["table", "--p", "3", "--max-n", "1", "--format", "yaml"], None),
+    (["eval", "--n", "1", "--rank", "1"], None),
+    (["table", "--p", "3"], None),
+    (["eval", "--p", "3", "--n", "1", "--rank", "1", "--restrict-all"], None),
+    # argparse reads these; the plain parse does not
+    (["table", "--p=3", "--max-n=1"], ["table", "--p", "3", "--max-n", "1"]),
+    (["table", "--p", "3", "--max-n", "1", "--restrict"],
+     ["table", "--p", "3", "--max-n", "1", "--restrict-all"]),
+    (["verify", "--suites", "scalars", "--prim", "3", "--form", "text"],
+     ["verify", "--suites", "scalars", "--primes", "3", "--format", "text"]),
+    (["verify", "--suites", "scalars", "--primes", "3", "--max-n", "-1"], None),
+    (["verify", "--suites", "scalars", "--primes", "3", "--", "--max-n", "1"], None),
+]
+
+
+@pytest.mark.parametrize("argv, plain", _FALLBACK_LINES)
+def test_plain_args_leave_the_rest_to_argparse(monkeypatch, argv, plain):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli._plain_args(argv) is None
+    parsed = _outcome(lambda: cli._parser().parse_args(argv))
+    code, out, err = _outcome(lambda: cli.main(argv))
+    if isinstance(parsed[0], argparse.Namespace):
+        # argparse reads the line: main runs it as it runs the plain one
+        if plain is not None:
+            assert _typed(parsed[0]) == _typed(cli._plain_args(plain))
+            assert (code, out, err) == _outcome(lambda: cli.main(plain))
+        else:  # a negative --max-n
+            assert code == 2 and out == "" and "--max-n" in err
+    else:
+        assert plain is None and parsed == (code, out, err)
+        assert code in (0, 2) and (code == 0) == ("-h" in argv or "--help" in argv)
 
 
 def _int_str_limit_error(err):
@@ -698,3 +818,85 @@ def test_eval_past_the_int64_cap_skips_its_oracle(capsys):
     )
     code, out, _ = run(capsys, "eval", "--p", "3", "--n", "8", "--rank", "8", *lifted)
     assert code == 0 and json.loads(out)["match"] is True
+
+
+# what argparse prints, pinned at a terminal 80 columns wide before the
+# plain parse (cli._plain_args) existed: the sha256 of each --help, and
+# the exit code and stderr of its errors
+_HELP_PINS = {
+    (): "80cd648bc8ee5c654d17a537121b032d0fa4562b23b04543c2a9de814c8ab40d",
+    ("eval",): "c8ac3a42559b29c2d07f0734fad6db1915525c5db0550c5b5456c4c2416f9245",
+    ("table",): "c5416428202977b4ba3d11a2c881419e2d6632ebb71d29bcc6543f0ec7d48548",
+    ("verify",): "c0690910194ba4a485038cd591d9e5e42b31ced177e251c321519e63a8f862fd",
+}
+
+_TOP_USAGE = "usage: isogauss [-h] {eval,table,verify} ...\n"
+_EVAL_USAGE = (
+    "usage: isogauss eval [-h] --p P [--matrix MATRIX] [--n N] [--rank RANK]\n"
+    "                     [--disc {sq,nonsq}] [--restrict RESTRICT]\n"
+    "                     [--max-terms MAX_TERMS] [--jobs JOBS]\n"
+)
+_VERIFY_USAGE = (
+    "usage: isogauss verify [-h] [--suites SUITES] [--primes PRIMES]\n"
+    "                       [--max-n MAX_N] [--format {json,csv,text}]\n"
+    "                       [--max-terms MAX_TERMS] [--jobs JOBS]\n"
+)
+_ERROR_PINS = [
+    ((), _TOP_USAGE + "isogauss: error: the following arguments are required: cmd\n"),
+    (
+        ("eval", "--n", "1"),
+        _EVAL_USAGE + "isogauss eval: error: the following arguments are required: --p\n",
+    ),
+    (
+        ("eval", "--p", "x"),
+        _EVAL_USAGE + "isogauss eval: error: argument --p: invalid int value: 'x'\n",
+    ),
+    (
+        ("eval", "--p", "3", "--disc", "nope"),
+        _EVAL_USAGE + "isogauss eval: error: argument --disc: invalid choice: 'nope' "
+        "(choose from 'sq', 'nonsq')\n",
+    ),
+    (
+        ("table", "--p", "3", "--max-n", "1", "--bogus"),
+        _TOP_USAGE + "isogauss: error: unrecognized arguments: --bogus\n",
+    ),
+    (
+        ("verify", "--max", "1"),
+        _VERIFY_USAGE + "isogauss verify: error: ambiguous option: --max could match "
+        "--max-n, --max-terms\n",
+    ),
+    (
+        ("frobnicate",),
+        _TOP_USAGE + "isogauss: error: argument cmd: invalid choice: 'frobnicate' "
+        "(choose from 'eval', 'table', 'verify')\n",
+    ),
+    (
+        ("eval", "--p"),
+        _EVAL_USAGE + "isogauss eval: error: argument --p: expected one argument\n",
+    ),
+]
+
+
+def _outcome(call):
+    """(exit code, stdout, stderr) of call(), which returns or exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call()
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("cmd", sorted(_HELP_PINS))
+def test_help_is_pinned(monkeypatch, cmd):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = _outcome(lambda: cli.main([*cmd, "--help"]))
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == _HELP_PINS[cmd]
+
+
+@pytest.mark.parametrize("argv, err", _ERROR_PINS)
+def test_argparse_errors_are_pinned(monkeypatch, argv, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _outcome(lambda: cli.main(list(argv))) == (2, "", err)
