@@ -23,7 +23,7 @@ import numpy as np
 
 from . import formulas, oracle, verify
 from .cyclotomic import g_star_shape, g_star_values
-from .field import CACHED_PRIMES, prime_context
+from .field import prime_cache, prime_context
 from .oracle import Budget, BudgetExceeded
 from .quadform import NONSQ, SQ, FormClass, all_classes, canonical_matrix, classify, sym_matrix
 
@@ -90,7 +90,7 @@ def _parse_matrix(ctx, text):
         raise UsageError(str(e))
 
 
-@lru_cache(maxsize=CACHED_PRIMES)
+@prime_cache
 def _zero_gaps(ctx):
     """(lead, gaps, trail): the JSON text around the rest items of an
     irrational value's embedding list (rest != 0), whose items are first
@@ -108,7 +108,7 @@ def _zero_gaps(ctx):
     return lead, tuple(texts.take(which).tolist()), trail
 
 
-@lru_cache(maxsize=CACHED_PRIMES)
+@prime_cache
 def _zero_tail(ctx):
     """The JSON text after first in a rational value's embedding list
     (rest = 0): "0" on each of zeta^1..zeta^(p-2), then the closing

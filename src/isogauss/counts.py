@@ -9,46 +9,18 @@ ArithmeticError on a nonzero remainder: that means a formula was
 applied outside its domain, not a rounding problem.
 
 qfunc, rep_star_lemma51, orth_order and iso_count are memoized per
-prime (per_prime_memo), as is formulas._even_restricted: a value is
-a function of the context and a few small arguments, and the formulas
-ask for the same ones many times over.
+prime (field.prime_cache, at most MEMO_SIZE entries over all primes),
+as is formulas._even_restricted: a value is a function of the context
+and a few small arguments, and the formulas ask for the same ones many
+times over. No oracle reads these memos.
 """
 
-from functools import lru_cache, wraps
-
-from .field import PrimeContext
+from .field import PrimeContext, prime_cache
 from .quadform import SQ, NONSQ, FormClass
 
 _KINDS = ("mu", "delta", "mudelta", "beta", "nu", "gamma")
 # entries each per-prime memo keeps, over all primes
 MEMO_SIZE = 1 << 13
-
-
-def per_prime_memo(fn):
-    """fn behind a bounded lru_cache keyed on all of its arguments, the
-    PrimeContext first (a context hashes in O(1)).
-
-    For closed forms only: no oracle reads a memo. A call with an
-    unhashable argument bypasses the cache, so fn raises the error it
-    raises without one. The result keeps lru_cache's cache_info and
-    cache_clear, and fn as __wrapped__.
-    """
-    cached = lru_cache(maxsize=MEMO_SIZE, typed=True)(fn)
-
-    @wraps(fn)
-    def memo(*args, **kwargs):
-        try:
-            return cached(*args, **kwargs)
-        except TypeError:
-            try:
-                hash((args, tuple(kwargs.values())))
-            except TypeError:
-                return fn(*args, **kwargs)
-            raise
-
-    memo.cache_info = cached.cache_info
-    memo.cache_clear = cached.cache_clear
-    return memo
 
 
 def exact_div(num, den: int, what: str, *args) -> int:
@@ -106,7 +78,7 @@ def frames(p: int, t: int, j: int) -> int:
     return out
 
 
-@per_prime_memo
+@prime_cache(entries=MEMO_SIZE)
 def qfunc(ctx: PrimeContext, kind: str, t: int, s: int) -> int:
     """The six product functions.
 
@@ -136,7 +108,7 @@ def qfunc(ctx: PrimeContext, kind: str, t: int, s: int) -> int:
     return _nu(p, t, s)
 
 
-@per_prime_memo
+@prime_cache(entries=MEMO_SIZE)
 def rep_star_lemma51(ctx: PrimeContext, form: str, size: int, target) -> int:
     """Primitive representation numbers of nondegenerate forms.
 
@@ -176,7 +148,7 @@ def rep_star_lemma51(ctx: PrimeContext, form: str, size: int, target) -> int:
     raise ValueError(f"unsupported target {target!r}")
 
 
-@per_prime_memo
+@prime_cache(entries=MEMO_SIZE)
 def orth_order(ctx: PrimeContext, c: FormClass) -> int:
     """Order of the orthogonal group of the class representative.
 
@@ -210,7 +182,7 @@ def orbit_size(ctx: PrimeContext, c: FormClass) -> int:
     return exact_div(qfunc(ctx, "nu", c.n, 0), orth_order(ctx, c), "orbit size of {}", c)
 
 
-@per_prime_memo
+@prime_cache(entries=MEMO_SIZE)
 def iso_count(ctx: PrimeContext, c: FormClass, j: int) -> int:
     """Number of j-dimensional totally isotropic subspaces of the class.
 

@@ -11,14 +11,13 @@ use that convention on both the closed-form and oracle sides.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import repeat
 from operator import mul
 from typing import Tuple
 
 import numpy as np
 
-from .field import CACHED_PRIMES, PrimeContext, chi_table, legendre
+from .field import PrimeContext, chi_table, legendre, prime_cache
 
 
 @dataclass(frozen=True)
@@ -141,18 +140,17 @@ def g_star_values(ctx: PrimeContext) -> Tuple[int, int]:
     return g0, 2 * g0
 
 
-@lru_cache(maxsize=CACHED_PRIMES)
+@prime_cache
 def g_star_shape(ctx: PrimeContext):
     """(g0, c, mask) with g* = g0 + c * (sum of zeta^e over the e in
     1..p-2 with mask[e-1]); see g_star_values. mask is a read-only bool
     array, built once per prime from the chi table: chi(2e) != chi(-2)
     exactly when chi(e) != chi(-1) = epsilon."""
     mask = chi_table(ctx)[1 : ctx.p - 1] != ctx.epsilon
-    mask.flags.writeable = False
     return (*g_star_values(ctx), mask)
 
 
-@lru_cache(maxsize=CACHED_PRIMES)
+@prime_cache
 def g_star_one(ctx: PrimeContext) -> CycInt:
     """The scalar twisted sum: sum over s != 0 of chi(s) * zeta^(2s).
 

@@ -26,7 +26,7 @@ from .cyclotomic import (
     quad_mul,
     quad_pow,
 )
-from .field import PrimeContext
+from .field import PrimeContext, prime_cache
 from .quadform import (
     NONSQ,
     SQ,
@@ -131,7 +131,7 @@ def _rep_star_zeros(ctx: PrimeContext, c: FormClass, want: int) -> int:
     return counts.qfunc(ctx, "nu", want, 0) * counts.iso_count(ctx, c, want)
 
 
-@counts.per_prime_memo
+@prime_cache(entries=counts.MEMO_SIZE)
 def _even_restricted(ctx: PrimeContext, n: int, d: int, t: int) -> Fraction:
     """Restricted sum at even rank 2t for a rank-d class in dimension n.
 

@@ -13,7 +13,7 @@ classified and reads the counts by (class, square class of
 from _canonical_counts, cached per shape, with no class code: a
 congruence S -> P S P^T carries one table to the other. The smaller
 cells, n = 1 at any p and n = 2 up to _CHUNK matrices, count their
-class codes (_code_counts), classified once per process, chunked or
+class codes (_code_counts), classified once per (p, n), chunked or
 pooled. That int64 table (class_character_tables) is the only one:
 every signed or restricted sum is one reduction of it (signed_rows).
 Its counts are exact while a cell holds at most 2^63 - 1 matrices; past
@@ -32,27 +32,27 @@ The subspaces of F_p^t rest on one primitive, the row sets (_row_set):
 each row of a reduced-row-echelon basis ranges over its own set of
 lines, independently of the other rows. subspace_census classifies the
 Gram matrices of a family of echelon bases (_family), the Cartesian
-products of the row sets, built once per (p, t, ell) and cached
-read-only like the codes. iso_subspaces_bf reads no family: pattern by
-pattern it keeps the isotropic members of each row set and grows
-partial bases one orthogonal row at a time. The lemma 5.1 counts
+products of the row sets, built once per (p, t, ell) and kept like the
+codes. iso_subspaces_bf reads no family: pattern by pattern it keeps
+the isotropic members of each row set and grows partial bases one
+orthogonal row at a time. The lemma 5.1 counts
 (rep_star_bf) come from the vector counts or from the totally
 isotropic subspaces of iso_subspaces_bf; rep_count_bf, the general
 column-by-column count, stays as the reference the tests compare them
-with.
+with. Every table kept between calls is a field.prime_cache: at most
+CACHED_PRIMES primes, read-only, counted, and emptied by clear_caches.
 """
 
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import combinations
 from math import prod
 
 import numpy as np
 
 from .cyclotomic import CycInt, reduce_exponent_vector
-from .field import CACHED_PRIMES, PrimeContext, chi_table, legendre
+from .field import PrimeContext, chi_table, clear_caches, legendre, prime_cache
 from .quadform import (
     NONSQ,
     SQ,
@@ -157,10 +157,6 @@ def _class_codes(ctx: PrimeContext, n: int, lo: int, hi: int) -> np.ndarray:
     return _codes(ctx, _mats_from_digits(n, digits))
 
 
-# class codes of the full symmetric space, cached per (p, n)
-_class_cache: dict = {}
-
-
 def _recurses(p: int, n: int) -> bool:
     """Whether the tables of a (p, n) cell come from the recursion on
     dimension (_canonical_counts) and not from its class codes: every
@@ -168,43 +164,25 @@ def _recurses(p: int, n: int) -> bool:
     return n >= 3 or (n == 2 and p**3 > _CHUNK)
 
 
+@prime_cache
 def _classified(ctx: PrimeContext, n: int, jobs=None) -> np.ndarray:
     """Class codes of every symmetric n x n matrix of a cell that does not
     _recurse (n = 1 at any p, n = 2 up to _CHUNK matrices), in
-    enumeration order.
-
-    The first call for a (p, n) cell classifies it matrix by matrix,
-    through a process pool when jobs > 1, and caches the codes; later
-    calls return the cached codes.
+    enumeration order, classified matrix by matrix, through a process
+    pool when jobs > 1: kept per (p, n), or (p, n, jobs) if jobs is given.
     """
-    key = (ctx.p, n)
-    codes = _class_cache.get(key)
-    if codes is not None:
-        return codes
     total = ctx.p ** (n * (n + 1) // 2)
+    codes = np.empty(total, np.uint8)
     if jobs and jobs > 1:
-        codes = np.empty(total, np.uint8)
         ranges = _ranges(total, jobs)
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             futs = [ex.submit(_class_codes, ctx, n, lo, hi) for lo, hi in ranges]
             for (lo, hi), f in zip(ranges, futs):
                 codes[lo:hi] = f.result()
     else:
-        codes = np.empty(total, np.uint8)
         for lo, hi in _ranges(total, 1):
             codes[lo:hi] = _class_codes(ctx, n, lo, hi)
-    codes.flags.writeable = False  # shared by every later caller
-    _class_cache[key] = codes
     return codes
-
-
-def clear_caches():
-    _class_cache.clear()
-    _canonical_cache.clear()
-    _vector_cache.clear()
-    _class_sums.cache_clear()
-    _family_cache.clear()
-    _iso_memo.clear()
 
 
 def _digit_exponents(p: int, W: np.ndarray) -> np.ndarray:
@@ -242,11 +220,7 @@ def _code_counts(p, codes, W, rows):
     return acc.reshape(-1, rows, p)
 
 
-# the counts of each canonical T, cached read-only per (p, a1, a2, a0)
-_canonical_cache: dict = {}
-
-
-@lru_cache(maxsize=CACHED_PRIMES)
+@prime_cache
 def _class_sums(ctx: PrimeContext) -> np.ndarray:
     """A[k, i, j] = #{x : x in class i, rep_k - x in class j} over the
     square classes of F_p, 0, the nonzero squares and the nonsquares
@@ -258,11 +232,10 @@ def _class_sums(ctx: PrimeContext) -> np.ndarray:
     cls = chi_table(ctx) % 3
     x = np.arange(ctx.p)
     A = [np.bincount(3 * cls + cls[(rep - x) % ctx.p], minlength=9) for rep in (0, 1, ctx.omega)]
-    A = np.array(np.reshape(A, (3, 3, 3)).tolist(), object)
-    A.flags.writeable = False  # shared by every later caller
-    return A
+    return np.array(np.reshape(A, (3, 3, 3)).tolist(), object)
 
 
+@prime_cache
 def _canonical_counts(ctx: PrimeContext, a1: int, a2: int, a0: int):
     """(J, V) for T = diag(1^a1, omega^a2, 0^a0), n = a1 + a2 + a0, as
     object arrays of Python integers, by recursion on n; each shape is
@@ -296,10 +269,6 @@ def _canonical_counts(ctx: PrimeContext, a1: int, a2: int, a0: int):
       Together: p^m (p^a0' - 1) J_T'' + p^(m-1) (p^m - p^a0') N_(m-1),
       N_(m-1) the class totals of Sym_(m-1), the zero T's J at 0.
     """
-    key = (ctx.p, a1, a2, a0)
-    state = _canonical_cache.get(key)
-    if state is not None:
-        return state
     p, n = ctx.p, a1 + a2 + a0
     V = _canonical_vectors(ctx, a1, a2, a0)
     if not n:  # the empty matrix: rank 0, trace 0
@@ -322,8 +291,6 @@ def _canonical_counts(ctx: PrimeContext, a1: int, a2: int, a0: int):
             if m_zeros:  # T'' = T' with one zero fewer
                 H = H + p**m * (p**m_zeros - 1) * _canonical_counts(ctx, *sub[:2], m_zeros - 1)[0]
             J[(np.arange(2 * m) + 4) ^ (ctx.epsilon == -1)] += H
-    J.flags.writeable = False  # shared by every later caller
-    _canonical_cache[key] = J, V
     return J, V
 
 
@@ -336,30 +303,18 @@ def _first_entry(ctx: PrimeContext, a1: int, a2: int, a0: int):
     return t1, sub, legendre(ctx, 2 * t1) % 3
 
 
-# the vector counts V of each canonical T, cached read-only per
-# (p, a1, a2, a0) apart from _canonical_cache: V needs no J
-_vector_cache: dict = {}
-
-
+@prime_cache
 def _canonical_vectors(ctx: PrimeContext, a1: int, a2: int, a0: int):
     """V of _canonical_counts for T = diag(1^a1, omega^a2, 0^a0), by its
     own recursion on n: v = (x, v') gives 2 v^T T v = 2 t1 x^2 +
     2 v'^T T' v', so V_T is the values of 2 t1 x^2 convolved with V_T'.
     Each shape is built once and cached read-only; no J table is built."""
-    key = (ctx.p, a1, a2, a0)
-    V = _vector_cache.get(key)
-    if V is not None:
-        return V
     if not a1 + a2 + a0:  # the empty vector: 2 v^T T v = 0
-        V = np.array([1, 0, 0], object)
-    else:
-        t1, sub, cls = _first_entry(ctx, a1, a2, a0)
-        # 2 t1 x^2 takes 0 once and each residue of its class twice
-        v = np.array([1, 2 * (cls == 1), 2 * (cls == 2)] if t1 else [ctx.p, 0, 0], object)
-        V = (_class_sums(ctx) @ v) @ _canonical_vectors(ctx, *sub)
-    V.flags.writeable = False  # shared by every later caller
-    _vector_cache[key] = V
-    return V
+        return np.array([1, 0, 0], object)
+    t1, sub, cls = _first_entry(ctx, a1, a2, a0)
+    # 2 t1 x^2 takes 0 once and each residue of its class twice
+    v = np.array([1, 2 * (cls == 1), 2 * (cls == 2)] if t1 else [ctx.p, 0, 0], object)
+    return (_class_sums(ctx) @ v) @ _canonical_vectors(ctx, *sub)
 
 
 def _class_shape(ctx: PrimeContext, T):
@@ -418,7 +373,9 @@ def class_character_tables(ctx: PrimeContext, Ts, budget=None, jobs=None):
     if _recurses(p, n):
         states = np.array([_canonical_counts(ctx, *_class_shape(ctx, T))[0] for T in Ts])
         return states[:, :, chi_table(ctx) % 3].astype(np.int64)
-    return _code_counts(p, _classified(ctx, n, jobs), _exp_weights(ctx, Ts), 2 * n + 2)
+    # kept per (p, n), and per (p, n, jobs) when pooled
+    codes = _classified(ctx, n, jobs) if jobs and jobs > 1 else _classified(ctx, n)
+    return _code_counts(p, codes, _exp_weights(ctx, Ts), 2 * n + 2)
 
 
 def signed_rows(rows: np.ndarray, r: int) -> np.ndarray:
@@ -579,13 +536,6 @@ def rep_count_bf(ctx: PrimeContext, X, Y, primitive: bool = False, budget=None) 
 # subspace counts ------------------------------------------------------
 
 
-# echelon families, each built once and kept read-only like the class
-# codes: (p, t) holds the digits of the lines of F_p^t, (p, t, lead,
-# later) the line indices of one row set, (p, t, ell) the ell-dimensional
-# subspaces as rows of line indices
-_family_cache: dict = {}
-
-
 def _subspace_count(p: int, t: int, ell: int) -> int:
     """[t, ell]_p, the number of ell-dimensional subspaces of F_p^t."""
     num = den = 1
@@ -595,6 +545,12 @@ def _subspace_count(p: int, t: int, ell: int) -> int:
     return num // den
 
 
+def _few_lines(p: int, t: int, *rest) -> bool:
+    """Whether F_p^t has at most _CHUNK lines, so its tables are kept."""
+    return (p**t - 1) // (p - 1) <= _CHUNK
+
+
+@prime_cache(keep=_few_lines)
 def _lines(p: int, t: int) -> np.ndarray:
     """Digits, one int64 row each, of the (p^t - 1)/(p - 1) monic vectors
     of F_p^t (first nonzero digit 1), one per line: by the position of
@@ -602,12 +558,9 @@ def _lines(p: int, t: int) -> np.ndarray:
     offset(c) + (digits after c read in base p), with offset(c) the
     number of lines whose leading 1 comes before c.
 
-    Every row of a reduced-row-echelon basis is monic. Cached in
-    _family_cache when there are at most _CHUNK lines.
+    Every row of a reduced-row-echelon basis is monic. Kept when there
+    are at most _CHUNK lines.
     """
-    L = _family_cache.get((p, t))
-    if L is not None:
-        return L
     L = np.zeros(((p**t - 1) // (p - 1), t), np.int64)
     lo = 0
     for c in range(t):
@@ -615,12 +568,10 @@ def _lines(p: int, t: int) -> np.ndarray:
         L[lo:hi, c] = 1
         L[lo:hi, c + 1 :] = digits_block(p, t - 1 - c, 0, hi - lo)
         lo = hi
-    if len(L) <= _CHUNK:
-        L.flags.writeable = False  # shared by every later caller
-        _family_cache[(p, t)] = L
     return L
 
 
+@prime_cache(keep=_few_lines)
 def _row_set(p: int, t: int, lead: int, later) -> np.ndarray:
     """The line indices (see _lines), ascending in int64, of a row of a
     reduced-row-echelon basis with its leading 1 at column lead and the
@@ -630,20 +581,14 @@ def _row_set(p: int, t: int, lead: int, later) -> np.ndarray:
     other column after lead; each free digit d at column c adds
     d * p^(t-1-c) to its line index. So each row of a basis ranges over
     its own set independently of the other rows, and the bases of one
-    pivot pattern are the Cartesian product of its row sets.
+    pivot pattern are the Cartesian product of its row sets. Kept when
+    F_p^t has at most _CHUNK lines.
     """
-    key = (p, t, lead, later)
-    s = _family_cache.get(key)
-    if s is not None:
-        return s
     x = np.arange(p, dtype=np.int64)
     s = np.array([(p**t - p ** (t - lead)) // (p - 1)], np.int64)  # offset(lead)
     for c in range(lead + 1, t):
         if c not in later:
             s = (s[:, None] + x * p ** (t - 1 - c)).ravel()
-    if (p**t - 1) // (p - 1) <= _CHUNK:
-        s.flags.writeable = False  # shared by every later caller
-        _family_cache[key] = s
     return s
 
 
@@ -674,22 +619,24 @@ def _family(p: int, t: int, ell: int, budget):
     """The ell-dimensional subspaces of F_p^t, 0 < ell < t, as blocks of
     rows of line indices (_echelon_blocks).
 
-    The budget charges the [t, ell]_p subspaces on every call, cached or
-    not. A family of at most _CHUNK subspaces is built once, kept
-    read-only in _family_cache and returned as one block; a larger one
-    is built in blocks on every call and not kept. Since 0 < ell < t,
-    [t, ell]_p is at least the number of lines, and so at least p + 1.
+    The budget charges the [t, ell]_p subspaces on every call, kept or
+    not. A family of at most _CHUNK subspaces is one block, built once
+    and kept (_family_rows); a larger one is built in blocks on every
+    call and not kept. Since 0 < ell < t, [t, ell]_p is at least the
+    number of lines, and so at least p + 1.
     """
     count = _subspace_count(p, t, ell)
     _charge(budget, count, "subspace enumeration")
     if count > _CHUNK:
         return _echelon_blocks(p, t, ell)
-    rows = _family_cache.get((p, t, ell))
-    if rows is None:
-        rows = np.asfortranarray(np.concatenate(list(_echelon_blocks(p, t, ell))))
-        rows.flags.writeable = False  # shared by every later caller
-        _family_cache[(p, t, ell)] = rows
-    return (rows,)
+    return (_family_rows(p, t, ell),)
+
+
+@prime_cache
+def _family_rows(p: int, t: int, ell: int) -> np.ndarray:
+    """The _echelon_blocks of a family of at most _CHUNK subspaces as one
+    column-major block."""
+    return np.asfortranarray(np.concatenate(list(_echelon_blocks(p, t, ell))))
 
 
 def _forms(p: int, U: np.ndarray, V: np.ndarray, Xa: np.ndarray) -> np.ndarray:
@@ -707,8 +654,10 @@ def _forms(p: int, U: np.ndarray, V: np.ndarray, Xa: np.ndarray) -> np.ndarray:
     return sum((U[..., k] * W[..., k]) % p for k in range(t)) % p
 
 
+@prime_cache(entries=1)
 def _subspace_form(ctx: PrimeContext, X):
-    """X checked and reduced, as a tuple and as an int64 array."""
+    """X checked and reduced, as a tuple and as an int64 array, for the
+    last X only: the subspace counts ask for each dimension in a row."""
     X = sym_matrix(ctx, X)
     return X, np.array(X, np.int64)
 
@@ -769,10 +718,12 @@ def _orthogonal_bases(p: int, L: np.ndarray, Xa: np.ndarray, sets) -> int:
     return sum(int(np.count_nonzero(ok)) for _, ok in _extend(p, L, Xa, prefixes, sets[-1]))
 
 
-# the form iso_subspaces_bf counted last, keyed on (p, X) as the caller
-# passed it: [X reduced, its int64 array, whether q(v) = 0 on each line
-# (None until a charge passes)]
-_iso_memo: dict = {}
+@prime_cache(entries=1)
+def _isotropic_lines(ctx: PrimeContext, X) -> np.ndarray:
+    """Whether q(v) = ^tv X v is 0 on each line (_lines), X reduced, for
+    the last X only, like _subspace_form."""
+    L = _lines(ctx.p, len(X))
+    return _forms(ctx.p, L, L, np.array(X, np.int64)) == 0
 
 
 def iso_subspaces_bf(ctx: PrimeContext, X, j: int, budget=None) -> int:
@@ -783,34 +734,26 @@ def iso_subspaces_bf(ctx: PrimeContext, X, j: int, budget=None) -> int:
     P ranges over its own set (_row_set), independently of the other
     rows, so pattern by pattern only the isotropic members of each row
     set are kept, read from a table of q(v) = ^tv X v over the lines of
-    F_p^t. Partial bases then grow one row at a time, keeping only the
-    candidates orthogonal to every earlier row (_orthogonal_bases), and
-    the bases that reach the last row are counted. Each tested (prefix,
-    candidate) pair is the prefix of a different basis, so at most
-    (j - 1) [t, j]_p pairs are tested. The budget charges the [t, j]_p
-    subspaces before any table is built, and the table has no more
-    entries than there are subspaces.
+    F_p^t (_isotropic_lines). Partial bases then grow one row at a
+    time, keeping only the candidates orthogonal to every earlier row
+    (_orthogonal_bases), and the bases that reach the last row are
+    counted. Each tested (prefix, candidate) pair is the prefix of a
+    different basis, so at most (j - 1) [t, j]_p pairs are tested. The
+    budget charges the [t, j]_p subspaces before any table is built, and
+    the table has no more entries than there are subspaces.
 
-    The form last counted on, with its table, is kept in a one-entry
-    memo (_iso_memo): cor12 and lemma 5.1 ask for every j of one form in
-    a row; clear_caches empties it. j = 0 (the zero subspace) and j = t (the whole space, totally
+    j = 0 (the zero subspace) and j = t (the whole space, totally
     isotropic exactly when X = 0) are one subspace each, within every
     budget, and build no table.
     """
-    key = (ctx.p, tuple(map(tuple, X)))
-    memo = _iso_memo.get(key)
-    if memo is None:
-        _iso_memo.clear()
-        memo = _iso_memo[key] = [*_subspace_form(ctx, X), None]
-    X, Xa, zero = memo
+    X, Xa = _subspace_form(ctx, X)
     p, t = ctx.p, len(X)
     _check_dim(j, t)
     if j == 0 or j == t:
         return int(j == 0 or not Xa.any())
     _charge(budget, _subspace_count(p, t, j), "subspace enumeration")
     L = _lines(p, t)
-    if zero is None:  # whether q(v) = 0, line by line
-        zero = memo[2] = _forms(p, L, L, Xa) == 0
+    zero = _isotropic_lines(ctx, X)
 
     total = 0
     for pivots in combinations(range(t), j):

@@ -432,10 +432,10 @@ def iter_suite(suite: str, primes=None, max_n=None, budget=None):
     """Run one named suite over its grid, yielding each VerifyReport as
     soon as its check ends; see SUITES for the names.
 
-    primes/max_n default per suite to the standard verification grid;
-    the budget clamps every cell, so oversized requests degrade to
-    skipped reports instead of long enumerations. An unknown suite
-    raises ValueError at the call, before any report.
+    primes/max_n default per suite to the standard verification grid.
+    thm11, cor12, prop41 and zero_forms leave out, with no report, each
+    cell past max_dim_for; the other suites skip a check past the budget.
+    An unknown suite raises ValueError at the call, before any report.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")

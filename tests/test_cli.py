@@ -22,6 +22,7 @@ from isogauss import (
     cyc_const,
     cyc_scale,
     embed,
+    field,
     formulas,
     legendre,
     oracle,
@@ -148,6 +149,38 @@ def test_eval_small_cell_forks_no_pool(capsys, monkeypatch):
     code, out, _ = run(capsys, "eval", "--p", "3", "--n", "2", "--rank", "2", "--jobs", "2")
     assert code == 0
     assert json.loads(out)["match"] is True
+
+
+def test_caches_stay_bounded_over_40_primes(capsys):
+    # eval of n = 1 and n = 2 cells, table, and verify of three suites to
+    # n = 2, at the 40 primes from 271 down to 67, fill every cache: none
+    # ever holds more than CACHED_PRIMES primes, and at the end each holds
+    # that many, but the two that keep one form. The primes come largest
+    # first, so once the caches are full each later prime replaces a
+    # larger one, and the memory they hold stops growing
+    primes = [p for p in range(271, 66, -2) if field._is_prime(p)]
+    assert len(primes) == 40
+    field.clear_caches()
+    held = []
+    tracemalloc.start()
+    try:
+        for p in map(str, primes):
+            assert cli.main(["eval", "--p", p, "--n", "1", "--rank", "1"]) == 0
+            assert cli.main(["eval", "--p", p, "--n", "2", "--rank", "1", "--disc", "nonsq"]) == 0
+            assert cli.main(["table", "--p", p, "--max-n", "2", "--restrict-all"]) == 0
+            argv = ["verify", "--suites", "thm11,lemma51,lemma54", "--primes", p, "--max-n", "2"]
+            assert cli.main(argv) == 0
+            capsys.readouterr()
+            assert max(c.cache_info().primes for c in field._CACHES) <= field.CACHED_PRIMES
+            held.append(tracemalloc.get_traced_memory()[0])
+        full = {c.__name__: c.cache_info().primes for c in field._CACHES}
+        last_form = ("_subspace_form", "_isotropic_lines")  # one entry each
+        assert full == {name: 1 if name in last_form else field.CACHED_PRIMES for name in full}
+        assert held[-1] <= held[field.CACHED_PRIMES - 1]
+    finally:
+        tracemalloc.stop()
+    field.clear_caches()
+    assert all(c.cache_info() == (0, 0, 0, 0) for c in field._CACHES)
 
 
 def test_eval_mismatch_exit(capsys, monkeypatch):

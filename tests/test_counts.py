@@ -8,7 +8,10 @@ from isogauss import (
     FormClass,
     canonical_matrix,
     all_classes,
+    clear_caches,
+    cli,
     counts,
+    field,
     formulas,
     iso_count,
     iso_subspaces_bf,
@@ -248,9 +251,47 @@ def test_memoized_counts_equal_the_plain_functions(p):
         assert _outcome(fn, *args) == want, (fn.__name__, args)
 
 
-def test_memos_are_bounded():
-    for fn in (qfunc, rep_star_lemma51, orth_order, iso_count, formulas._even_restricted):
-        assert fn.cache_info().maxsize is not None, fn.__name__
+# every per-prime cache of the package; a cache made by anything but
+# field.prime_cache is not in field._CACHES, and fails the test below
+_CACHES = {
+    "isogauss.field.prime_context",
+    "isogauss.field.chi_table",
+    "isogauss.cyclotomic.g_star_shape",
+    "isogauss.cyclotomic.g_star_one",
+    "isogauss.counts.qfunc",
+    "isogauss.counts.rep_star_lemma51",
+    "isogauss.counts.orth_order",
+    "isogauss.counts.iso_count",
+    "isogauss.formulas._even_restricted",
+    "isogauss.oracle._classified",
+    "isogauss.oracle._class_sums",
+    "isogauss.oracle._canonical_counts",
+    "isogauss.oracle._canonical_vectors",
+    "isogauss.oracle._lines",
+    "isogauss.oracle._row_set",
+    "isogauss.oracle._family_rows",
+    "isogauss.oracle._subspace_form",
+    "isogauss.oracle._isotropic_lines",
+    "isogauss.cli._zero_gaps",
+    "isogauss.cli._zero_tail",
+}
+
+
+def test_every_registered_cache_is_bounded():
+    # each cache keeps at most field.CACHED_PRIMES primes
+    # (tests/test_cli.py loops over 40 of them); the closed-form memos
+    # also keep at most MEMO_SIZE entries over all primes. Each module
+    # registers its caches when imported; the package imports all but cli
+    names = [f"{c.__module__}.{c.__qualname__}" for c in field._CACHES]
+    assert sorted(names) == sorted(_CACHES)
+    clear_caches()
+    for t in range(91):  # 8281 values of one prime
+        for s in range(91):
+            qfunc(prime_context(3), "mu", t, s)
+    assert qfunc.cache_info() == (0, 8281, 1, counts.MEMO_SIZE)
+    assert qfunc(prime_context(5), "mu", 1, 1) == 4
+    assert qfunc.cache_info()[2:] == (2, counts.MEMO_SIZE)
+    clear_caches()
 
 
 def test_memoized_counts_reject_as_before(ctx3):

@@ -150,7 +150,7 @@ def test_chi_table_stays_within_a_few_bytes_per_residue():
     # the squares are taken in place: one int64 per square and one int8
     # per residue, about 5 MB at p = 1000003
     ctx = prime_context(1000003)
-    field.chi_table.cache_clear()
+    field.clear_caches()
     tracemalloc.start()
     try:
         field.chi_table(ctx)
@@ -158,3 +158,73 @@ def test_chi_table_stays_within_a_few_bytes_per_residue():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2**20, peak
+
+
+def test_prime_cache_counts_a_scripted_sequence(monkeypatch):
+    # a cache of the test's own, registered apart from the package's
+    monkeypatch.setattr(field, "_CACHES", [])
+    built = []
+
+    @field.prime_cache(entries=4, keep=lambda p, k: k >= 0)
+    def residues(p, k):
+        built.append((p, k))
+        return np.arange(k, dtype=np.int64) % p
+
+    assert field._CACHES == [residues] and residues.__wrapped__(3, 2).flags.writeable
+    assert residues(3, 4).tolist() == [0, 1, 2, 0]  # miss
+    assert residues(3, 4) is residues(3, 4)  # two hits
+    assert not residues(3, 4).flags.writeable  # a hit
+    residues(3, 2)  # miss
+    residues(5, 1)  # miss, a second prime
+    residues(3, 2)  # hit
+    residues(3, -1), residues(3, -1)  # two misses, not kept
+    with pytest.raises(TypeError) as plain:
+        residues.__wrapped__(3, [1])
+    with pytest.raises(TypeError) as cached:
+        residues(3, [1])  # a miss, on the function's own error
+    assert str(cached.value) == str(plain.value) and cached.value.__context__ is None
+    assert residues(3, k=4).flags.writeable  # keyword arguments: a miss, not kept
+    assert residues.cache_info() == (4, 7, 2, 3)
+    assert residues.cache_keys() == [(3, 4), (3, 2), (5, 1)]
+    assert built[1:] == [(3, 4), (3, 2), (5, 1), (3, -1), (3, -1), (3, [1]), (3, [1]), (3, 4)]
+    # the fifth entry drops the oldest one of the oldest prime, and the
+    # last one of a prime drops the prime
+    residues(7, 1), residues(7, 2)
+    assert residues.cache_keys() == [(3, 2), (5, 1), (7, 1), (7, 2)]
+    residues(7, 3), residues(7, 4)
+    assert residues.cache_keys() == [(7, 1), (7, 2), (7, 3), (7, 4)]
+    assert residues.cache_info() == (4, 11, 1, 4)
+
+    # at most CACHED_PRIMES primes, the oldest going first
+    @field.prime_cache
+    def square(p):
+        return p * p
+
+    primes = [p for p in range(3, 400) if field._is_prime(p)][:40]
+    for p in primes:
+        square(p), square(p)
+    assert [key[0] for key in square.cache_keys()] == primes[-field.CACHED_PRIMES :]
+    assert square.cache_info() == (40, 40, field.CACHED_PRIMES, field.CACHED_PRIMES)
+    field.clear_caches()
+    for cache in (residues, square):
+        assert cache.cache_info() == (0, 0, 0, 0) and cache.cache_keys() == []
+
+
+def test_package_caches_count_a_scripted_sequence():
+    # from cold caches: one context and one g* per prime, whatever
+    # the number of calls, and clear_caches starts the counts again
+    from isogauss.cyclotomic import g_star_one
+
+    field.clear_caches()
+    for _ in range(3):
+        g_star_one(prime_context(7))
+    prime_context(11)
+    counts = {c.__name__: tuple(c.cache_info()) for c in field._CACHES if c.cache_info().misses}
+    assert counts == {
+        "prime_context": (2, 2, 2, 2),
+        "chi_table": (0, 1, 1, 1),
+        "g_star_shape": (0, 1, 1, 1),
+        "g_star_one": (2, 1, 1, 1),
+    }
+    field.clear_caches()
+    assert all(c.cache_info() == (0, 0, 0, 0) for c in field._CACHES)

@@ -282,7 +282,7 @@ def test_live_digit_tables_match_a_scalar_loop(monkeypatch):
             seen = _counting_bincount(m)
             assert np.array_equal(class_character_tables(ctx, Ts + [dense]), want)
         if oracle._recurses(p, n):
-            assert counted == [] and oracle._class_cache == {}, (p, n)
+            assert counted == [] and not oracle._classified.cache_keys(), (p, n)
         else:
             assert len(seen) == len(Ts) + 1 and len(counted) == 1, (p, n)
 
@@ -317,18 +317,18 @@ def test_live_digit_histogram_across_many_prefix_blocks(ctx5, monkeypatch):
         m.setattr(oracle, "_CHUNK", 25)
         counted = _counting_calls(m, "_code_counts")
         assert np.array_equal(class_character_tables(ctx5, T3), want3)
-        states = set(oracle._canonical_cache)
+        states = set(oracle._canonical_counts.cache_keys())
         seen = _counting_bincount(m)
         assert np.array_equal(class_character_tables(ctx5, T3), want3)
         zero = T3.index(_zero(3))
         assert np.array_equal(class_character_tables(ctx5, [_zero(3)]), want3[zero : zero + 1])
-        assert seen == [] and counted == [] and set(oracle._canonical_cache) == states
+        assert seen == [] and counted == [] and set(oracle._canonical_counts.cache_keys()) == states
         assert np.array_equal(class_character_tables(ctx5, T2[:-1]), want2[:-1])
         assert seen == [] and counted == []
-        states = set(oracle._canonical_cache)
+        states = set(oracle._canonical_counts.cache_keys())
         assert np.array_equal(class_character_tables(ctx5, T2), want2)
-        assert seen == [] and counted == [] and set(oracle._canonical_cache) == states
-        assert oracle._class_cache == {}
+        assert seen == [] and counted == [] and set(oracle._canonical_counts.cache_keys()) == states
+        assert not oracle._classified.cache_keys()
         reference.classified(ctx5, 2)
         for _ in range(2):
             assert np.array_equal(reference.code_tables(ctx5, 2, T2), want2)
@@ -347,12 +347,12 @@ def test_one_pass_over_the_cell_for_any_number_of_diagonal_ts(ctx5, monkeypatch)
     classified = _counting_calls(monkeypatch, "_classified")
     one = class_character_tables(ctx5, Ts[:1])
     tabs = class_character_tables(ctx5, Ts)
-    states = set(oracle._canonical_cache)
+    states = set(oracle._canonical_counts.cache_keys())
     assert {key[1:] for key in states} >= {reference.canonical_shape(ctx5, T) for T in Ts}
     seen = _counting_bincount(monkeypatch)
     again = class_character_tables(ctx5, Ts)
     zero = class_character_tables(ctx5, [_zero(3)])
-    assert len(Ts) == 7 and seen == [] and set(oracle._canonical_cache) == states
+    assert len(Ts) == 7 and seen == [] and set(oracle._canonical_counts.cache_keys()) == states
     assert classified == []
     i = Ts.index(_zero(3))
     assert np.array_equal(tabs[:1], one) and np.array_equal(zero, tabs[i : i + 1])
@@ -440,7 +440,7 @@ def test_large_cells_use_no_pool(ctx5, monkeypatch):
     tabs = class_character_tables(ctx5, Ts, None, 2)
     assert all(tab.sum() == 5**10 for tab in tabs)
     # no matrix is classified in a batch, not even a sub-cell's
-    assert seen == [] and oracle._class_cache == {}
+    assert seen == [] and not oracle._classified.cache_keys()
 
     # n = 1 is classified directly at any p, never by recursion
     del seen[:]
@@ -627,6 +627,13 @@ def test_subspace_counts_of_congruent_and_degenerate_forms(p, t):
             assert subspace_census(ctx, X, ell) == subspace_census(ctx, C, ell)
 
 
+def _family_keys():
+    """The argument tuples of every kept line table, row set and family:
+    (p, t), (p, t, lead, later) and (p, t, ell)."""
+    kept = (oracle._lines, oracle._row_set, oracle._family_rows)
+    return [key for fn in kept for key in fn.cache_keys()]
+
+
 def test_subspace_family_budget_and_cache(ctx3, monkeypatch):
     # [4, 2]_3 = 130 planes in F_3^4
     I4 = canonical_matrix(ctx3, FormClass(4, 4, SQ))
@@ -642,20 +649,20 @@ def test_subspace_family_budget_and_cache(ctx3, monkeypatch):
         with pytest.raises(BudgetExceeded) as e:
             iso_subspaces_bf(ctx3, I4, 2, Budget(max_terms=129))
     assert (e.value.needed, e.value.limit) == (130, 129)
-    assert not oracle._family_cache
+    assert not _family_keys()
     assert iso_subspaces_bf(ctx3, I4, 2, Budget(max_terms=130)) == counts.iso_count(
         ctx3, FormClass(4, 4, SQ), 2
     )
-    assert (3, 4, 2) not in oracle._family_cache  # iso reads no family
+    assert (3, 4, 2) not in _family_keys()  # iso reads no family
     for cached in (False, True):
         if not cached:
             clear_caches()
         with pytest.raises(BudgetExceeded) as e:
             subspace_census(ctx3, I4, 2, Budget(max_terms=129))
         assert (e.value.needed, e.value.limit) == (130, 129)
-        assert ((3, 4, 2) in oracle._family_cache) == cached
+        assert ((3, 4, 2) in _family_keys()) == cached
         subspace_census(ctx3, I4, 2, Budget(max_terms=130))
-    rows = oracle._family_cache[(3, 4, 2)]
+    rows = oracle._family_rows(3, 4, 2)  # kept: read, not built
     assert rows.shape == (130, 2) and not rows.flags.writeable
     with pytest.raises(ValueError):
         rows[0, 0] = 0
@@ -669,7 +676,7 @@ def test_subspace_family_budget_and_cache(ctx3, monkeypatch):
     C = canonical_matrix(ctx3, classify(ctx3, X))
     assert subspace_census(ctx3, X, 2) == subspace_census(ctx3, C, 2)
     clear_caches()
-    assert not oracle._family_cache and not oracle._iso_memo
+    assert not _family_keys() and not oracle._isotropic_lines.cache_keys()
     with pytest.raises(AssertionError, match="no bases"):
         subspace_census(ctx3, X, 2)
     # iso counts from cold caches with no family at all
@@ -688,7 +695,7 @@ def test_large_families_are_built_in_blocks_and_not_kept(ctx3, monkeypatch):
     clear_caches()
     monkeypatch.setattr(oracle, "_CHUNK", 7)
     assert [subspace_census(ctx3, X, ell) for ell in (1, 2, 3)] == census
-    assert all(len(key) == 2 for key in oracle._family_cache)  # lines only
+    assert all(len(key) == 2 for key in _family_keys())  # lines only
     blocks = list(oracle._echelon_blocks(3, 4, 2))
     assert max(len(b) for b in blocks) <= 7 and sum(map(len, blocks)) == 130
 
@@ -699,7 +706,7 @@ def test_large_families_are_built_in_blocks_and_not_kept(ctx3, monkeypatch):
     monkeypatch.setattr(oracle, "_echelon_blocks", refuse)
     monkeypatch.setattr(oracle, "_family", refuse)
     assert [iso_subspaces_bf(ctx3, X, ell) for ell in (1, 2, 3)] == want
-    assert all(len(key) == 2 for key in oracle._family_cache)
+    assert all(len(key) == 2 for key in _family_keys())
     clear_caches()
 
 
@@ -1024,7 +1031,7 @@ def test_vector_counts_are_charged_first(monkeypatch, refuse_o_p_tables):
         with pytest.raises(BudgetExceeded) as e:
             call()
         assert str(e.value) == f"{what} needs 2147483659 terms, budget is 20000000"
-    assert oracle._canonical_cache == {}
+    assert not oracle._canonical_counts.cache_keys()
 
 
 @pytest.mark.parametrize("p", [46337, 46349])
@@ -1245,7 +1252,7 @@ def test_off_diagonal_tables_cache_no_class_codes():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert oracle._class_cache == {}
+    assert not oracle._classified.cache_keys()
     assert peak < 10**6, peak
     clear_caches()
 
@@ -1292,14 +1299,14 @@ def test_diagonal_n2_tables_count_the_codes(ctx5, monkeypatch):
         classified = _counting_calls(m, "_classified")
         assert np.array_equal(class_character_tables(ctx5, Ts), want)
     assert widths == [len(Ts)] and built == [] and classified[0] == 2
-    assert oracle._canonical_cache == {}
+    assert not oracle._canonical_counts.cache_keys()
     clear_caches()
     with monkeypatch.context() as m:
         m.setattr(oracle, "_CHUNK", 25)
         classified = _counting_calls(m, "_classified")
         assert np.array_equal(class_character_tables(ctx5, Ts), want)
-    assert classified == [] and oracle._class_cache == {}
-    assert {key[1:] for key in oracle._canonical_cache} >= {(2, 0, 0), (1, 1, 0)}
+    assert classified == [] and not oracle._classified.cache_keys()
+    assert {key[1:] for key in oracle._canonical_counts.cache_keys()} >= {(2, 0, 0), (1, 1, 0)}
     clear_caches()
 
 
@@ -1312,12 +1319,12 @@ def test_diagonal_n2_histogram_past_the_chunk():
     Ts = [canonical_matrix(ctx, c) for c in all_classes(2)]
     clear_caches()
     tabs = class_character_tables(ctx, Ts)
-    assert oracle._class_cache == {}
+    assert not oracle._classified.cache_keys()
     for T, tab in zip(Ts, tabs):
         assert np.array_equal(_recursion_rows(ctx, T), tab)
     dense = ((1, 1), (1, 0))
     (off,) = class_character_tables(ctx, [dense])
-    assert oracle._class_cache == {}
+    assert not oracle._classified.cache_keys()
     want = reference.code_tables(ctx, 2, Ts + [dense])
     assert np.array_equal(tabs, want[:-1]) and np.array_equal(off, want[-1])
     clear_caches()
@@ -1343,6 +1350,44 @@ def test_oracle_imports_no_closed_form():
     assert "quadform" in parts and "cyclotomic" in parts
     assert not parts & {"counts", "formulas", "orbit_size"}
     assert not imported(quadform) & {"counts", "formulas", "orbit_size"}
+
+
+def test_every_cache_is_made_by_prime_cache():
+    # one cache mechanism: no module of the package but field imports
+    # lru_cache or functools.cache, or binds an empty dict at module
+    # level. The one exception is cli's argparse parser, built once per
+    # process and not per prime
+    for path in sorted(Path(oracle.__file__).parent.glob("*.py")):
+        if path.stem == "field":
+            continue
+        tree = ast.parse(path.read_text())
+        memo = {"lru_cache", "cache"}
+        imported = [
+            a.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for a in node.names
+            if a.name.rpartition(".")[2] in memo or a.name == "functools"
+        ]
+        decorated = [
+            node.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            for d in node.decorator_list
+            if {n.id for n in ast.walk(d) if isinstance(n, ast.Name)} & memo
+            or {n.attr for n in ast.walk(d) if isinstance(n, ast.Attribute)} & memo
+        ]
+        empty = [
+            ast.unparse(node)
+            for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            and node.value is not None
+            and ast.unparse(node.value) in ("{}", "dict()")
+        ]
+        exempt = ["_parser"] if path.stem == "cli" else []
+        assert imported == ["lru_cache"] * len(exempt), path.name
+        assert decorated == exempt and empty == [], path.name
+        assert "per_prime_memo" not in path.read_text(), path.name
 
 
 def _scalar_histogram(ctx, n):
@@ -1437,7 +1482,8 @@ def test_diagonal_ts_build_no_class_codes_past_n_2(monkeypatch):
             mp.setattr(oracle, "_code_counts", refuse)
             assert np.array_equal(class_character_tables(ctx5, [T]), want)
         shape = reference.canonical_shape(ctx5, canonical_matrix(ctx5, c))
-        assert (5, *shape) in oracle._canonical_cache and oracle._class_cache == {}
+        assert (ctx5, *shape) in oracle._canonical_counts.cache_keys()
+        assert not oracle._classified.cache_keys()
     clear_caches()
 
 
@@ -1453,7 +1499,7 @@ def test_int64_cap_refuses_before_any_histogram(monkeypatch):
         classified = _counting_calls(m, "_classified")
         with pytest.raises(oracle.CapExceeded) as e:
             class_character_tables(ctx, [T9], lifted)
-    assert built == [] and classified == [] and oracle._canonical_cache == {}
+    assert built == [] and classified == [] and not oracle._canonical_counts.cache_keys()
     assert isinstance(e.value, BudgetExceeded)
     assert str(e.value) == f"int64 class table needs {3**45} terms, fixed cap is {2**63 - 1}"
     # the default budget refuses first, with the budget's own message
