@@ -2,18 +2,22 @@
 numbers of scalar and zero targets, orthogonal group orders, and
 totally isotropic subspace counts.
 
-All values are exact Python integers. Every ratio that must be an
-integer (beta, gamma, the division by nu(j,0) in iso_count, and the
-callers' group-order quotients) goes through exact_div, which raises
+All values are exact Python integers. A product of factors (p^i -+ 1)
+is a quotient of two cached prefix products (_prefix), times a power
+of p where one is needed. Every other ratio that must be an integer
+(beta, gamma, the division by nu(j,0) in iso_count, and the callers'
+group-order quotients) goes through exact_div, which raises
 ArithmeticError on a nonzero remainder: that means a formula was
 applied outside its domain, not a rounding problem.
 
-qfunc, rep_star_lemma51, orth_order and iso_count are memoized per
-prime (field.prime_cache, at most MEMO_SIZE entries over all primes),
-as is formulas._even_restricted: a value is a function of the context
-and a few small arguments, and the formulas ask for the same ones many
-times over. No oracle reads these memos.
+The prefix table, qfunc, rep_star_lemma51, orth_order and iso_count
+are memoized per prime (field.prime_cache, at most MEMO_SIZE entries
+over all primes), as is formulas._even_restricted: a value is a
+function of the prime and a few small arguments, and the formulas ask
+for the same ones many times over. No oracle reads these memos.
 """
+
+from math import prod
 
 from .field import PrimeContext, prime_cache
 from .quadform import SQ, NONSQ, FormClass
@@ -25,57 +29,58 @@ MEMO_SIZE = 1 << 13
 
 def exact_div(num, den: int, what: str, *args) -> int:
     """num / den, which must be an integer; what.format(*args) names it
-    in the error, formatted only when it is raised.
-
-    num may be a Fraction: divmod then gives an int quotient and a
-    Fraction remainder.
-    """
+    in the error, formatted only when it is raised."""
     q, r = divmod(num, den)
     if r:
         raise ArithmeticError(f"{what.format(*args)} is not integral")
     return q
 
 
+@prime_cache(entries=MEMO_SIZE)
+def _prefix(p: int, k: int) -> tuple:
+    """(P-(k), P+(k)), P-+(k) = prod_{1<=i<=k} (p^i -+ 1): each by one
+    math.prod, reading no other entry, so no k is deep enough to reach
+    the recursion limit. Every product function is a quotient of two."""
+    powers = [p**i for i in range(1, k + 1)]
+    return prod(x - 1 for x in powers), prod(x + 1 for x in powers)
+
+
 def _mu(p: int, t: int, s: int) -> int:
-    out = 1
-    for i in range(s):
-        if t - i <= 0:
-            return 0  # the exponent-0 factor vanishes
-        out *= p ** (t - i) - 1
-    return out
+    # prod_{i<s} (p^(t-i) - 1)
+    if s > t:
+        return 0 if s else 1  # the exponent-0 factor vanishes
+    return _prefix(p, t)[0] // _prefix(p, t - s)[0]
 
 
 def _delta(p: int, t: int, s: int) -> int:
-    out = 1
-    for i in range(s):
-        if t - i < 0:
-            raise ValueError(f"delta({t},{s}) runs past exponent 0")
-        out *= p ** (t - i) + 1
-    return out
+    # prod_{i<s} (p^(t-i) + 1); its exponent-0 factor is 2
+    if not s:
+        return 1
+    if s > t + 1:
+        raise ValueError(f"delta({t},{s}) runs past exponent 0")
+    if s == t + 1:
+        return 2 * _prefix(p, t)[1]
+    return _prefix(p, t)[1] // _prefix(p, t - s)[1]
 
 
 def _mudelta(p: int, t: int, s: int) -> int:
-    out = 1
-    for i in range(s):
-        if t - i <= 0:
-            return 0
-        out *= p ** (2 * (t - i)) - 1
-    return out
+    # prod_{i<s} (p^(2(t-i)) - 1) = mu(t,s) delta(t,s)
+    if s > t:
+        return 0 if s else 1
+    (mt, pt), (ms, ps) = _prefix(p, t), _prefix(p, t - s)
+    return (mt // ms) * (pt // ps)
 
 
 def _nu(p: int, t: int, s: int) -> int:
-    out = 1
-    for i in range(s, t):
-        out *= p**t - p**i
-    return out
+    # prod_{s<=i<t} (p^t - p^i) = p^(s+...+(t-1)) mu(t-s, t-s)
+    if s >= t:
+        return 1
+    return p ** ((t * (t - 1) - s * (s - 1)) // 2) * _prefix(p, t - s)[0]
 
 
 def frames(p: int, t: int, j: int) -> int:
     """prod_{i<j} (p^t - p^i): linearly independent j-tuples in F_p^t."""
-    out = 1
-    for i in range(j):
-        out *= p**t - p**i
-    return out
+    return p ** (j * (j - 1) // 2) * _mu(p, t, j)
 
 
 @prime_cache(entries=MEMO_SIZE)

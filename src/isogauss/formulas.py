@@ -7,9 +7,10 @@ alternating zero-representation identities.
 Conventions shared with the rest of the package: forms live over F_p
 with p an odd prime, values are exact (QuadValue = a + b*g with
 g^2 = epsilon*p), and every value that must be an integer is computed
-in Python integers, with counts.exact_div as the one integrality check.
-Fraction is kept only where a value is truly rational: the group-order
-ratios inside _even_restricted, and lemma 5.4's weights and sums.
+in Python integers, with counts.exact_div as the one integrality check:
+the rank-restricted sums too, whose group-order ratios are divided out
+once per value. Fraction is kept only where a value is truly rational,
+in lemma 5.4's weights and sums.
 """
 
 from fractions import Fraction
@@ -39,11 +40,10 @@ from .quadform import (
 
 
 def _odd_product(p: int, count: int) -> int:
-    # (p^1 - 1)(p^3 - 1) ... (p^(2*count-1) - 1)
-    out = 1
-    for i in range(1, count + 1):
-        out *= p ** (2 * i - 1) - 1
-    return out
+    # (p^1 - 1)(p^3 - 1) ... (p^(2*count-1) - 1) = P-(2 count) / (P-(count) P+(count)),
+    # 1 at count <= 0, where every prefix is the empty product
+    minus, plus = counts._prefix(p, count)
+    return counts._prefix(p, 2 * count)[0] // (minus * plus)
 
 
 def _check_class(n: int, d: int, disc: str):
@@ -79,15 +79,11 @@ def thm11_value(ctx: PrimeContext, n: int, d: int, disc: str) -> QuadValue:
 
 
 def gauss_zero_even(ctx: PrimeContext, m: int) -> QuadValue:
-    """Twisted sum of the zero form in dimension 2m."""
+    """Twisted sum of the zero form in dimension 2m: epsilon^m p^(m^2)
+    mu(2m,2m) / mudelta(m,m)."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    val = counts.exact_div(
-        counts.qfunc(ctx, "mu", 2 * m, 2 * m),
-        counts.qfunc(ctx, "mudelta", m, m),
-        "zero-form product",
-    )
-    return QuadValue(ctx.epsilon**m * ctx.p ** (m * m) * val, 0)
+    return QuadValue(ctx.epsilon**m * ctx.p ** (m * m) * _odd_product(ctx.p, m), 0)
 
 
 def cor12_check(
@@ -132,22 +128,21 @@ def _rep_star_zeros(ctx: PrimeContext, c: FormClass, want: int) -> int:
 
 
 @prime_cache(entries=counts.MEMO_SIZE)
-def _even_restricted(ctx: PrimeContext, n: int, d: int, t: int) -> Fraction:
+def _even_restricted(ctx: PrimeContext, n: int, d: int, t: int) -> int:
     """Restricted sum at even rank 2t for a rank-d class in dimension n.
 
     Shared core for both parities of d; disc-independent. At t=0 the
     even-d branch collapses to 1, which is the value the odd-rank
     reduction needs (the r=0 definitional zero applies only to the
-    public entry point). The value is a rational whose integrality
-    prop41_value checks.
+    public entry point). The value is nu(n,d) times an integer sum over
+    k, divided once by the order of O(2t+1) perp 0_(n-2t), and exact_div
+    checks that it is an integer.
     """
     p, eps = ctx.p, ctx.epsilon
     s = n - 2 * t
     c, rem = divmod(d, 2)
-    pref = Fraction(
-        counts.qfunc(ctx, "nu", n, d),
-        counts.orth_order(ctx, FormClass(n + 1, 2 * t + 1, SQ)),
-    )
+    nu = counts.qfunc(ctx, "nu", n, d)
+    orth = counts.orth_order(ctx, FormClass(n + 1, 2 * t + 1, SQ))
     total = 0
     if rem == 0:
         # even d: alternating sum against signed zero representations
@@ -175,50 +170,53 @@ def _even_restricted(ctx: PrimeContext, n: int, d: int, t: int) -> Fraction:
                 * (plus - minus)
             )
             total += term
-        return pref * total
-    # odd d: split off the rank-2k part shared with the radical, then
-    # count embeddings of the leftover odd-rank block by transporter
-    # ratios of orthogonal group orders
-    if t == 0:
+    elif t == 0:
         raise ValueError("odd-rank reduction never lands here with t=0")
-    # orth_order ignores disc at odd rank: one order serves both forms
-    o_odd = counts.orth_order(ctx, FormClass(2 * t + 1, 2 * t + 1, SQ))
-    for k in range(0, min(c, t) + 1):
-        x = t - k
-        rho = d - 2 * k
-        # delta_k sums w_j * o_odd * (z_I / o_I - z_J / o_J) over j, with
-        # z the zero representations of the two rank-2x forms (o_odd
-        # alone at x = 0, where only a = 0 counts): the two weighted
-        # sums stay integers, divided once per k
-        num_sq = num_nsq = 0
-        inj = 1  # frames(p, s, j), one factor more per j: 0 once j > s
-        for j in range(0, rho + 1):
-            if j:
-                inj *= p**s - p ** (j - 1)
-            a = rho - j
-            if inj == 0 or (x == 0 and a):
-                continue
-            w = counts.qfunc(ctx, "beta", rho, j) * inj * p ** (s * (d + 1 - j))
-            if a:
-                num_sq += w * counts.rep_star_lemma51(ctx, "I", 2 * x, ("zeros", a))
-                num_nsq += w * counts.rep_star_lemma51(ctx, "J", 2 * x, ("zeros", a))
+    else:
+        # odd d: split off the rank-2k part shared with the radical, then
+        # count embeddings of the leftover odd-rank block by transporter
+        # ratios of orthogonal group orders. orth_order ignores disc at
+        # odd rank: one order serves both forms
+        o_odd = counts.orth_order(ctx, FormClass(2 * t + 1, 2 * t + 1, SQ))
+        for k in range(0, min(c, t) + 1):
+            x = t - k
+            rho = d - 2 * k
+            # delta_k sums w_j * o_odd * (z_I / o_I - z_J / o_J) over j,
+            # with z the zero representations of the two rank-2x forms
+            # (o_odd alone at x = 0, where only a = 0 counts): the two
+            # weighted sums are integers, and so are o_odd / o_I and
+            # o_odd / o_J, as O(2x) of either type is a subgroup of O(2t+1)
+            num_sq = num_nsq = 0
+            inj = 1  # frames(p, s, j), one factor more per j: 0 once j > s
+            for j in range(0, rho + 1):
+                if j:
+                    inj *= p**s - p ** (j - 1)
+                a = rho - j
+                if inj == 0 or (x == 0 and a):
+                    continue
+                w = counts.qfunc(ctx, "beta", rho, j) * inj * p ** (s * (d + 1 - j))
+                if a:
+                    num_sq += w * counts.rep_star_lemma51(ctx, "I", 2 * x, ("zeros", a))
+                    num_nsq += w * counts.rep_star_lemma51(ctx, "J", 2 * x, ("zeros", a))
+                else:
+                    num_sq += w
+                    num_nsq += w
+            if x == 0:
+                delta_k = o_odd * num_sq
             else:
-                num_sq += w
-                num_nsq += w
-        if x == 0:
-            delta_k = o_odd * num_sq
-        else:
-            o_sq = counts.orth_order(ctx, FormClass(2 * x, 2 * x, SQ))
-            o_nsq = counts.orth_order(ctx, FormClass(2 * x, 2 * x, NONSQ))
-            delta_k = o_odd * Fraction(num_sq * o_nsq - num_nsq * o_sq, o_sq * o_nsq)
-        total += (
-            (-1) ** k
-            * eps**k
-            * p ** (k * k)
-            * counts.qfunc(ctx, "gamma", c, k)
-            * delta_k
-        )
-    return pref * total
+                o_sq = counts.orth_order(ctx, FormClass(2 * x, 2 * x, SQ))
+                o_nsq = counts.orth_order(ctx, FormClass(2 * x, 2 * x, NONSQ))
+                what = "o(2t+1) / o(2x) at t={}, x={}"
+                delta_k = num_sq * counts.exact_div(o_odd, o_sq, what, t, x)
+                delta_k -= num_nsq * counts.exact_div(o_odd, o_nsq, what, t, x)
+            total += (
+                (-1) ** k
+                * eps**k
+                * p ** (k * k)
+                * counts.qfunc(ctx, "gamma", c, k)
+                * delta_k
+            )
+    return counts.exact_div(nu * total, orth, "even-rank value at ({},{},{})", n, d, 2 * t)
 
 
 def prop41_value(ctx: PrimeContext, n: int, d: int, disc: str, r: int) -> QuadValue:
@@ -255,10 +253,7 @@ def prop41_value(ctx: PrimeContext, n: int, d: int, disc: str, r: int) -> QuadVa
         if disc == NONSQ:
             b = -b
         return QuadValue(0, b)
-    val = counts.exact_div(
-        _even_restricted(ctx, n, d, t), 1, "even-rank value at ({},{},{})", n, d, r
-    )
-    return QuadValue(val, 0)
+    return QuadValue(_even_restricted(ctx, n, d, t), 0)
 
 
 _UNTWISTED = ("G_I", "G_J", "Gbar_I", "Gbar_J")
@@ -290,15 +285,12 @@ def lemma54_h(ctx: PrimeContext, ell: int, rank_y: int, disc: str) -> Fraction:
         raise ValueError(f"bad (ell, rank) = ({ell}, {rank_y})")
     b = rank_y // 2
     k, odd = divmod(ell, 2)
-    core = Fraction(
-        counts.qfunc(ctx, "mu", 2 * (k - b), 2 * (k - b)),
-        counts.qfunc(ctx, "mudelta", k - b, k - b),
-    )
+    core = _odd_product(p, k - b)  # mu(2(k-b),2(k-b)) / mudelta(k-b,k-b)
     if not odd:
-        return (-1) ** b * core
+        return Fraction((-1) ** b * core)
     if rank_y % 2 == 0:
         return Fraction(0)
-    out = (-1) ** b * eps**b * core / p**b
+    out = Fraction((-1) ** b * eps**b * core, p**b)
     if disc == NONSQ:
         out = -out
     return out

@@ -237,16 +237,17 @@ def _class_sums(ctx: PrimeContext) -> np.ndarray:
 
 @prime_cache
 def _canonical_counts(ctx: PrimeContext, a1: int, a2: int, a0: int):
-    """(J, V) for T = diag(1^a1, omega^a2, 0^a0), n = a1 + a2 + a0, as
-    object arrays of Python integers, by recursion on n; each shape is
+    """J for T = diag(1^a1, omega^a2, 0^a0), n = a1 + a2 + a0, as an
+    object array of Python integers, by recursion on n; each shape is
     built once and cached read-only, with every shape it recursed
-    through. V comes from its own recursion (_canonical_vectors).
+    through.
 
     J[c, k] counts the symmetric S of class code c with 2*trace(TS)
     equal to one given residue of square class k (0, a nonzero square,
-    a nonsquare), and V[k] the vectors s with 2 s^T T s that residue:
-    the same for each residue of the class, since S -> l^2 S keeps the
-    class of S and multiplies trace(TS) by l^2.
+    a nonsquare): the same for each residue of the class, since
+    S -> l^2 S keeps the class of S and multiplies trace(TS) by l^2.
+    V_T[k], the vectors s with 2 s^T T s that residue, comes from its
+    own recursion (_canonical_vectors).
 
     Write S with first row (d1, s1) and lower-right block S', t1 the
     first entry of T and T' the rest, of size m = n - 1; splitting off
@@ -270,13 +271,12 @@ def _canonical_counts(ctx: PrimeContext, a1: int, a2: int, a0: int):
       N_(m-1) the class totals of Sym_(m-1), the zero T's J at 0.
     """
     p, n = ctx.p, a1 + a2 + a0
-    V = _canonical_vectors(ctx, a1, a2, a0)
     if not n:  # the empty matrix: rank 0, trace 0
         J = np.array([[1, 0, 0], [0, 0, 0]], object)
     else:
         t1, sub, cls = _first_entry(ctx, a1, a2, a0)
         m, m_zeros = n - 1, sub[2]
-        sub_J, sub_V = _canonical_counts(ctx, *sub)[0], _canonical_vectors(ctx, *sub)
+        sub_J, sub_V = _canonical_counts(ctx, *sub), _canonical_vectors(ctx, *sub)
         A = _class_sums(ctx)
         J = np.zeros((2 * n + 2, 3), object)
         J[: 2 * n] = sub_J
@@ -286,12 +286,12 @@ def _canonical_counts(ctx: PrimeContext, a1: int, a2: int, a0: int):
             K = (A @ shift) @ sub_V[[0, 1, 2] if sign == 1 else [0, 2, 1]]
             J[(np.arange(2 * n) + 2) ^ (sign == -1)] += sub_J @ (A @ K).T
         if m:
-            N = _canonical_counts(ctx, 0, 0, m - 1)[0][:, :1]
+            N = _canonical_counts(ctx, 0, 0, m - 1)[:, :1]
             H = p ** (m - 1) * (p**m - p**m_zeros) * N
             if m_zeros:  # T'' = T' with one zero fewer
-                H = H + p**m * (p**m_zeros - 1) * _canonical_counts(ctx, *sub[:2], m_zeros - 1)[0]
+                H = H + p**m * (p**m_zeros - 1) * _canonical_counts(ctx, *sub[:2], m_zeros - 1)
             J[(np.arange(2 * m) + 4) ^ (ctx.epsilon == -1)] += H
-    return J, V
+    return J
 
 
 def _first_entry(ctx: PrimeContext, a1: int, a2: int, a0: int):
@@ -305,7 +305,7 @@ def _first_entry(ctx: PrimeContext, a1: int, a2: int, a0: int):
 
 @prime_cache
 def _canonical_vectors(ctx: PrimeContext, a1: int, a2: int, a0: int):
-    """V of _canonical_counts for T = diag(1^a1, omega^a2, 0^a0), by its
+    """V for T = diag(1^a1, omega^a2, 0^a0) (_canonical_counts), by its
     own recursion on n: v = (x, v') gives 2 v^T T v = 2 t1 x^2 +
     2 v'^T T' v', so V_T is the values of 2 t1 x^2 convolved with V_T'.
     Each shape is built once and cached read-only; no J table is built."""
@@ -371,8 +371,8 @@ def class_character_tables(ctx: PrimeContext, Ts, budget=None, jobs=None):
     if total > _INT64_MAX:
         raise CapExceeded(total, _INT64_MAX, "int64 class table")
     if _recurses(p, n):
-        states = np.array([_canonical_counts(ctx, *_class_shape(ctx, T))[0] for T in Ts])
-        return states[:, :, chi_table(ctx) % 3].astype(np.int64)
+        states = np.array([_canonical_counts(ctx, *_class_shape(ctx, T)) for T in Ts], np.int64)
+        return states[:, :, chi_table(ctx) % 3]
     # kept per (p, n), and per (p, n, jobs) when pooled
     codes = _classified(ctx, n, jobs) if jobs and jobs > 1 else _classified(ctx, n)
     return _code_counts(p, codes, _exp_weights(ctx, Ts), 2 * n + 2)

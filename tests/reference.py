@@ -13,7 +13,11 @@ codes are then counted prefix block by prefix block (code_counts), so
 no exponent array holds more than oracle._CHUNK entries.
 
 vector_counts counts the values of a quadratic form over every vector
-directly, the reference for the vector counts of oracle._canonical_counts.
+directly, the reference for the vector counts of oracle._canonical_vectors.
+
+mu, delta, mudelta, nu, frames and odd_product are the loop definitions
+of the product functions that counts and formulas read as quotients of
+prefix products (counts._prefix), one factor per step.
 
 pytest does not collect this module; the test modules import it.
 """
@@ -199,3 +203,53 @@ def vector_counts(p: int, T) -> np.ndarray:
     v = digits_block(p, t, 0, p**t).astype(np.int64)
     M = 2 * np.array(T, np.int64).reshape(t, t) % p
     return np.bincount((v @ M % p * v).sum(axis=1) % p, minlength=p)
+
+
+def mu(p: int, t: int, s: int) -> int:
+    out = 1
+    for i in range(s):
+        if t - i <= 0:
+            return 0  # the exponent-0 factor vanishes
+        out *= p ** (t - i) - 1
+    return out
+
+
+def delta(p: int, t: int, s: int) -> int:
+    out = 1
+    for i in range(s):
+        if t - i < 0:
+            raise ValueError(f"delta({t},{s}) runs past exponent 0")
+        out *= p ** (t - i) + 1
+    return out
+
+
+def mudelta(p: int, t: int, s: int) -> int:
+    out = 1
+    for i in range(s):
+        if t - i <= 0:
+            return 0
+        out *= p ** (2 * (t - i)) - 1
+    return out
+
+
+def nu(p: int, t: int, s: int) -> int:
+    out = 1
+    for i in range(s, t):
+        out *= p**t - p**i
+    return out
+
+
+def frames(p: int, t: int, j: int) -> int:
+    """prod_{i<j} (p^t - p^i): linearly independent j-tuples in F_p^t."""
+    out = 1
+    for i in range(j):
+        out *= p**t - p**i
+    return out
+
+
+def odd_product(p: int, count: int) -> int:
+    # (p^1 - 1)(p^3 - 1) ... (p^(2*count-1) - 1)
+    out = 1
+    for i in range(1, count + 1):
+        out *= p ** (2 * i - 1) - 1
+    return out

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+import reference
 
 from isogauss import (
     NONSQ,
@@ -206,6 +207,34 @@ def test_exact_div_and_frames():
     assert counts.frames(3, 2, 3) == 0  # no 3 independent vectors in F_3^2
 
 
+# each product function read from the prefix table, and its loop
+_PRODUCTS = (
+    (counts._mu, reference.mu),
+    (counts._delta, reference.delta),
+    (counts._mudelta, reference.mudelta),
+    (counts._nu, reference.nu),
+)
+
+
+# t <= 20 at the two large primes: a product at t = 60 there has up to
+# 58,000 bits, and the whole grid took 13 s at p = 3037000493
+@pytest.mark.parametrize("p, max_t", [(3, 60), (5, 60), (10009, 20), (3037000493, 20)])
+def test_prefix_products_equal_their_loops(p, max_t):
+    # -2 <= t <= max_t and 0 <= s <= 62: the 0s once an exponent-0 factor
+    # enters, delta's factor 2 at s = t + 1 and its ValueError past it;
+    # frames at t >= 0 only, where its loop is an integer count
+    clear_caches()
+    for t in range(-2, max_t + 1):
+        for s in range(63):
+            for fn, loop in _PRODUCTS:
+                assert _outcome(fn, p, t, s) == _outcome(loop, p, t, s), (fn.__name__, t, s)
+            if t >= 0:
+                assert counts.frames(p, t, s) == reference.frames(p, t, s), (t, s)
+        assert formulas._odd_product(p, t) == reference.odd_product(p, t), t
+    assert counts._prefix.cache_info().primes == 1
+    clear_caches()
+
+
 # primes on both sides of the int16 boundary, epsilon = -1 and +1, and
 # the largest p a context accepts
 _MEMO_PRIMES = (3, 5, 10009, 32749, 32771, 3037000493)
@@ -258,6 +287,7 @@ _CACHES = {
     "isogauss.field.chi_table",
     "isogauss.cyclotomic.g_star_shape",
     "isogauss.cyclotomic.g_star_one",
+    "isogauss.counts._prefix",
     "isogauss.counts.qfunc",
     "isogauss.counts.rep_star_lemma51",
     "isogauss.counts.orth_order",

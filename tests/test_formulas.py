@@ -8,8 +8,10 @@ from isogauss import (
     FormClass,
     QuadValue,
     all_classes,
+    clear_caches,
     cor12_check,
     embed,
+    formulas,
     gauss_restricted_bf,
     gauss_twisted_bf,
     gauss_zero_even,
@@ -247,6 +249,30 @@ def _orbit_weighted_sum(ctx, n, value):
         a += orbit_size(ctx, c) * v.a
         b += orbit_size(ctx, c) * v.b
     return a, b
+
+
+@pytest.mark.parametrize("p", [3, 5, 10009, 3037000493])
+def test_even_restricted_is_an_int_wherever_prop41_reads_it(p, monkeypatch):
+    # every rank of every class with n <= 12: each even-rank core that
+    # prop41_value reads, at its own rank or one dimension down for an
+    # odd rank, is a Python int, not a Fraction
+    read = []
+    core = formulas._even_restricted
+
+    def recorded(*args):
+        value = core(*args)
+        read.append(type(value))
+        return value
+
+    monkeypatch.setattr(formulas, "_even_restricted", recorded)
+    ctx = prime_context(p)
+    clear_caches()
+    for n in range(1, 13):
+        for c in all_classes(n):
+            for r in range(n + 1):
+                prop41_value(ctx, n, c.d, c.disc, r)
+    assert len(read) > 100 and set(read) == {int}
+    clear_caches()
 
 
 @pytest.mark.parametrize("p", [3, 5, 10009, 3037000493])

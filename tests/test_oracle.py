@@ -1209,7 +1209,7 @@ def _expanded(ctx, J):
 
 
 def _recursion_rows(ctx, T):
-    return _expanded(ctx, oracle._canonical_counts(ctx, *reference.canonical_shape(ctx, T))[0])
+    return _expanded(ctx, oracle._canonical_counts(ctx, *reference.canonical_shape(ctx, T)))
 
 
 def _random_congruent(rng, ctx, c):
@@ -1261,15 +1261,16 @@ def test_canonical_counts_equal_the_count_of_the_codes():
     # on every default-grid cell, n = 1 and 2 included, the recursion's
     # counts of each canonical T, called directly, equal the table counted
     # from the enumerated class codes, which the tests above check against
-    # direct and scalar classification; its vector counts V equal a
-    # plain count of 2 v^T T v over every v. p = 3 and 7 have
-    # chi(-1) = -1, where the hyperbolic case flips the class
+    # direct and scalar classification; the vector counts V of its own
+    # recursion equal a plain count of 2 v^T T v over every v. p = 3 and
+    # 7 have chi(-1) = -1, where the hyperbolic case flips the class
     clear_caches()
     for p, n in _GRID:
         ctx = prime_context(p)
         Ts = [canonical_matrix(ctx, c) for c in all_classes(n)]
         for T, want in zip(Ts, reference.code_tables(ctx, n, Ts)):
-            J, V = oracle._canonical_counts(ctx, *reference.canonical_shape(ctx, T))
+            shape = reference.canonical_shape(ctx, T)
+            J, V = oracle._canonical_counts(ctx, *shape), oracle._canonical_vectors(ctx, *shape)
             assert J.shape == (2 * n + 2, 3) and V.shape == (3,)
             assert np.array_equal(_expanded(ctx, J), want), (p, n, T)
             assert np.array_equal(_expanded(ctx, V[None])[0], reference.vector_counts(p, T)), (p, n, T)
@@ -1440,11 +1441,11 @@ def test_recursion_matches_thm11_and_zero_forms_to_n_40(p):
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_recursion_matches_prop41_at_every_rank_to_n_12(p):
-    # every class and every rank r >= 1 with n <= 12; the zero form's
-    # rows are those of zero_forms' restricted sums
+    # every class and every rank r >= 1 with n <= 12, and with n <= 30 at
+    # p = 3; the zero form's rows are those of zero_forms' restricted sums
     ctx = prime_context(p)
     clear_caches()
-    for n in range(1, 13):
+    for n in range(1, 31 if p == 3 else 13):
         for c in all_classes(n):
             rows = _recursion_rows(ctx, canonical_matrix(ctx, c))
             for r in range(1, n + 1):
