@@ -4,10 +4,10 @@ A PrimeContext fixes the prime together with the canonical nonsquare
 omega (least positive nonsquare) and epsilon = chi(-1), both found by
 Euler's criterion; it is an O(1) tuple of three ints that hashes in C.
 Everything downstream takes the context as first argument; contexts are
-immutable and safe to share. Scalar code reads chi and inverses through
-pow. The one O(p) array, chi as int8, is built by chi_table(), once per
-prime, for the vectorised callers only: 1 at the squares x^2 mod p,
-x = 1 .. (p-1)/2, -1 at every other nonzero residue. Every cache of the
+immutable and safe to share. Scalar code reads chi through pow, by
+Euler's criterion. The one O(p) array, chi as int8, is built by
+chi_table(), once per prime, for the vectorised callers only: 1 at the
+squares x^2 mod p, x = 1 .. (p-1)/2, -1 at every other nonzero residue. Every cache of the
 package is a prime_cache, bounded per prime; clear_caches empties them.
 """
 

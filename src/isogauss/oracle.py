@@ -6,16 +6,16 @@ number-theoretic shortcuts. numpy does the batch work; all
 accumulation is exact integer arithmetic.
 
 The cell picks how a character table is counted. One rule (_recurses:
-n >= 3, or n = 2 past _CHUNK matrices) marks the cells counted by
-recursion on dimension (the Witt decomposition). There every T is
+n >= 3, or a cell of more than _CHUNK matrices) marks the cells counted
+by recursion on dimension (the Witt decomposition). There every T is
 classified and reads the counts by (class, square class of
 2*trace(TS)) of its class's canonical T, diag(1^a1, omega^a2, 0^a0),
 from _canonical_counts, cached per shape, with no class code: a
 congruence S -> P S P^T carries one table to the other. The smaller
-cells, n = 1 at any p and n = 2 up to _CHUNK matrices, count their
-class codes (_code_counts), classified once per (p, n), chunked or
-pooled. That int64 table (class_character_tables) is the only one:
-every signed or restricted sum is one reduction of it (signed_rows).
+cells, n <= 2 of at most _CHUNK matrices, count their class codes
+(_code_counts), classified once per (p, n), chunked or pooled. That
+int64 table (class_character_tables) is the only one: every signed or
+restricted sum is one reduction of it (signed_rows).
 Its counts are exact while a cell holds at most 2^63 - 1 matrices; past
 that it is refused with CapExceeded whatever the budget. Every budget
 is charged through one check (_charge).
@@ -44,7 +44,6 @@ CACHED_PRIMES primes, read-only, counted, and emptied by clear_caches.
 """
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import prod
@@ -160,20 +159,22 @@ def _class_codes(ctx: PrimeContext, n: int, lo: int, hi: int) -> np.ndarray:
 def _recurses(p: int, n: int) -> bool:
     """Whether the tables of a (p, n) cell come from the recursion on
     dimension (_canonical_counts) and not from its class codes: every
-    cell with n >= 3, and an n = 2 cell of more than _CHUNK matrices."""
-    return n >= 3 or (n == 2 and p**3 > _CHUNK)
+    cell with n >= 3, and any cell of more than _CHUNK matrices."""
+    return n >= 3 or p ** (n * (n + 1) // 2) > _CHUNK
 
 
 @prime_cache
 def _classified(ctx: PrimeContext, n: int, jobs=None) -> np.ndarray:
     """Class codes of every symmetric n x n matrix of a cell that does not
-    _recurse (n = 1 at any p, n = 2 up to _CHUNK matrices), in
-    enumeration order, classified matrix by matrix, through a process
-    pool when jobs > 1: kept per (p, n), or (p, n, jobs) if jobs is given.
+    _recurse (n <= 2, at most _CHUNK matrices), in enumeration order,
+    classified matrix by matrix, through a process pool when jobs > 1:
+    kept per (p, n), or (p, n, jobs) if jobs is given.
     """
     total = ctx.p ** (n * (n + 1) // 2)
     codes = np.empty(total, np.uint8)
     if jobs and jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # imported by the pool alone
+
         ranges = _ranges(total, jobs)
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             futs = [ex.submit(_class_codes, ctx, n, lo, hi) for lo, hi in ranges]
@@ -210,8 +211,8 @@ def _code_counts(p, codes, W, rows):
     sum_k W[k, t] * d_k mod p), d the digits of the code's enumeration
     index: int64, of shape (W.shape[1], rows, p), one bincount of
     code * p + exponent per column. Only a cell that does not _recurse
-    counts codes: n = 2 with at most _CHUNK matrices, or n = 1, one
-    digit, so each column's exponents are a single array.
+    counts codes: n <= 2 with at most _CHUNK matrices, so each column's
+    exponents are a single array.
     """
     base = codes * np.int64(p)
     acc = np.empty((W.shape[1], rows * p), np.int64)
@@ -230,8 +231,8 @@ def _class_sums(ctx: PrimeContext) -> np.ndarray:
     chi in O(p), as Python integers (an object array) that multiply
     counts of any size exactly."""
     cls = chi_table(ctx) % 3
-    x = np.arange(ctx.p)
-    A = [np.bincount(3 * cls + cls[(rep - x) % ctx.p], minlength=9) for rep in (0, 1, ctx.omega)]
+    neg = np.roll(cls[::-1], 1)  # the class of -x; rolled by rep, of rep - x
+    A = [np.bincount(3 * cls + np.roll(neg, rep), minlength=9) for rep in (0, 1, ctx.omega)]
     return np.array(np.reshape(A, (3, 3, 3)).tolist(), object)
 
 
@@ -343,7 +344,7 @@ def class_character_tables(ctx: PrimeContext, Ts, budget=None, jobs=None):
     table serves all of them.
 
     The cell picks the count (_recurses), exact in int64 either way:
-    - n >= 3, or n = 2 past _CHUNK matrices: each T is classified
+    - n >= 3, or a cell past _CHUNK matrices: each T is classified
       (_class_shape) and reads the counts of its class's canonical D =
       diag(1^a1, omega^a2, 0^a0), as canonical_matrix gives, by (class
       code, square class of 2*trace(DS)), built by recursion on
@@ -352,7 +353,7 @@ def class_character_tables(ctx: PrimeContext, Ts, budget=None, jobs=None):
       bijection of the symmetric matrices that keeps the class of S,
       with trace(TS) = trace(D P S P^T): a fact of linear algebra, not a
       closed form under test;
-    - every other cell, n = 1 or n = 2 of at most _CHUNK matrices: the
+    - every other cell, n <= 2 of at most _CHUNK matrices: the
       cell's cached class codes counted against T's exponents
       2*trace(TS) = sum_k w_k * d_k mod p, one term per upper-triangle
       digit d_k of S (_code_counts).
@@ -372,7 +373,7 @@ def class_character_tables(ctx: PrimeContext, Ts, budget=None, jobs=None):
         raise CapExceeded(total, _INT64_MAX, "int64 class table")
     if _recurses(p, n):
         states = np.array([_canonical_counts(ctx, *_class_shape(ctx, T)) for T in Ts], np.int64)
-        return states[:, :, chi_table(ctx) % 3]
+        return np.take(states, chi_table(ctx) % 3, axis=2)
     # kept per (p, n), and per (p, n, jobs) when pooled
     codes = _classified(ctx, n, jobs) if jobs and jobs > 1 else _classified(ctx, n)
     return _code_counts(p, codes, _exp_weights(ctx, Ts), 2 * n + 2)

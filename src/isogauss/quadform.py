@@ -5,6 +5,11 @@ congruence by its rank d and the square class of the discriminant of
 its nondegenerate part. Classes are canonically represented by
 I_d perp 0_(n-d) (Square) and J_d perp 0_(n-d) (NonSquare) with
 J_d = I_(d-1) perp <omega>. Rank 0 is Square by convention.
+
+classify finds the class of one matrix in Python integers, and
+classify_batch that of each matrix of a batch in numpy, by the same
+elimination: a congruence that multiplies instead of dividing, so no
+residue is inverted.
 """
 
 from itertools import product
@@ -77,63 +82,41 @@ def canonical_matrix(ctx: PrimeContext, c: FormClass) -> Matrix:
 def classify(ctx: PrimeContext, T: Sequence[Sequence[int]]) -> FormClass:
     """Congruence class of a symmetric matrix: (dimension, rank, disc type).
 
-    Symmetric Gaussian elimination: pivot on a nonzero diagonal entry,
-    pulling one up by a diagonal swap when available; if the remaining
-    block has an all-zero diagonal but some nonzero off-diagonal entry
-    a[i][j], add row j to row i and column j to column i first (this
-    puts 2*a[i][j] != 0 on the diagonal; p is odd so 2 is a unit).
-    The disc type is the character of the product of the pivots.
+    Symmetric elimination on a block that loses its first row and column
+    at each step. The pivot is the first nonzero diagonal entry a_ss,
+    swapped into place; when the whole diagonal is zero, the first
+    nonzero a_ij (i < j) is made one: adding row and column j to row
+    and column i puts 2*a_ij there, a unit as p is odd. The rest of the
+    block becomes piv * (piv * a_ij - a_i0 * a_0j): the congruence
+    E A E^T with E_ii = piv and E_i0 = -a_i0, of determinant
+    piv^(m-1), so no pivot is inverted and the discriminant moves by a
+    square only. A zero pivot means the block is zero. The disc type is
+    the character of the product of the pivots.
     """
     p = ctx.p
-    a = [list(r) for r in sym_matrix(ctx, T)]
+    a = sym_matrix(ctx, T)
     n = len(a)
     rank, prod = 0, 1
-    for k in range(n):
-        if a[k][k] == 0:
-            j = next((j for j in range(k + 1, n) if a[j][j]), None)
-            if j is not None:
-                for r in range(n):
-                    a[r][k], a[r][j] = a[r][j], a[r][k]
-                a[k], a[j] = a[j], a[k]
-            else:
-                found = None
-                for i in range(k, n):
-                    for jj in range(i + 1, n):
-                        if a[i][jj]:
-                            found = (i, jj)
-                            break
-                    if found:
-                        break
-                if found is None:
-                    break  # remaining block is zero
-                i, jj = found
-                for r in range(n):
-                    a[i][r] = (a[i][r] + a[jj][r]) % p
-                for r in range(n):
-                    a[r][i] = (a[r][i] + a[r][jj]) % p
-                if i != k:
-                    for r in range(n):
-                        a[r][k], a[r][i] = a[r][i], a[r][k]
-                    a[k], a[i] = a[i], a[k]
-        piv = a[k][k]
-        if piv == 0:
-            continue
+    while a:
+        m = len(a)
+        s = next((i for i in range(m) if a[i][i]), None)
+        if s is None:
+            ij = next(((i, j) for i in range(m) for j in range(i + 1, m) if a[i][j]), None)
+            if ij is None:
+                break  # the block is zero
+            s, j = ij
+            row = [(x + y) % p for x, y in zip(a[s], a[j])]
+            row[s] = 2 * a[s][j] % p
+        else:
+            row = a[s]
+        piv = row[s]
         rank += 1
         prod = prod * piv % p
-        inv = pow(int(piv), -1, p)
-        col = [a[r][k] for r in range(n)]
-        for i in range(k + 1, n):
-            f = col[i] * inv % p
-            if f:
-                for j2 in range(n):
-                    a[i][j2] = (a[i][j2] - f * a[k][j2]) % p
-        for i in range(k + 1, n):
-            f = col[i] * inv % p
-            if f:
-                for r in range(k + 1, n):
-                    a[r][i] = (a[r][i] - f * a[r][k]) % p
-    disc = SQ if rank == 0 or legendre(ctx, prod) == 1 else NONSQ
-    return FormClass(n, rank, disc)
+        # the block without row and column s, in the order that swapping
+        # them with row and column 0 leaves
+        rest = [0 if i == s else i for i in range(1, m)]
+        a = [[piv * (piv * a[i][j] - row[i] * row[j]) % p for j in rest] for i in rest]
+    return FormClass(n, rank, SQ if legendre(ctx, prod) == 1 else NONSQ)
 
 
 def int_dtype(p: int):
@@ -146,17 +129,12 @@ def int_dtype(p: int):
     return np.int64
 
 
-def _inverses(p: int, x: np.ndarray) -> np.ndarray:
-    """x^(p-2) mod p elementwise, by square-and-multiply in x's dtype:
-    the inverse of each nonzero residue (Fermat), 0 at 0. Each product
-    is of two residues, so it is exact in int_dtype(p)."""
-    out, e = np.ones_like(x), p - 2
-    while e:
-        if e & 1:
-            out = out * x % p
-        x = x * x % p
-        e >>= 1
-    return out
+def _swap(a: np.ndarray, j: np.ndarray) -> None:
+    """Swap row and column 0 of each matrix a[k] with its row and column
+    j[k], in place."""
+    k = np.arange(len(a))
+    a[k, 0], a[k, j] = a[k, j], a[k, 0]
+    a[k, :, 0], a[k, :, j] = a[k, :, j], a[k, :, 0]
 
 
 def classify_batch(ctx: PrimeContext, mats: np.ndarray):
@@ -164,74 +142,46 @@ def classify_batch(ctx: PrimeContext, mats: np.ndarray):
 
     mats: (B, n, n) integer array with entries already reduced mod p.
     Returns (rank, disc) as int arrays; disc is +1/-1, +1 for rank 0.
-    Mirrors the scalar classify step for step; the pivots are inverted
-    by _inverses, with no table.
+    Mirrors the scalar classify step for step, in int_dtype(p): every
+    product is of two residues, and the difference of two such products
+    fits as well.
     """
     p = ctx.p
-    dt = int_dtype(p)
-    a = mats.astype(dt, copy=True)
-    B, n, _ = a.shape
-    rank = np.zeros(B, dtype=np.int16)
-    prod = np.ones(B, dtype=dt)
-
-    for k in range(n):
-        need = a[:, k, k] == 0
-        if need.any() and k + 1 <= n - 1:
-            # diagonal swap: first j > k with a nonzero diagonal entry
-            didx = np.arange(k + 1, n)
-            diags = a[:, didx, didx]  # (B, n-k-1)
-            nzd = diags != 0
-            has_diag = need & nzd.any(axis=1)
-            if has_diag.any():
-                rows = np.where(has_diag)[0]
-                j = k + 1 + np.argmax(nzd[rows], axis=1)
-                tmp = a[rows, k, :].copy()
-                a[rows, k, :] = a[rows, j, :]
-                a[rows, j, :] = tmp
-                tmp = a[rows, :, k].copy()
-                a[rows, :, k] = a[rows, :, j]
-                a[rows, :, j] = tmp
-                need = need & ~has_diag
-        if need.any():
-            # off-diagonal fixup inside the remaining block
-            ui, uj = np.triu_indices(n, k=1)
-            keep = ui >= k
-            ui, uj = ui[keep], uj[keep]
-            if ui.size:
-                rows = np.where(need)[0]
-                vals = a[rows][:, ui, uj]
-                nzo = vals != 0
-                hasoff = nzo.any(axis=1)
-                rows = rows[hasoff]
-                if rows.size:
-                    first = np.argmax(nzo[hasoff], axis=1)
-                    fi, fj = ui[first], uj[first]
-                    # row i += row j, col i += col j
-                    a[rows, fi, :] = (a[rows, fi, :] + a[rows, fj, :]) % p
-                    a[rows, :, fi] = (a[rows, :, fi] + a[rows, :, fj]) % p
-                    doswap = fi != k
-                    srows, si = rows[doswap], fi[doswap]
-                    if srows.size:
-                        tmp = a[srows, k, :].copy()
-                        a[srows, k, :] = a[srows, si, :]
-                        a[srows, si, :] = tmp
-                        tmp = a[srows, :, k].copy()
-                        a[srows, :, k] = a[srows, :, si]
-                        a[srows, :, si] = tmp
-        piv = a[:, k, k]
+    a = mats.astype(int_dtype(p))
+    rank = np.zeros(len(a), np.int64)
+    prod = np.ones(len(a), a.dtype)
+    while a.shape[1]:
+        m = a.shape[1]
+        rows = np.flatnonzero(a[:, 0, 0] == 0)
+        if m > 1 and rows.size:
+            sub = a[rows]
+            diag = sub.diagonal(axis1=1, axis2=2) != 0
+            s = diag.argmax(axis=1)  # the row and column that become the pivot's
+            fix = np.flatnonzero(~diag.any(axis=1))
+            if fix.size:
+                # no nonzero diagonal entry: add row and column j to row
+                # and column i for the first nonzero a_ij, i < j (a zero
+                # block adds zeros to zeros)
+                ui, uj = np.triu_indices(m, 1)
+                first = (sub[fix][:, ui, uj] != 0).argmax(axis=1)
+                i, j = ui[first], uj[first]
+                sub[fix, i] = (sub[fix, i] + sub[fix, j]) % p
+                sub[fix, :, i] = (sub[fix, :, i] + sub[fix, :, j]) % p
+                s[fix] = i
+            _swap(sub, s)
+            a[rows] = sub
+        piv = a[:, 0, 0]
         act = piv != 0
-        rank += act
         prod = np.where(act, prod * piv % p, prod)
-        if k + 1 < n:
-            pinv = _inverses(p, piv)
-            col = a[:, :, k].copy()
-            f = col * pinv[:, None] % p
-            f[:, : k + 1] = 0
-            f[~act] = 0
-            a = (a - f[:, :, None] * a[:, k : k + 1, :]) % p
-    disc = chi_table(ctx)[prod]
-    disc = np.where(rank == 0, np.int8(1), disc)
-    return rank.astype(np.int64), disc.astype(np.int8)
+        rank += act
+        piv = piv[:, None, None]
+        col = a[:, 1:, :1]
+        a = a[:, 1:, 1:] * piv
+        a -= col * col.transpose(0, 2, 1)
+        a %= p
+        a *= piv
+        a %= p
+    return rank, chi_table(ctx)[prod]
 
 
 def upper_positions(n: int) -> List[Tuple[int, int]]:

@@ -5,12 +5,13 @@ cell: no canonical form and no congruence invariance. So it stays
 independent of the oracle's tables in the cells that oracle._recurses,
 where each T reads the counts of its class's canonical T.
 
-The codes of a cell that oracle._recurses are built by recursion on
-dimension (recursed) from the (p, n-1) and (p, n-2) cells, which is far
-faster than classifying each matrix: 0.4 s against 29 s at (3, 5). The
-other cells are classified matrix by matrix (oracle._class_codes). The
-codes are then counted prefix block by prefix block (code_counts), so
-no exponent array holds more than oracle._CHUNK entries.
+The codes of a cell with n >= 2 that oracle._recurses are built by
+recursion on dimension (recursed) from the (p, n-1) and (p, n-2) cells,
+which is far faster than classifying each matrix: 0.4 s against 29 s at
+(3, 5). The other cells, and n = 1 at any p, are classified matrix by
+matrix (oracle._class_codes). The codes are then counted prefix block
+by prefix block (code_counts), so no exponent array holds more than
+oracle._CHUNK entries.
 
 vector_counts counts the values of a quadratic form over every vector
 directly, the reference for the vector counts of oracle._canonical_vectors.
@@ -74,10 +75,10 @@ def restriction(ctx, s1) -> np.ndarray:
 def classified(ctx, n: int) -> np.ndarray:
     """Class codes rank*2 + is_nonsquare of every symmetric n x n matrix,
     in enumeration order: by recursion on dimension in a cell that
-    oracle._recurses, else matrix by matrix."""
+    oracle._recurses, n = 1 and every other cell matrix by matrix."""
     key = (ctx.p, n)
     if key not in _codes:
-        if oracle._recurses(ctx.p, n):
+        if n > 1 and oracle._recurses(ctx.p, n):
             codes = recursed(ctx, n)
         else:
             codes = oracle._class_codes(ctx, n, 0, ctx.p ** (n * (n + 1) // 2))

@@ -6,6 +6,7 @@ the stated wall-clock ceilings are asserted where the criterion has
 one.
 """
 
+import concurrent.futures
 import os
 import random
 import time
@@ -220,13 +221,13 @@ def test_criterion_10_infrastructure(monkeypatch):
     # parallel and serial enumeration agree on identical tables; the
     # pool classifies cells with n <= 2 of at most _CHUNK matrices
     started = []
-    pool = oracle.ProcessPoolExecutor
+    pool = concurrent.futures.ProcessPoolExecutor
 
     def counted(*args, **kwargs):
         started.append(kwargs["max_workers"])
         return pool(*args, **kwargs)
 
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", counted)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
     for p, n, jobs in ((3, 2, 2), (7, 2, 2), (5, 1, 2), (5, 2, 3)):
         ctx = prime_context(p)
         mats = [canonical_matrix(ctx, c) for c in all_classes(n)]

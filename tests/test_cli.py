@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import contextlib
 import hashlib
 import io
@@ -145,7 +146,7 @@ def test_eval_small_cell_forks_no_pool(capsys, monkeypatch):
         raise AssertionError("a process pool was started")
 
     oracle.clear_caches()
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
     code, out, _ = run(capsys, "eval", "--p", "3", "--n", "2", "--rank", "2", "--jobs", "2")
     assert code == 0
     assert json.loads(out)["match"] is True

@@ -1,6 +1,11 @@
 import ast
+import concurrent.futures
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -32,7 +37,7 @@ from isogauss import (
 )
 from isogauss import all_classes, counts, orth_order, run_suite
 from isogauss import classify, enumerate_symmetric
-from isogauss import field, formulas, oracle, quadform, verify
+from isogauss import cli, field, formulas, oracle, quadform, verify
 from isogauss.cyclotomic import reduce_exponent_vector
 from isogauss.oracle import _CHUNK, _ranges, clear_caches, rep_star_bf, subspace_census
 from isogauss.quadform import block_diag, digits_block
@@ -126,16 +131,17 @@ def test_class_tables_are_complete(ctx3):
 
 
 def _counting_pool(monkeypatch):
-    """Wrap oracle.ProcessPoolExecutor; the returned list collects the
-    max_workers of every pool started."""
+    """Wrap concurrent.futures.ProcessPoolExecutor, which the pool reads
+    when it starts; the returned list collects the max_workers of every
+    pool started."""
     started = []
-    orig = oracle.ProcessPoolExecutor
+    orig = concurrent.futures.ProcessPoolExecutor
 
     def counted(*args, **kwargs):
         started.append(kwargs["max_workers"])
         return orig(*args, **kwargs)
 
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", counted)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
     return started
 
 
@@ -171,7 +177,7 @@ def test_pooled_classes_are_cached(ctx5, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the cell was classified again")
 
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
     monkeypatch.setattr(oracle, "classify_batch", refuse)
     assert np.array_equal(class_character_tables(ctx5, T, None, 2), first)
 
@@ -432,7 +438,7 @@ def test_large_cells_use_no_pool(ctx5, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
     seen = _counting_classify_batch(monkeypatch)
     clear_caches()
     Ts = [canonical_matrix(ctx5, c) for c in all_classes(4)]
@@ -442,7 +448,7 @@ def test_large_cells_use_no_pool(ctx5, monkeypatch):
     # no matrix is classified in a batch, not even a sub-cell's
     assert seen == [] and not oracle._classified.cache_keys()
 
-    # n = 1 is classified directly at any p, never by recursion
+    # _classified classifies an n = 1 cell directly at any p
     del seen[:]
     ctx = prime_context(1000003)
     codes = oracle._classified(ctx, 1)
@@ -451,6 +457,24 @@ def test_large_cells_use_no_pool(ctx5, monkeypatch):
     want[0] = 0
     assert np.array_equal(codes, want)
     clear_caches()
+
+
+def test_n1_cell_past_a_chunk_keeps_no_codes(capsys):
+    # past _CHUNK matrices an n = 1 cell reads the recursion, like n = 2:
+    # no p bytes of class codes are classified or kept
+    clear_caches()
+    assert cli.main(["eval", "--p", "1000003", "--n", "1", "--rank", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["match"] is True
+    assert not oracle._classified.cache_keys()
+    clear_caches()
+
+
+def test_import_leaves_the_pool_module_out():
+    # the pool imports concurrent.futures when it starts, not the package
+    src = os.path.dirname(os.path.dirname(oracle.__file__))
+    code = "import sys, isogauss; sys.exit('concurrent.futures' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_gauss_sum_is_congruence_invariant(ctx3):

@@ -17,7 +17,6 @@ from isogauss import (
     sym_matrix,
 )
 from isogauss.quadform import (
-    _inverses,
     block_diag,
     classify_batch,
     digits_block,
@@ -27,23 +26,20 @@ from isogauss.quadform import (
 )
 
 
-def _random_gl(rng, p, n):
-    # unit lower triangular * upper triangular with nonzero diagonal,
-    # then a row permutation: always invertible, reasonably generic
-    L = np.eye(n, dtype=np.int64)
-    U = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        U[i, i] = rng.randrange(1, p)
-        for j in range(i + 1, n):
-            L[j, i] = rng.randrange(p)
-            U[i, j] = rng.randrange(p)
-    perm = np.eye(n, dtype=np.int64)[rng.sample(range(n), n)]
-    return (L @ U @ perm) % p
+def _invertible(rng, p, n):
+    # a permutation times a unit lower triangular matrix and an upper
+    # triangular one with a nonzero diagonal, all other entries random:
+    # invertible by construction, with no determinant
+    lower = [[int(i == j) if i <= j else rng.randrange(p) for j in range(n)] for i in range(n)]
+    upper = [[0 if i > j else rng.randrange(1, p) if i == j else rng.randrange(p) for j in range(n)] for i in range(n)]
+    rows = [[sum(x * y for x, y in zip(r, col)) % p for col in zip(*upper)] for r in lower]
+    return [rows[i] for i in rng.sample(range(n), n)]
 
 
-def _transform(p, T, U):
-    M = (U.T @ np.array(T, dtype=np.int64) @ U) % p
-    return tuple(tuple(int(x) for x in row) for row in M)
+def _congruent(p, D, U):
+    # U^T D U mod p, in Python integers
+    DU = [[sum(x * y for x, y in zip(r, col)) % p for col in zip(*U)] for r in D]
+    return tuple(tuple(sum(x * y for x, y in zip(r, col)) % p for col in zip(*DU)) for r in zip(*U))
 
 
 def test_all_classes_enumeration():
@@ -113,15 +109,25 @@ def test_orbit_sizes_sum_to_symmetric_count():
 
 
 def test_congruence_invariance_of_classify():
+    # U^T D U, D the canonical matrix of each class, has D's class: both
+    # classifiers, both sides of each int_dtype boundary, and for the
+    # scalar one the largest prime that prime_context accepts (the batch
+    # one reads an O(p) chi table)
     rng = random.Random(11)
-    for p in (3, 5, 7):
+    for p in (3, 5, 181, 191, 46337, 46349, 1000003, 3037000493):
         ctx = prime_context(p)
-        for n in range(1, 5):
+        for n in range(1, 7):
+            want, mats = [], []
             for c in all_classes(n):
-                T = canonical_matrix(ctx, c)
-                for _ in range(5):
-                    U = _random_gl(rng, p, n)
-                    assert classify(ctx, _transform(p, T, U)) == c
+                D = canonical_matrix(ctx, c)
+                for _ in range(3):
+                    T = _congruent(p, D, _invertible(rng, p, n))
+                    assert classify(ctx, T) == c, (p, T)
+                    want.append((c.d, -1 if c.disc == NONSQ else 1))
+                    mats.append(T)
+            if p <= 1000003:
+                ranks, discs = classify_batch(ctx, np.array(mats, np.int64))
+                assert list(zip(ranks.tolist(), discs.tolist())) == want, (p, n)
 
 
 def test_classify_batch_agrees_with_scalar():
@@ -148,18 +154,6 @@ def test_int_dtype_boundaries():
     assert int_dtype(3) is np.int16 and int_dtype(181) is np.int16
     assert int_dtype(191) is np.int32 and int_dtype(46337) is np.int32
     assert int_dtype(46349) is np.int64
-
-
-@pytest.mark.parametrize("p", [181, 191, 46337, 46349, 3037000493])
-def test_pivot_inverses_match_pow(p):
-    # classify_batch inverts its pivots by squaring in int_dtype(p), with
-    # no O(p) table: both sides of each dtype boundary, and the largest
-    # prime that prime_context accepts
-    rng = np.random.default_rng(p)
-    x = np.concatenate([[0, 1, 2, p - 2, p - 1], rng.integers(1, p, 2000)]).astype(int_dtype(p))
-    inv = _inverses(p, x)
-    assert inv.dtype == x.dtype
-    assert inv.tolist() == [0] + [pow(a, -1, p) for a in x.tolist()[1:]]
 
 
 @pytest.mark.parametrize("p", [127, 131, 181, 191, 1009, 32771])
