@@ -30,7 +30,6 @@ from .quadform import (
     sym_matrix,
     classify,
     canonical_matrix,
-    enumerate_symmetric,
     all_classes,
 )
 from .counts import qfunc, rep_star_lemma51, orth_order, orbit_size, iso_count, rep_zero_full
@@ -66,7 +65,7 @@ __all__ = [
     "cyc_mul", "cyc_pow", "cyc_zero", "cyc_const", "g_star_one",
     "quad_mul", "quad_pow", "embed",
     "SQ", "NONSQ", "FormClass", "sym_matrix", "classify", "canonical_matrix",
-    "enumerate_symmetric", "orbit_size", "all_classes",
+    "orbit_size", "all_classes",
     "qfunc", "rep_star_lemma51", "orth_order", "iso_count", "rep_zero_full",
     "Budget", "BudgetExceeded", "gauss_twisted_bf", "gauss_restricted_bf",
     "gauss_untwisted_bf", "rep_count_bf", "iso_subspaces_bf",

@@ -21,7 +21,8 @@ from numpy import ndarray
 
 # how many primes each per-prime cache keeps
 CACHED_PRIMES = 32
-# the oracle works in int64: every product of two residues must fit
+# the oracle works in int64: every product of two residues must fit, and
+# its sums of products and its counts are refused past this
 _INT64_MAX = np.iinfo(np.int64).max
 
 

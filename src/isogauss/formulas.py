@@ -149,9 +149,6 @@ def _even_restricted(ctx: PrimeContext, n: int, d: int, t: int) -> int:
         # of the two degenerate rank-2x companions
         for k in range(0, min(c, t) + 1):
             x, y = t - k, c - k
-            md = counts.qfunc(ctx, "mudelta", t, k)
-            if md == 0:
-                continue
             plus = (p**x + eps**x) * _rep_star_zeros(
                 ctx, FormClass(2 * x + s, 2 * x, SQ), 2 * y
             )
@@ -165,7 +162,7 @@ def _even_restricted(ctx: PrimeContext, n: int, d: int, t: int) -> int:
                 (-1) ** k
                 * eps**k
                 * p ** (s * (2 * k + 1) + 2 * t * k + t - k)
-                * md
+                * counts.qfunc(ctx, "mudelta", t, k)
                 * counts.qfunc(ctx, "gamma", c, k)
                 * (plus - minus)
             )

@@ -35,7 +35,10 @@ Gram matrices of a family of echelon bases (_family), the Cartesian
 products of the row sets, built once per (p, t, ell) and kept like the
 codes. iso_subspaces_bf reads no family: pattern by pattern it keeps
 the isotropic members of each row set and grows partial bases one
-orthogonal row at a time. The lemma 5.1 counts
+orthogonal row at a time. Both read X from one line table
+(_line_forms), X applied once to every line: u^T X v is L[u] . XL[v], a
+sum of t products of residues exact in int64 while t (p - 1)^2 fits,
+and refused with CapExceeded past it. The lemma 5.1 counts
 (rep_star_bf) come from the vector counts or from the totally
 isotropic subspaces of iso_subspaces_bf; rep_count_bf, the general
 column-by-column count, stays as the reference the tests compare them
@@ -51,7 +54,7 @@ from math import prod
 import numpy as np
 
 from .cyclotomic import CycInt, reduce_exponent_vector
-from .field import PrimeContext, chi_table, clear_caches, legendre, prime_cache
+from .field import _INT64_MAX, PrimeContext, chi_table, clear_caches, legendre, prime_cache
 from .quadform import (
     NONSQ,
     SQ,
@@ -199,11 +202,6 @@ def _digit_exponents(p: int, W: np.ndarray) -> np.ndarray:
         term = np.multiply.outer(w, np.arange(p, dtype=np.int64))
         e = (e[:, :, None] + term[:, None, :]).reshape(len(e), -1)
     return e % p
-
-
-# no count of a cell exceeds its p^(n(n+1)/2) matrices, so its int64
-# tables are exact up to this many
-_INT64_MAX = np.iinfo(np.int64).max
 
 
 def _code_counts(p, codes, W, rows):
@@ -616,19 +614,15 @@ def _echelon_blocks(p: int, t: int, ell: int):
             yield block
 
 
-def _family(p: int, t: int, ell: int, budget):
+def _family(p: int, t: int, ell: int):
     """The ell-dimensional subspaces of F_p^t, 0 < ell < t, as blocks of
     rows of line indices (_echelon_blocks).
 
-    The budget charges the [t, ell]_p subspaces on every call, kept or
-    not. A family of at most _CHUNK subspaces is one block, built once
-    and kept (_family_rows); a larger one is built in blocks on every
-    call and not kept. Since 0 < ell < t, [t, ell]_p is at least the
-    number of lines, and so at least p + 1.
+    A family of at most _CHUNK subspaces is one block, built once and
+    kept (_family_rows); a larger one is built in blocks on every call
+    and not kept.
     """
-    count = _subspace_count(p, t, ell)
-    _charge(budget, count, "subspace enumeration")
-    if count > _CHUNK:
+    if _subspace_count(p, t, ell) > _CHUNK:
         return _echelon_blocks(p, t, ell)
     return (_family_rows(p, t, ell),)
 
@@ -640,64 +634,45 @@ def _family_rows(p: int, t: int, ell: int) -> np.ndarray:
     return np.asfortranarray(np.concatenate(list(_echelon_blocks(p, t, ell))))
 
 
-def _forms(p: int, U: np.ndarray, V: np.ndarray, Xa: np.ndarray) -> np.ndarray:
-    """u^T X v mod p for the digit rows u of U and v of V (last axis t,
-    the others broadcast), exactly in int64.
-
-    One matrix product when no sum of t products of residues can pass
-    2^63 - 1; past that (p near 3 * 10^9), every product is reduced
-    before it is summed.
-    """
-    t = len(Xa)
-    if t * (p - 1) ** 2 <= _INT64_MAX:
-        return ((V @ Xa) % p * U).sum(axis=-1) % p
-    W = sum((V[..., k, None] * Xa[k]) % p for k in range(t)) % p
-    return sum((U[..., k] * W[..., k]) % p for k in range(t)) % p
-
-
-@prime_cache(entries=1)
-def _subspace_form(ctx: PrimeContext, X):
-    """X checked and reduced, as a tuple and as an int64 array, for the
-    last X only: the subspace counts ask for each dimension in a row."""
-    X = sym_matrix(ctx, X)
-    return X, np.array(X, np.int64)
-
-
 def _check_dim(ell: int, t: int):
     if not 0 <= ell <= t:
         raise ValueError(f"subspace dimension {ell} out of range")
 
 
-def _orthogonal(p: int, B: np.ndarray, C: np.ndarray, Xa: np.ndarray) -> np.ndarray:
-    """mask[k, c]: whether the digit row C[c] is orthogonal under X to
-    every row of the partial basis B[k]; B of shape (k, r, t), C (c, t).
+@prime_cache(entries=1, keep=lambda ctx, X: _few_lines(ctx.p, len(X)))
+def _line_forms(ctx: PrimeContext, X):
+    """(L, XL, zero) for a reduced symmetric X of size t >= 1, for the
+    last X only, since the subspace counts ask for each dimension in a
+    row: L = _lines(p, t), XL = L X mod p (X applied once to every line)
+    and zero whether q(v) = ^tv X v is 0 on each line. So u^T X v =
+    L[u] . XL[v] for any two lines.
 
-    Exact in int64 by the rule of _forms: one product of matrices while
-    no sum of t products of residues can pass 2^63 - 1, else _forms on
-    every pair.
+    Every entry sums t products of residues, exact in int64 while
+    t (p - 1)^2 <= 2^63 - 1; past that (t >= 2 and p > 2.1 * 10^9, and
+    so more than p + 1 subspaces to count) CapExceeded is raised before
+    any table is built. Kept when F_p^t has at most _CHUNK lines.
     """
-    k, r, t = B.shape
-    rows = B.reshape(k * r, t)
-    if t * (p - 1) ** 2 <= _INT64_MAX:
-        G = rows @ ((C @ Xa) % p).T % p
-    else:
-        G = _forms(p, rows[:, None], C, Xa)
-    return (G.reshape(k, r, -1) == 0).all(axis=1)
+    p, t = ctx.p, len(X)
+    if t * (p - 1) ** 2 > _INT64_MAX:
+        raise CapExceeded(t * (p - 1) ** 2, _INT64_MAX, "int64 line forms")
+    L = _lines(p, t)
+    XL = L @ np.array(X, np.int64) % p
+    return L, XL, (L * XL).sum(axis=1) % p == 0
 
 
-def _extend(p: int, L: np.ndarray, Xa: np.ndarray, prefixes: np.ndarray, cand: np.ndarray):
+def _extend(p: int, L: np.ndarray, XL: np.ndarray, prefixes: np.ndarray, cand: np.ndarray):
     """Yield (block, mask), block a run of the partial bases `prefixes`
     (rows of line indices) and mask[k, c] whether line cand[c] is
-    orthogonal to every row of block[k] (_orthogonal); each block
-    tests at most _CHUNK (prefix, candidate) pairs."""
-    C = L[cand]
+    orthogonal under X to every row of block[k] (_line_forms); each
+    block tests at most _CHUNK (prefix, candidate) pairs."""
+    C = XL[cand].T
     step = max(1, _CHUNK // len(cand))
     for lo in range(0, len(prefixes), step):
         block = prefixes[lo : lo + step]
-        yield block, _orthogonal(p, L[block], C, Xa)
+        yield block, (L[block] @ C % p == 0).all(axis=1)
 
 
-def _orthogonal_bases(p: int, L: np.ndarray, Xa: np.ndarray, sets) -> int:
+def _orthogonal_bases(p: int, L: np.ndarray, XL: np.ndarray, sets) -> int:
     """The number of bases with row r in sets[r] (line indices) and every
     two rows orthogonal under X.
 
@@ -712,19 +687,11 @@ def _orthogonal_bases(p: int, L: np.ndarray, Xa: np.ndarray, sets) -> int:
         if not len(prefixes):
             return 0
         grown = []
-        for block, ok in _extend(p, L, Xa, prefixes, cand):
+        for block, ok in _extend(p, L, XL, prefixes, cand):
             k, c = np.nonzero(ok)
             grown.append(np.column_stack([block[k], cand[c]]))
         prefixes = np.concatenate(grown)
-    return sum(int(np.count_nonzero(ok)) for _, ok in _extend(p, L, Xa, prefixes, sets[-1]))
-
-
-@prime_cache(entries=1)
-def _isotropic_lines(ctx: PrimeContext, X) -> np.ndarray:
-    """Whether q(v) = ^tv X v is 0 on each line (_lines), X reduced, for
-    the last X only, like _subspace_form."""
-    L = _lines(ctx.p, len(X))
-    return _forms(ctx.p, L, L, np.array(X, np.int64)) == 0
+    return sum(int(np.count_nonzero(ok)) for _, ok in _extend(p, L, XL, prefixes, sets[-1]))
 
 
 def iso_subspaces_bf(ctx: PrimeContext, X, j: int, budget=None) -> int:
@@ -734,27 +701,26 @@ def iso_subspaces_bf(ctx: PrimeContext, X, j: int, budget=None) -> int:
     are isotropic and pairwise orthogonal. Row r of a basis with pivots
     P ranges over its own set (_row_set), independently of the other
     rows, so pattern by pattern only the isotropic members of each row
-    set are kept, read from a table of q(v) = ^tv X v over the lines of
-    F_p^t (_isotropic_lines). Partial bases then grow one row at a
-    time, keeping only the candidates orthogonal to every earlier row
+    set are kept, read from the lines on which q(v) = ^tv X v is 0
+    (_line_forms). Partial bases then grow one row at a time, keeping
+    only the candidates orthogonal to every earlier row, L[u] . XL[v] = 0
     (_orthogonal_bases), and the bases that reach the last row are
     counted. Each tested (prefix, candidate) pair is the prefix of a
     different basis, so at most (j - 1) [t, j]_p pairs are tested. The
     budget charges the [t, j]_p subspaces before any table is built, and
-    the table has no more entries than there are subspaces.
+    the line table has no more rows than there are subspaces.
 
     j = 0 (the zero subspace) and j = t (the whole space, totally
     isotropic exactly when X = 0) are one subspace each, within every
     budget, and build no table.
     """
-    X, Xa = _subspace_form(ctx, X)
+    X = sym_matrix(ctx, X)
     p, t = ctx.p, len(X)
     _check_dim(j, t)
     if j == 0 or j == t:
-        return int(j == 0 or not Xa.any())
+        return int(j == 0 or not any(map(any, X)))
     _charge(budget, _subspace_count(p, t, j), "subspace enumeration")
-    L = _lines(p, t)
-    zero = _isotropic_lines(ctx, X)
+    L, XL, zero = _line_forms(ctx, X)
 
     total = 0
     for pivots in combinations(range(t), j):
@@ -765,7 +731,7 @@ def iso_subspaces_bf(ctx: PrimeContext, X, j: int, budget=None) -> int:
             if not len(sets[-1]):  # no basis of this pattern is isotropic
                 break
         else:
-            total += _orthogonal_bases(p, L, Xa, sets)
+            total += _orthogonal_bases(p, L, XL, sets)
     return total
 
 
@@ -809,25 +775,26 @@ def subspace_census(ctx: PrimeContext, X, ell: int, budget=None) -> dict:
     classes. The count of class Y is r*(X, Y)/|O(Y)|: the bases of W
     with Gram matrix Y form one O(Y)-torsor.
 
-    The Gram matrices B X ^tB are read off the echelon family (_family,
-    budgeted as iso_subspaces_bf is) and classified in batches
-    (_codes). The family has more than p
-    subspaces, so the batch classifier's O(p) chi table fits the
-    budget too. ell = 0 and ell = t are one subspace each, on which X
-    restricts to the empty form and to X itself: the scalar classify
-    reads those, with no table.
+    The budget charges the [t, ell]_p subspaces, as iso_subspaces_bf
+    does, before any table is built. The Gram matrices B X ^tB of the
+    echelon family (_family) are one stacked product of the rows of
+    each basis with their images under X, L[rows] @ XL[rows]^T mod p
+    (_line_forms), classified in batches (_codes). Since 0 < ell < t the
+    family has more than p subspaces, so the batch classifier's O(p)
+    chi table fits the budget too. ell = 0 and ell = t are one subspace
+    each, on which X restricts to the empty form and to X itself: the
+    scalar classify reads those, with no table.
     """
-    X, Xa = _subspace_form(ctx, X)
+    X = sym_matrix(ctx, X)
     p, t = ctx.p, len(X)
     _check_dim(ell, t)
     if ell == 0 or ell == t:
         return {classify(ctx, X if ell else ()): 1}
-    blocks = _family(p, t, ell, budget)
-    L = _lines(p, t)
+    _charge(budget, _subspace_count(p, t, ell), "subspace enumeration")
+    L, XL, _ = _line_forms(ctx, X)
     acc = np.zeros(2 * ell + 2, np.int64)
-    for rows in blocks:
-        B = L[rows]
-        G = _forms(p, B[:, :, None], B[:, None], Xa)  # rows i, j of basis k
+    for rows in _family(p, t, ell):
+        G = L[rows] @ XL[rows].transpose(0, 2, 1) % p  # rows i, j of basis k
         acc += np.bincount(_codes(ctx, G), minlength=len(acc))
     return {
         FormClass(ell, code // 2, NONSQ if code % 2 else SQ): int(cnt)

@@ -12,8 +12,7 @@ elimination: a congruence that multiplies instead of dividing, so no
 residue is inverted.
 """
 
-from itertools import product
-from typing import Iterator, List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -187,25 +186,6 @@ def classify_batch(ctx: PrimeContext, mats: np.ndarray):
 def upper_positions(n: int) -> List[Tuple[int, int]]:
     """Row-major upper-triangle positions; the digit order of enumeration."""
     return [(i, j) for i in range(n) for j in range(i, n)]
-
-
-def symmetric_from_digits(n: int, digits: Sequence[int]) -> Matrix:
-    pos = upper_positions(n)
-    a = [[0] * n for _ in range(n)]
-    for (i, j), v in zip(pos, digits):
-        a[i][j] = v
-        a[j][i] = v
-    return tuple(tuple(r) for r in a)
-
-
-def enumerate_symmetric(ctx: PrimeContext, n: int) -> Iterator[Matrix]:
-    """All symmetric n x n matrices over F_p, exactly once.
-
-    Order is lexicographic in the n(n+1)/2 upper-triangle digits base p
-    (first position most significant).
-    """
-    for digits in product(range(ctx.p), repeat=n * (n + 1) // 2):
-        yield symmetric_from_digits(n, digits)
 
 
 def digits_block(p: int, K: int, lo: int, hi: int) -> np.ndarray:

@@ -73,8 +73,6 @@ class VerifyReport:
 def _ser(v) -> str:
     if isinstance(v, CycInt):
         return "[" + ",".join(str(c) for c in v.coeffs) + "]"
-    if isinstance(v, QuadValue):
-        return f"{v.a}+{v.b}g"
     return str(v)
 
 

@@ -16,6 +16,10 @@ oracle._CHUNK entries.
 vector_counts counts the values of a quadratic form over every vector
 directly, the reference for the vector counts of oracle._canonical_vectors.
 
+symmetric_from_digits and enumerate_symmetric list the symmetric
+matrices as tuples, one at a time, in the digit order of
+oracle._class_codes and quadform.digits_block.
+
 mu, delta, mudelta, nu, frames and odd_product are the loop definitions
 of the product functions that counts and formulas read as quotients of
 prefix products (counts._prefix), one factor per step.
@@ -37,6 +41,26 @@ _codes: dict = {}
 
 def clear():
     _codes.clear()
+
+
+def symmetric_from_digits(n: int, digits):
+    """The symmetric n x n matrix, as a tuple of rows, with its upper
+    triangle read from digits in row-major order (upper_positions)."""
+    a = [[0] * n for _ in range(n)]
+    for (i, j), v in zip(upper_positions(n), digits):
+        a[i][j] = v
+        a[j][i] = v
+    return tuple(tuple(r) for r in a)
+
+
+def enumerate_symmetric(ctx, n: int):
+    """All symmetric n x n matrices over F_p, exactly once.
+
+    Order is lexicographic in the n(n+1)/2 upper-triangle digits base p
+    (first position most significant).
+    """
+    for digits in product(range(ctx.p), repeat=n * (n + 1) // 2):
+        yield symmetric_from_digits(n, digits)
 
 
 def canonical_shape(ctx, T):

@@ -156,7 +156,7 @@ def test_caches_stay_bounded_over_40_primes(capsys):
     # eval of n = 1 and n = 2 cells, table, and verify of three suites to
     # n = 2, at the 40 primes from 271 down to 67, fill every cache: none
     # ever holds more than CACHED_PRIMES primes, and at the end each holds
-    # that many, but the two that keep one form. The primes come largest
+    # that many, but the one that keeps one form. The primes come largest
     # first, so once the caches are full each later prime replaces a
     # larger one, and the memory they hold stops growing
     primes = [p for p in range(271, 66, -2) if field._is_prime(p)]
@@ -175,7 +175,7 @@ def test_caches_stay_bounded_over_40_primes(capsys):
             assert max(c.cache_info().primes for c in field._CACHES) <= field.CACHED_PRIMES
             held.append(tracemalloc.get_traced_memory()[0])
         full = {c.__name__: c.cache_info().primes for c in field._CACHES}
-        last_form = ("_subspace_form", "_isotropic_lines")  # one entry each
+        last_form = ("_line_forms",)  # one entry
         assert full == {name: 1 if name in last_form else field.CACHED_PRIMES for name in full}
         assert held[-1] <= held[field.CACHED_PRIMES - 1]
     finally:
@@ -681,6 +681,37 @@ def test_verify_multiple_suites(capsys):
     assert code == 0
     lines = out.splitlines()
     assert lines[-1] == "passed 7 failed 0 skipped 0"
+
+
+def test_verify_failing_reports_exit_one(capsys, monkeypatch):
+    # a wrong closed form fails every thm11 report of the n = 1 cell:
+    # text prints both sides, json says match false, and both count it
+    monkeypatch.setattr(formulas, "thm11_value", lambda *a: QuadValue(5, 7))
+    argv = ["verify", "--suites", "thm11", "--primes", "3", "--max-n", "1"]
+    lhs = verify._ser(embed(QuadValue(5, 7), prime_context(3)))
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 4 and lines[-1] == "passed 0 failed 3 skipped 0"
+    for line in lines[:-1]:
+        assert line.startswith("[FAIL] thm11 p=3 n=1 ") and f" lhs={lhs} rhs=[" in line
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 1
+    reports = [json.loads(l) for l in out.splitlines()]
+    assert reports[-1] == {"summary": {"passed": 0, "failed": 3, "skipped": 0}}
+    assert all(r["lhs"] == lhs and r["lhs"] != r["rhs"] and not r["match"] for r in reports[:-1])
+
+
+def test_verify_runs_every_suite_by_default(capsys):
+    # no --suites is --suites all: every suite, in the order of SUITES
+    code, out, _ = run(capsys, "verify", "--primes", "3", "--max-n", "1", "--format", "json")
+    assert code == 0
+    reports = [json.loads(l) for l in out.splitlines()]
+    want = [r for s in verify.SUITES for r in verify.run_suite(s, primes=(3,), max_n=1)]
+    assert [(r["suite"], r["instance"], r["lhs"]) for r in reports[:-1]] == [
+        (r.suite, r.instance, r.lhs) for r in want
+    ]
+    assert reports[-1] == {"summary": {"passed": len(want), "failed": 0, "skipped": 0}}
 
 
 def test_unknown_subcommand_exits_two():

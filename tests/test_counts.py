@@ -300,8 +300,7 @@ _CACHES = {
     "isogauss.oracle._lines",
     "isogauss.oracle._row_set",
     "isogauss.oracle._family_rows",
-    "isogauss.oracle._subspace_form",
-    "isogauss.oracle._isotropic_lines",
+    "isogauss.oracle._line_forms",
     "isogauss.cli._zero_gaps",
     "isogauss.cli._zero_tail",
 }

@@ -36,7 +36,7 @@ from isogauss import (
     rep_count_bf,
 )
 from isogauss import all_classes, counts, orth_order, run_suite
-from isogauss import classify, enumerate_symmetric
+from isogauss import classify
 from isogauss import cli, field, formulas, oracle, quadform, verify
 from isogauss.cyclotomic import reduce_exponent_vector
 from isogauss.oracle import _CHUNK, _ranges, clear_caches, rep_star_bf, subspace_census
@@ -197,7 +197,7 @@ def _scalar_tables(ctx, n, Ts):
     2*trace(TS) straight from the entries. Row 2d + (disc is NonSquare)
     counts class (d, disc), so row 1 stays zero."""
     p = ctx.p
-    classes = [(S, classify(ctx, S)) for S in enumerate_symmetric(ctx, n)]
+    classes = [(S, classify(ctx, S)) for S in reference.enumerate_symmetric(ctx, n)]
     out = np.zeros((len(Ts), 2 * n + 2, p), np.int64)
     for tab, T in zip(out, Ts):
         for S, c in classes:
@@ -668,7 +668,7 @@ def test_subspace_family_budget_and_cache(ctx3, monkeypatch):
     # iso charges the planes before it builds any line table
     clear_caches()
     with monkeypatch.context() as m:
-        for name in ("_lines", "_row_set", "_forms"):
+        for name in ("_lines", "_row_set", "_line_forms"):
             m.setattr(oracle, name, no_table)
         with pytest.raises(BudgetExceeded) as e:
             iso_subspaces_bf(ctx3, I4, 2, Budget(max_terms=129))
@@ -700,7 +700,7 @@ def test_subspace_family_budget_and_cache(ctx3, monkeypatch):
     C = canonical_matrix(ctx3, classify(ctx3, X))
     assert subspace_census(ctx3, X, 2) == subspace_census(ctx3, C, 2)
     clear_caches()
-    assert not _family_keys() and not oracle._isotropic_lines.cache_keys()
+    assert not _family_keys() and not oracle._line_forms.cache_keys()
     with pytest.raises(AssertionError, match="no bases"):
         subspace_census(ctx3, X, 2)
     # iso counts from cold caches with no family at all
@@ -742,17 +742,19 @@ def _hyperbolic(t):
 
 @pytest.mark.parametrize("p, t", [(3, 4), (5, 3)])
 def test_iso_tests_fewer_pairs_than_j_per_subspace(p, t, monkeypatch):
-    # every (prefix, candidate) pair handed to the orthogonality step is
-    # the prefix of a different basis: at most (j - 1) [t, j]_p pairs
+    # every (prefix, candidate) pair tested at the orthogonality step
+    # (_extend) is the prefix of a different basis: at most
+    # (j - 1) [t, j]_p pairs
     ctx = prime_context(p)
     seen = []
-    orthogonal = oracle._orthogonal
+    extend = oracle._extend
 
-    def spy(p_, B, C, Xa):
-        seen.append((len(B), len(C)))
-        return orthogonal(p_, B, C, Xa)
+    def spy(*args):
+        for block, ok in extend(*args):
+            seen.append(ok.shape)  # (prefixes in the block, candidates)
+            yield block, ok
 
-    monkeypatch.setattr(oracle, "_orthogonal", spy)
+    monkeypatch.setattr(oracle, "_extend", spy)
     forms = (_zero(t), _hyperbolic(t))
     got = {}
     for chunk in (_CHUNK, 7):
@@ -829,44 +831,86 @@ def test_subspaces_at_dtype_boundary_primes(p):
             tracemalloc.stop()
 
 
-@pytest.mark.parametrize("p", [181, 46349, 2147483659, 3037000493])
-def test_forms_are_exact_in_int64(p):
-    # u^T X v mod p against Python integers, on both sides of the
-    # matrix-product bound t (p-1)^2 <= 2^63 - 1
-    rng = random.Random(p)
-    for t in (1, 2, 3):
-        X = [[rng.randrange(p) for _ in range(t)] for _ in range(t)]
-        X = [[X[min(i, j)][max(i, j)] for j in range(t)] for i in range(t)]
-        U = [[p - 1 - rng.randrange(3) for _ in range(t)] for _ in range(5)]
-        V = [[rng.randrange(p) for _ in range(t)] for _ in range(5)]
-        got = oracle._forms(p, np.array(U), np.array(V), np.array(X))
-        want = [
-            sum(u[i] * X[i][j] * v[j] for i in range(t) for j in range(t)) % p
-            for u, v in zip(U, V)
-        ]
-        assert got.tolist() == want
+def _random_form(rng, p, t):
+    X = [[rng.randrange(p) for _ in range(t)] for _ in range(t)]
+    return tuple(tuple(X[min(i, j)][max(i, j)] for j in range(t)) for i in range(t))
 
 
-@pytest.mark.parametrize("p", [181, 46349, 2147483659, 3037000493])
-def test_orthogonality_is_exact_in_int64(p):
-    # the orthogonality step against Python integers, on both sides of
-    # the matrix-product bound t (p-1)^2 <= 2^63 - 1
+def _q(X, u, v, p):
+    t = len(X)
+    return sum(u[i] * X[i][k] * v[k] for i in range(t) for k in range(t)) % p
+
+
+def _no_table(*args):
+    raise AssertionError("a refused count must build no table")
+
+
+# the sizes t checked at each prime: F_p^t has few enough lines to list,
+# and at p > 2.1 * 10^9, where t (p-1)^2 <= 2^63 - 1 holds for t = 1
+# alone, t = 2 has p + 1 < 10^18 lines, within Budget(10**18)
+_BOUNDARY_SIZES = {181: (1, 2, 3), 46349: (1, 2), 2147483659: (1, 2), 3037000493: (1, 2)}
+
+
+@pytest.mark.parametrize("p", sorted(_BOUNDARY_SIZES))
+def test_forms_are_exact_in_int64(p, monkeypatch):
+    # XL = L X mod p and zero = (q(v) == 0) on every line against Python
+    # integers, while t (p-1)^2 <= 2^63 - 1; past it CapExceeded before
+    # any line table is built
+    ctx = prime_context(p)
     rng = random.Random(p)
-    for t in (1, 2, 3):
-        X = [[rng.randrange(p) for _ in range(t)] for _ in range(t)]
-        X = [[X[min(i, j)][max(i, j)] for j in range(t)] for i in range(t)]
-        B = [[[p - 1 - rng.randrange(3) for _ in range(t)] for _ in range(2)] for _ in range(4)]
-        C = [[rng.randrange(p) for _ in range(t)] for _ in range(5)]
-        C[0] = [0] * t  # orthogonal to everything
-        got = oracle._orthogonal(p, np.array(B), np.array(C), np.array(X))
-        want = [
-            [
-                all(sum(u[i] * X[i][k] * v[k] for i in range(t) for k in range(t)) % p == 0 for u in rows)
-                for v in C
-            ]
-            for rows in B
+    for t in _BOUNDARY_SIZES[p]:
+        X = _random_form(rng, p, t)
+        if t * (p - 1) ** 2 > 2**63 - 1:
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "_lines", _no_table)
+                with pytest.raises(oracle.CapExceeded):
+                    oracle._line_forms(ctx, X)
+            continue
+        L, XL, zero = oracle._line_forms(ctx, X)
+        lines = L.tolist()
+        assert XL.tolist() == [
+            [sum(v[i] * X[i][k] for i in range(t)) % p for k in range(t)] for v in lines
         ]
-        assert got.tolist() == want
+        assert zero.tolist() == [_q(X, v, v, p) == 0 for v in lines]
+
+
+@pytest.mark.parametrize("p", sorted(_BOUNDARY_SIZES))
+def test_orthogonality_is_exact_in_int64(p, monkeypatch):
+    # the orthogonality mask of _extend against Python integers; past
+    # t (p-1)^2 <= 2^63 - 1 both subspace counts refuse with
+    # CapExceeded, whatever the budget, after its charge and before any
+    # table is built
+    ctx = prime_context(p)
+    rng = random.Random(p)
+    for t in _BOUNDARY_SIZES[p]:
+        X = _random_form(rng, p, t)
+        if t * (p - 1) ** 2 > 2**63 - 1:
+            with monkeypatch.context() as m:
+                for name in ("_lines", "_row_set", "_family_rows", "_echelon_blocks"):
+                    m.setattr(oracle, name, _no_table)
+                for count in (iso_subspaces_bf, subspace_census):
+                    with pytest.raises(oracle.CapExceeded):
+                        count(ctx, X, 1, Budget(10**18))
+                    with pytest.raises(BudgetExceeded) as e:
+                        count(ctx, X, 1)  # the default budget comes first
+                    assert not isinstance(e.value, oracle.CapExceeded)
+            continue
+        L, XL, _ = oracle._line_forms(ctx, X)
+        lines = L.tolist()
+        n = len(lines)
+        # v orthogonal to u, which t >= 2 has: the block [u, u] takes it,
+        # [u, w] not unless w is orthogonal to it too, so the mask needs
+        # every row
+        u, w = rng.randrange(n), rng.randrange(n)
+        v = next((v for v in range(n) if _q(X, lines[u], lines[v], p) == 0), u)
+        block = [[u, u], [u, w]] + [[rng.randrange(n) for _ in range(2)] for _ in range(3)]
+        cand = [v] + [rng.randrange(n) for _ in range(4)] + [n - 1]
+        ((_, ok),) = oracle._extend(p, L, XL, np.array(block), np.array(cand))
+        want = [
+            [all(_q(X, lines[b], lines[c], p) == 0 for b in rows) for c in cand]
+            for rows in block
+        ]
+        assert ok.tolist() == want and (want[0][0] or t == 1)
 
 
 def test_weighted_class_sums_use_neither_rep_count_nor_group_orders(monkeypatch):
@@ -1420,7 +1464,7 @@ def _scalar_histogram(ctx, n):
     its diagonal as a base-p key, first entry most significant."""
     p = ctx.p
     hist = np.zeros((2 * n + 2, p**n), np.int64)
-    for S in enumerate_symmetric(ctx, n):
+    for S in reference.enumerate_symmetric(ctx, n):
         c = classify(ctx, S)
         key = sum(S[i][i] * p ** (n - 1 - i) for i in range(n))
         hist[2 * c.d + (c.disc == NONSQ), key] += 1

@@ -11,7 +11,6 @@ from isogauss import (
     all_classes,
     canonical_matrix,
     classify,
-    enumerate_symmetric,
     orbit_size,
     prime_context,
     sym_matrix,
@@ -21,9 +20,10 @@ from isogauss.quadform import (
     classify_batch,
     digits_block,
     int_dtype,
-    symmetric_from_digits,
     upper_positions,
 )
+
+from reference import enumerate_symmetric, symmetric_from_digits
 
 
 def _invertible(rng, p, n):
