@@ -315,7 +315,8 @@ def cmd_verify(args) -> int:
             else:
                 failed += 1
             if args.format == "json":
-                print(json.dumps(rep.to_json()))
+                # one write per line: print writes the text and "\n" apart
+                sys.stdout.write(json.dumps(rep.to_json()) + "\n")
             elif args.format == "csv":
                 print(
                     f"{rep.suite},{_inst_str(rep.instance).replace(' ', ';')},"
@@ -332,7 +333,7 @@ def cmd_verify(args) -> int:
                 print(line)
     summary = {"passed": passed, "failed": failed, "skipped": skipped}
     if args.format == "json":
-        print(json.dumps({"summary": summary}))
+        sys.stdout.write(json.dumps({"summary": summary}) + "\n")
     else:
         print(f"passed {passed} failed {failed} skipped {skipped}")
     return 0 if failed == 0 else 1

@@ -6,22 +6,30 @@ its nondegenerate part. Classes are canonically represented by
 I_d perp 0_(n-d) (Square) and J_d perp 0_(n-d) (NonSquare) with
 J_d = I_(d-1) perp <omega>. Rank 0 is Square by convention.
 
-classify finds the class of one matrix in Python integers, and
-classify_batch that of each matrix of a batch in numpy, by the same
-elimination: a congruence that multiplies instead of dividing, so no
-residue is inverted.
+sym_matrix checks a matrix for one prime: it returns a SymMatrix, a
+tuple of rows of Python ints reduced mod p that records p, and hands a
+SymMatrix back unchanged when asked again for the same prime. So a
+matrix passed from one public function to the next is checked once.
+
+classify finds the class of one matrix in Python integers, once per
+checked matrix and prime (a prime_cache), and classify_batch that of
+each matrix of a batch in numpy, by the same elimination: a congruence
+that multiplies instead of dividing, so no residue is inverted.
 """
 
+from operator import index
 from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .field import PrimeContext, chi_table, legendre
+from .field import PrimeContext, chi_table, legendre, prime_cache
 
 SQ = "sq"
 NONSQ = "nonsq"
 
 Matrix = Tuple[Tuple[int, ...], ...]
+# how many checked matrices classify keeps the class of, over all primes
+CLASSIFY_ENTRIES = 1024
 
 
 class FormClass(NamedTuple):
@@ -30,17 +38,30 @@ class FormClass(NamedTuple):
     disc: str  # SQ or NONSQ
 
 
-def sym_matrix(ctx: PrimeContext, rows: Sequence[Sequence[int]]) -> Matrix:
-    """Validate symmetry and reduce entries mod p."""
+class SymMatrix(tuple):
+    """A symmetric matrix that sym_matrix checked for the prime p: a
+    tuple of rows, each a tuple of Python ints in 0..p-1. It equals and
+    hashes as the plain tuple of its rows."""
+
+
+def sym_matrix(ctx: PrimeContext, rows: Sequence[Sequence[int]]) -> SymMatrix:
+    """rows as a SymMatrix for ctx.p: square, each entry taken through
+    operator.index (a Python int; a float raises TypeError) and reduced
+    mod p, and symmetric after the reduction, else ValueError. A
+    SymMatrix already checked for p comes back as it is."""
+    p = ctx.p
+    if type(rows) is SymMatrix and rows.p == p:
+        return rows
     n = len(rows)
     for r in rows:
         if len(r) != n:
             raise ValueError("matrix is not square")
-    out = tuple(tuple(x % ctx.p for x in r) for r in rows)
+    out = SymMatrix(tuple(index(x) % p for x in r) for r in rows)
     for i in range(n):
         for j in range(i):
             if out[i][j] != out[j][i]:
                 raise ValueError(f"matrix not symmetric at ({i},{j})")
+    out.p = p
     return out
 
 
@@ -65,17 +86,22 @@ def all_classes(n: int) -> List[FormClass]:
     return out
 
 
-def canonical_matrix(ctx: PrimeContext, c: FormClass) -> Matrix:
+def canonical_matrix(ctx: PrimeContext, c: FormClass) -> SymMatrix:
+    """I_d perp 0_(n-d), or J_d perp 0_(n-d) for NonSquare, as a
+    SymMatrix checked for ctx.p, its rows cut from tuples of zeros."""
     if not 0 <= c.d <= c.n:
         raise ValueError(f"rank {c.d} out of range for dimension {c.n}")
     if c.d == 0 and c.disc == NONSQ:
         raise ValueError("rank 0 has no nonsquare class")
-    diag = [1] * c.d + [0] * (c.n - c.d)
+    n, d = c.n, c.d
+    zeros = (0,) * (n - 1)
+    unit = zeros + (1,) + zeros  # row i is unit[n - 1 - i : 2n - 1 - i]
+    rows = [unit[n - 1 - i : 2 * n - 1 - i] for i in range(d)]
     if c.disc == NONSQ:
-        diag[c.d - 1] = ctx.omega
-    return tuple(
-        tuple(diag[i] if i == j else 0 for j in range(c.n)) for i in range(c.n)
-    )
+        rows[-1] = zeros[: d - 1] + (ctx.omega,) + zeros[d - 1 :]
+    out = SymMatrix(rows + [zeros + (0,)] * (n - d))
+    out.p = ctx.p
+    return out
 
 
 def classify(ctx: PrimeContext, T: Sequence[Sequence[int]]) -> FormClass:
@@ -91,9 +117,17 @@ def classify(ctx: PrimeContext, T: Sequence[Sequence[int]]) -> FormClass:
     piv^(m-1), so no pivot is inverted and the discriminant moves by a
     square only. A zero pivot means the block is zero. The disc type is
     the character of the product of the pivots.
+
+    T is checked by sym_matrix, and the class of each checked matrix is
+    kept per prime (_eliminate), at most CLASSIFY_ENTRIES of them.
     """
+    return _eliminate(ctx, sym_matrix(ctx, T))
+
+
+@prime_cache(entries=CLASSIFY_ENTRIES)
+def _eliminate(ctx: PrimeContext, a: SymMatrix) -> FormClass:
+    """classify's elimination of the checked matrix a, in Python ints."""
     p = ctx.p
-    a = sym_matrix(ctx, T)
     n = len(a)
     rank, prod = 0, 1
     while a:

@@ -35,6 +35,7 @@ from .quadform import (
     block_diag,
     canonical_matrix,
     classify,
+    sym_matrix,
 )
 
 _GAUSS_PRIMES = (3, 5, 7)
@@ -72,7 +73,7 @@ class VerifyReport:
 
 def _ser(v) -> str:
     if isinstance(v, CycInt):
-        return "[" + ",".join(str(c) for c in v.coeffs) + "]"
+        return "[" + ",".join(map(str, v.coeffs)) + "]"
     return str(v)
 
 
@@ -206,8 +207,9 @@ def _suite_cor12(primes, max_n, budget):
             inst = _class_inst(p, c)
             T = canonical_matrix(ctx, c)
             # the subspace counts feeding the right side, re-counted
-            # by direct enumeration over echelon bases
-            ext = block_diag(T, ((1,),))
+            # by direct enumeration over echelon bases; checked here once
+            # for its classify and every count
+            ext = sym_matrix(ctx, block_diag(T, ((1,),)))
             yield partial(classify, ctx, ext), [
                 (inst, partial(_cor12_closed, ctx, T)),
                 *(

@@ -287,6 +287,7 @@ _CACHES = {
     "isogauss.field.chi_table",
     "isogauss.cyclotomic.g_star_shape",
     "isogauss.cyclotomic.g_star_one",
+    "isogauss.quadform._eliminate",
     "isogauss.counts._prefix",
     "isogauss.counts.qfunc",
     "isogauss.counts.rep_star_lemma51",

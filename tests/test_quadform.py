@@ -10,12 +10,17 @@ from isogauss import (
     FormClass,
     all_classes,
     canonical_matrix,
+    class_character_tables,
     classify,
+    clear_caches,
+    iso_subspaces_bf,
     orbit_size,
     prime_context,
     sym_matrix,
 )
 from isogauss.quadform import (
+    SymMatrix,
+    _eliminate,
     block_diag,
     classify_batch,
     digits_block,
@@ -223,10 +228,101 @@ def test_digit_layout_round_trip():
 
 def test_sym_matrix_validates(ctx3):
     assert sym_matrix(ctx3, [[4, 1], [1, 0]]) == ((1, 1), (1, 0))
+    # a plain tuple is checked as a list is: only a SymMatrix is not
+    assert sym_matrix(ctx3, ((4, 1), (1, 0))) == ((1, 1), (1, 0))
     with pytest.raises(ValueError):
         sym_matrix(ctx3, [[0, 1], [2, 0]])
     with pytest.raises(ValueError):
         sym_matrix(ctx3, [[0, 1]])
+
+
+def test_a_checked_matrix_is_checked_again_only_for_another_prime(ctx3, ctx5):
+    m = sym_matrix(ctx5, [[9, 1], [6, 3]])
+    assert type(m) is SymMatrix and m.p == 5 and m == ((4, 1), (1, 3))
+    assert all(type(r) is tuple for r in m)
+    assert sym_matrix(ctx5, m) is m
+    c = canonical_matrix(ctx5, FormClass(3, 2, NONSQ))
+    assert type(c) is SymMatrix and c.p == 5 and sym_matrix(ctx5, c) is c
+    # checked for 5, then passed with 3: reduced again, and classified
+    # at 3 (det 11 is a square mod 5, det -1 is not mod 3)
+    m3 = sym_matrix(ctx3, m)
+    assert m3 == ((1, 1), (1, 0)) and m3.p == 3 and m.p == 5
+    assert classify(ctx5, m) == FormClass(2, 2, SQ)
+    assert classify(ctx3, m) == FormClass(2, 2, NONSQ)
+
+
+@pytest.mark.parametrize(
+    "rows", [[[0, 1], [2, 0]], ((0, 1), (2, 0)), [[0, 1]], ((0, 1),), ((1, 2), (2,))]
+)
+def test_a_bad_matrix_raises_on_every_call(ctx3, rows):
+    # non-symmetric mod 3, or not square: no cache keeps a verdict
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            sym_matrix(ctx3, rows)
+        with pytest.raises(ValueError):
+            classify(ctx3, rows)
+
+
+@pytest.mark.parametrize(
+    "count",
+    [
+        classify,
+        lambda ctx, T: iso_subspaces_bf(ctx, T, 1),
+        lambda ctx, T: class_character_tables(ctx, [T]),
+    ],
+    ids=["classify", "iso_subspaces_bf", "class_character_tables"],
+)
+def test_float_entries_raise_type_error(ctx5, count):
+    # operator.index, not int: 0.5 must not count as 0, nor 1.0 as 1;
+    # a zero float gets no further than sym_matrix either
+    floats = ((0.5, 0), (0, 0)), ((1.0, 0), (0, 0)), ((0.0, 0), (0, 0)), [[np.float64(2), 1], [1, 0]]
+    for rows in floats:
+        with pytest.raises(TypeError):
+            count(ctx5, rows)
+
+
+def test_numpy_entries_are_taken_as_python_ints():
+    # at the largest prime, products of np.int64 residues would wrap:
+    # every checked entry is a Python int, so classify never sees one
+    p = 3037000493
+    ctx = prime_context(p)
+    rng = random.Random(3)
+    for _ in range(200):
+        rows = [[0] * 3 for _ in range(3)]
+        for i in range(3):
+            for j in range(i, 3):
+                rows[i][j] = rows[j][i] = rng.randrange(p)
+        wide = tuple(tuple(np.int64(x) for x in r) for r in rows)
+        assert classify(ctx, wide) == classify(ctx, rows), rows
+        assert all(type(x) is int for r in sym_matrix(ctx, wide) for x in r)
+    # and below the int64 bound the counts read them as the ints they are
+    ctx = prime_context(46349)
+    for rows in ([[3, 46348], [46348, 0]], [[0, 0], [0, 5]]):
+        wide = np.array(rows, np.int64)
+        assert iso_subspaces_bf(ctx, wide, 1) == iso_subspaces_bf(ctx, rows, 1)
+    wide = np.array([[46348]], np.int64)
+    assert np.array_equal(class_character_tables(ctx, [wide]), class_character_tables(ctx, [[[46348]]]))
+
+
+@pytest.mark.parametrize("p", [3, 5, 181, 46349, 1000003, 3037000493])
+def test_memoized_classify_equals_the_elimination(p):
+    # classify of U^T D U, twice over, as a tuple and as lists: the
+    # class of D each time, and what the uncached elimination finds;
+    # each distinct matrix is eliminated once
+    ctx = prime_context(p)
+    rng = random.Random(p)
+    clear_caches()
+    mats = []
+    for n in range(1, 6):
+        for c in all_classes(n):
+            D = canonical_matrix(ctx, c)
+            mats += [(c, _congruent(p, D, _invertible(rng, p, n))) for _ in range(2)]
+    for c, T in mats + mats:
+        assert classify(ctx, T) == classify(ctx, [list(r) for r in T]) == c, (p, T)
+        assert _eliminate.__wrapped__(ctx, sym_matrix(ctx, T)) == c, (p, T)
+    distinct = len({T for _, T in mats})
+    assert _eliminate.cache_info()[:2] == (4 * len(mats) - distinct, distinct)
+    clear_caches()
 
 
 def test_block_diag():

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import time
 from pathlib import Path
@@ -211,6 +213,51 @@ def test_cor12_classifies_each_extension_once(monkeypatch):
     assert reports and all(r.match and not r.skipped for r in reports)
     groups = sum("a" not in r.instance for r in reports)
     assert groups == 8 and len(seen) == 2 * groups
+
+
+class _Writes(io.StringIO):
+    """stdout stand-in that keeps each write apart."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, s):
+        self.writes.append(s)
+        return super().write(s)
+
+
+def test_a_verify_pass_classifies_each_checked_matrix_once(monkeypatch):
+    # the verify command of perfbench/passes.py, in process: classify's
+    # memo misses once per distinct checked matrix (and prime) that
+    # classify is given, and every JSON line is one write
+    from isogauss import cli, field, quadform
+
+    argv = [
+        "verify",
+        "--suites", "thm11,prop41,zero_forms,lemma51,lemma52,lemma54,cor12,scalars,untwisted",
+        "--primes", "3,5", "--max-n", "4", "--jobs", "2", "--format", "json",
+    ]
+    checked = set()
+    calls = 0
+
+    def recording(ctx, rows, check=quadform.sym_matrix):
+        nonlocal calls
+        m = check(ctx, rows)
+        checked.add((m.p, m))
+        calls += 1
+        return m
+
+    monkeypatch.setattr(quadform, "sym_matrix", recording)
+    field.clear_caches()
+    out = _Writes()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    hits, misses = quadform._eliminate.cache_info()[:2]
+    assert misses == len(checked) and hits + misses == calls > len(checked)
+    assert all(w.endswith("\n") and w.count("\n") == 1 for w in out.writes)
+    assert len(out.writes) == len(out.getvalue().splitlines()) > 600
+    field.clear_caches()
 
 
 def test_report_times_add_up_to_the_suite_wall_time():
