@@ -33,17 +33,15 @@ each row of a reduced-row-echelon basis ranges over its own set of
 lines, independently of the other rows. subspace_census classifies the
 Gram matrices of a family of echelon bases (_family), the Cartesian
 products of the row sets, built once per (p, t, ell) and kept like the
-codes. iso_subspaces_bf reads no family: pattern by pattern it keeps
-the isotropic members of each row set and grows partial bases one
-orthogonal row at a time. Both read X from one line table
-(_line_forms), X applied once to every line: u^T X v is L[u] . XL[v], a
-sum of t products of residues exact in int64 while t (p - 1)^2 fits,
-and refused with CapExceeded past it. The lemma 5.1 counts
-(rep_star_bf) come from the vector counts or from the totally
-isotropic subspaces of iso_subspaces_bf; rep_count_bf, the general
-column-by-column count, stays as the reference the tests compare them
-with. Every table kept between calls is a field.prime_cache: at most
-CACHED_PRIMES primes, read-only, counted, and emptied by clear_caches.
+codes. iso_subspaces_bf reads no family: one walk per form counts every
+dimension, each level the last with an isotropic row prepended (_walk).
+Both read X from one line table (_line_forms): u^T X v is L[u] . XL[v],
+exact in int64 while t (p - 1)^2 fits, refused with CapExceeded past
+it. The lemma 5.1 counts (rep_star_bf) come from the vector counts or
+from iso_subspaces_bf; rep_count_bf, the general column-by-column
+count, stays as the reference the tests compare them with. Every table
+kept between calls is a field.prime_cache: at most CACHED_PRIMES
+primes, read-only, counted, and emptied by clear_caches.
 """
 
 import os
@@ -544,6 +542,14 @@ def _subspace_count(p: int, t: int, ell: int) -> int:
     return num // den
 
 
+def _subspaces_up_to(p: int, t: int, j: int) -> int:
+    """sum_{1 <= k <= j} [t, k]_p, by [t, k]_p = [t, k-1]_p (p^(t-k+1) - 1) / (p^k - 1)."""
+    counts = [1]
+    for k in range(1, j + 1):
+        counts.append(counts[-1] * (p ** (t - k + 1) - 1) // (p**k - 1))
+    return sum(counts) - 1
+
+
 def _few_lines(p: int, t: int, *rest) -> bool:
     """Whether F_p^t has at most _CHUNK lines, so its tables are kept."""
     return (p**t - 1) // (p - 1) <= _CHUNK
@@ -552,13 +558,11 @@ def _few_lines(p: int, t: int, *rest) -> bool:
 @prime_cache(keep=_few_lines)
 def _lines(p: int, t: int) -> np.ndarray:
     """Digits, one int64 row each, of the (p^t - 1)/(p - 1) monic vectors
-    of F_p^t (first nonzero digit 1), one per line: by the position of
-    the leading 1, then by the digits after it. Line index
-    offset(c) + (digits after c read in base p), with offset(c) the
-    number of lines whose leading 1 comes before c.
-
-    Every row of a reduced-row-echelon basis is monic. Kept when there
-    are at most _CHUNK lines.
+    of F_p^t (first nonzero digit 1), one per line, as the rows of a
+    reduced-row-echelon basis are: by the position c of the leading 1,
+    then by the digits after it. Line index offset(c) + (digits after c
+    read in base p), offset(c) the number of lines whose leading 1 comes
+    before c. Kept when there are at most _CHUNK lines.
     """
     L = np.zeros(((p**t - 1) // (p - 1), t), np.int64)
     lo = 0
@@ -572,34 +576,29 @@ def _lines(p: int, t: int) -> np.ndarray:
 
 @prime_cache(keep=_few_lines)
 def _row_set(p: int, t: int, lead: int, later) -> np.ndarray:
-    """The line indices (see _lines), ascending in int64, of a row of a
-    reduced-row-echelon basis with its leading 1 at column lead and the
-    basis's later pivots at the columns `later`.
-
-    The row has zeros at the later pivots and a free digit at every
-    other column after lead; each free digit d at column c adds
-    d * p^(t-1-c) to its line index. So each row of a basis ranges over
-    its own set independently of the other rows, and the bases of one
-    pivot pattern are the Cartesian product of its row sets. Kept when
-    F_p^t has at most _CHUNK lines.
+    """The line indices (see _lines), ascending, in the narrowest unsigned
+    dtype, of a row of a reduced-row-echelon basis with its leading 1 at
+    column lead and the basis's later pivots at the columns `later`:
+    zeros there and a free digit d at every other column c after lead,
+    adding d * p^(t-1-c) to the line index. So each row of a basis ranges
+    over its own set, and the bases of one pivot pattern are the
+    Cartesian product of its row sets. Kept when F_p^t has at most
+    _CHUNK lines.
     """
     x = np.arange(p, dtype=np.int64)
     s = np.array([(p**t - p ** (t - lead)) // (p - 1)], np.int64)  # offset(lead)
     for c in range(lead + 1, t):
         if c not in later:
             s = (s[:, None] + x * p ** (t - 1 - c)).ravel()
-    return s
+    return s.astype(np.min_scalar_type((p**t - 1) // (p - 1) - 1))  # the last line's index
 
 
 def _echelon_blocks(p: int, t: int, ell: int):
     """One row of ell line indices (see _lines) per reduced-row-echelon
     basis of an ell-dimensional subspace of F_p^t, pivot pattern by
-    pattern, in blocks of at most _CHUNK rows, in the narrowest unsigned
-    dtype that holds every line index. Blocks are column-major, so the
-    line indices of one basis row position are contiguous.
-
-    Each pattern's bases are the Cartesian product of its row sets
-    (_row_set), the first row varying slowest.
+    pattern, each the Cartesian product of its row sets (_row_set), the
+    first row varying slowest: in column-major blocks of at most _CHUNK
+    rows, in the narrowest unsigned dtype that holds every line index.
     """
     dt = np.min_scalar_type((p**t - 1) // (p - 1) - 1)  # the index of the last line
     for pivots in combinations(range(t), ell):
@@ -616,11 +615,9 @@ def _echelon_blocks(p: int, t: int, ell: int):
 
 def _family(p: int, t: int, ell: int):
     """The ell-dimensional subspaces of F_p^t, 0 < ell < t, as blocks of
-    rows of line indices (_echelon_blocks).
-
-    A family of at most _CHUNK subspaces is one block, built once and
-    kept (_family_rows); a larger one is built in blocks on every call
-    and not kept.
+    rows of line indices (_echelon_blocks): one block, built once and
+    kept (_family_rows), for at most _CHUNK subspaces, else blocks built
+    on every call and not kept.
     """
     if _subspace_count(p, t, ell) > _CHUNK:
         return _echelon_blocks(p, t, ell)
@@ -643,96 +640,98 @@ def _check_dim(ell: int, t: int):
 def _line_forms(ctx: PrimeContext, X):
     """(L, XL, zero) for a reduced symmetric X of size t >= 1, for the
     last X only, since the subspace counts ask for each dimension in a
-    row: L = _lines(p, t), XL = L X mod p (X applied once to every line)
-    and zero whether q(v) = ^tv X v is 0 on each line. So u^T X v =
-    L[u] . XL[v] for any two lines.
-
-    Every entry sums t products of residues, exact in int64 while
-    t (p - 1)^2 <= 2^63 - 1; past that (t >= 2 and p > 2.1 * 10^9, and
-    so more than p + 1 subspaces to count) CapExceeded is raised before
-    any table is built. Kept when F_p^t has at most _CHUNK lines.
+    row: L = _lines(p, t), XL = L X mod p and zero whether q(v) = ^tv X v
+    is 0 on each line. So u^T X v = L[u] . XL[v] for any two lines, a sum
+    of t products of residues, exact in int64 while t (p - 1)^2 <=
+    2^63 - 1; past that (t >= 2 and p > 2.1 * 10^9, so more than p + 1
+    subspaces to count) CapExceeded is raised before any table is built.
+    Kept when F_p^t has at most _CHUNK lines.
     """
     p, t = ctx.p, len(X)
     if t * (p - 1) ** 2 > _INT64_MAX:
         raise CapExceeded(t * (p - 1) ** 2, _INT64_MAX, "int64 line forms")
     L = _lines(p, t)
     XL = L @ np.array(X, np.int64) % p
-    return L, XL, (L * XL).sum(axis=1) % p == 0
+    return L, XL, np.einsum("ij,ij->i", L, XL) % p == 0  # ^tv X v on each line
 
 
-def _extend(p: int, L: np.ndarray, XL: np.ndarray, prefixes: np.ndarray, cand: np.ndarray):
-    """Yield (block, mask), block a run of the partial bases `prefixes`
-    (rows of line indices) and mask[k, c] whether line cand[c] is
-    orthogonal under X to every row of block[k] (_line_forms); each
-    block tests at most _CHUNK (prefix, candidate) pairs."""
-    C = XL[cand].T
-    step = max(1, _CHUNK // len(cand))
-    for lo in range(0, len(prefixes), step):
-        block = prefixes[lo : lo + step]
-        yield block, (L[block] @ C % p == 0).all(axis=1)
+@prime_cache(entries=1, keep=lambda ctx, X: _few_lines(ctx.p, len(X)))
+def _walk(ctx: PrimeContext, X):
+    """[counts, level] of iso_subspaces_bf's walk on X, kept like
+    _line_forms: counts[k] the number of k-dimensional totally isotropic
+    subspaces so far, level the last level built, {pivots: bases}, each
+    column of bases the line indices (_row_set) of one reduced-row-echelon
+    basis, top row first. Level 1: the isotropic members of each
+    _row_set(p, t, c, ())."""
+    p, t = ctx.p, len(X)
+    zero = _line_forms(ctx, X)[2]
+    level = {}
+    for c in range(t):
+        s = _row_set(p, t, c, ())
+        if (iso := s.compress(zero.take(s))).size:
+            level[(c,)] = iso[None]
+    return [[1, int(np.count_nonzero(zero))], level]
 
 
-def _orthogonal_bases(p: int, L: np.ndarray, XL: np.ndarray, sets) -> int:
-    """The number of bases with row r in sets[r] (line indices) and every
-    two rows orthogonal under X.
+def _orthogonal(p: int, L: np.ndarray, C: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """ok[c, b]: whether the line with C[c] = XL[v] is orthogonal under X
+    to every row u of basis b of `block`, L[u] . XL[v] = 0 mod p."""
+    dots = C @ L.take(block.ravel(), axis=0).T % p == 0  # a column per row of each basis
+    return dots if len(block) == 1 else dots.reshape(len(C), *block.shape).all(axis=1)
 
-    Partial bases grow one row at a time, keeping only the candidates
-    orthogonal to every earlier row (_extend); the last row is counted,
-    not kept, so no more than _CHUNK of its pairs are held at a time.
-    """
-    if len(sets) == 1:
-        return len(sets[0])
-    prefixes = sets[0][:, None]
-    for cand in sets[1:-1]:
-        if not len(prefixes):
-            return 0
-        grown = []
-        for block, ok in _extend(p, L, XL, prefixes, cand):
-            k, c = np.nonzero(ok)
-            grown.append(np.column_stack([block[k], cand[c]]))
-        prefixes = np.concatenate(grown)
-    return sum(int(np.count_nonzero(ok)) for _, ok in _extend(p, L, XL, prefixes, sets[-1]))
+
+def _prepend(p: int, t: int, L, XL, zero, level: dict) -> dict:
+    """The walk's next level: each basis of `level` with a row prepended,
+    its lead c before the basis's first pivot, drawn from _row_set(p, t,
+    c, pivots), isotropic and orthogonal to every row of the basis
+    (_orthogonal), tested in blocks of at most _CHUNK (candidate, basis)
+    pairs. Patterns with no basis are left out."""
+    grown = {}
+    for pivots, bases in level.items():
+        for c in range(pivots[0]):
+            s = _row_set(p, t, c, pivots)
+            if not (cand := s.compress(zero.take(s))).size:
+                continue
+            C, step, parts = XL.take(cand, axis=0), max(1, _CHUNK // len(cand)), []
+            for lo in range(0, bases.shape[1], step):
+                block = bases[:, lo : lo + step]
+                k, b = np.nonzero(_orthogonal(p, L, C, block))
+                if k.size:
+                    parts.append(np.concatenate((cand.take(k)[None], block.take(b, axis=1))))
+            if parts:
+                grown[(c,) + pivots] = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    return grown
 
 
 def iso_subspaces_bf(ctx: PrimeContext, X, j: int, budget=None) -> int:
     """Count the j-dimensional totally isotropic subspaces of X.
 
     A subspace is totally isotropic when the rows of its echelon basis
-    are isotropic and pairwise orthogonal. Row r of a basis with pivots
-    P ranges over its own set (_row_set), independently of the other
-    rows, so pattern by pattern only the isotropic members of each row
-    set are kept, read from the lines on which q(v) = ^tv X v is 0
-    (_line_forms). Partial bases then grow one row at a time, keeping
-    only the candidates orthogonal to every earlier row, L[u] . XL[v] = 0
-    (_orthogonal_bases), and the bases that reach the last row are
-    counted. Each tested (prefix, candidate) pair is the prefix of a
-    different basis, so at most (j - 1) [t, j]_p pairs are tested. The
-    budget charges the [t, j]_p subspaces before any table is built, and
-    the line table has no more rows than there are subspaces.
-
-    j = 0 (the zero subspace) and j = t (the whole space, totally
-    isotropic exactly when X = 0) are one subspace each, within every
-    budget, and build no table.
+    are isotropic and pairwise orthogonal. Below the top row of the
+    reduced-row-echelon basis of one lies the basis of a smaller one, so
+    one upward walk per form counts every dimension (_walk): level k + 1
+    is level k with one row prepended (_prepend), drawn from its row set,
+    isotropic, q(v) = ^tv X v = 0 on its line (_line_forms), and
+    orthogonal to every row below it. Each tested (candidate, basis)
+    pair is the basis of a different subspace, so level k + 1 tests at
+    most [t, k + 1]_p pairs. The walk is kept for the last X and resumed
+    when a larger j is asked. The budget charges sum_{1 <= k <= j}
+    [t, k]_p, the lines and every level built up to j, before any table
+    is built or the kept walk is read. j = 0 and j = t (the whole space,
+    totally isotropic exactly when X = 0) are one subspace each, within
+    every budget, and build no table.
     """
     X = sym_matrix(ctx, X)
     p, t = ctx.p, len(X)
     _check_dim(j, t)
     if j == 0 or j == t:
         return int(j == 0 or not any(map(any, X)))
-    _charge(budget, _subspace_count(p, t, j), "subspace enumeration")
-    L, XL, zero = _line_forms(ctx, X)
-
-    total = 0
-    for pivots in combinations(range(t), j):
-        sets = []  # the isotropic members of each row set
-        for r, lead in enumerate(pivots):
-            s = _row_set(p, t, lead, pivots[r + 1 :])
-            sets.append(s[zero[s]])
-            if not len(sets[-1]):  # no basis of this pattern is isotropic
-                break
-        else:
-            total += _orthogonal_bases(p, L, XL, sets)
-    return total
+    _charge(budget, _subspaces_up_to(p, t, j), "subspace enumeration")
+    walk = _walk(ctx, X)
+    while len(walk[0]) <= j:
+        level = _prepend(p, t, *_line_forms(ctx, X), walk[1])
+        walk[:] = walk[0] + [sum(bases.shape[1] for bases in level.values())], level
+    return walk[0][j]
 
 
 def rep_star_bf(ctx: PrimeContext, X, Y, budget=None) -> int:
@@ -746,7 +745,8 @@ def rep_star_bf(ctx: PrimeContext, X, Y, budget=None) -> int:
     - Y the s x s zero form: the columns of C are an ordered basis of an
       s-dimensional totally isotropic subspace, and each such subspace
       has |GL_s(F_p)| = prod_{i<s} (p^s - p^i) ordered bases. So the
-      count is iso_subspaces_bf(X, s) times that product.
+      count is iso_subspaces_bf(X, s), with its charge, times that
+      product; one kept walk of X serves s = 1, 2, ... asked in a row.
 
     Any other Y raises ValueError.
     """
@@ -775,11 +775,10 @@ def subspace_census(ctx: PrimeContext, X, ell: int, budget=None) -> dict:
     classes. The count of class Y is r*(X, Y)/|O(Y)|: the bases of W
     with Gram matrix Y form one O(Y)-torsor.
 
-    The budget charges the [t, ell]_p subspaces, as iso_subspaces_bf
-    does, before any table is built. The Gram matrices B X ^tB of the
-    echelon family (_family) are one stacked product of the rows of
-    each basis with their images under X, L[rows] @ XL[rows]^T mod p
-    (_line_forms), classified in batches (_codes). Since 0 < ell < t the
+    The budget charges the [t, ell]_p subspaces before any table is
+    built. The Gram matrices B X ^tB of the echelon family (_family) are
+    one stacked product, L[rows] @ XL[rows]^T mod p (_line_forms),
+    classified in batches (_codes). Since 0 < ell < t the
     family has more than p subspaces, so the batch classifier's O(p)
     chi table fits the budget too. ell = 0 and ell = t are one subspace
     each, on which X restricts to the empty form and to X itself: the

@@ -20,6 +20,10 @@ symmetric_from_digits and enumerate_symmetric list the symmetric
 matrices as tuples, one at a time, in the digit order of
 oracle._class_codes and quadform.digits_block.
 
+iso_subspaces counts the totally isotropic subspaces of one dimension
+by the per-dimension walk that oracle.iso_subspaces_bf used before its
+upward walk over every dimension: the reference it is compared with.
+
 mu, delta, mudelta, nu, frames and odd_product are the loop definitions
 of the product functions that counts and formulas read as quotients of
 prefix products (counts._prefix), one factor per step.
@@ -27,13 +31,13 @@ prefix products (counts._prefix), one factor per step.
 pytest does not collect this module; the test modules import it.
 """
 
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
 from isogauss import oracle
 from isogauss.field import legendre
-from isogauss.quadform import digits_block, upper_positions
+from isogauss.quadform import digits_block, sym_matrix, upper_positions
 
 # class codes per (p, n), built once until clear()
 _codes: dict = {}
@@ -228,6 +232,60 @@ def vector_counts(p: int, T) -> np.ndarray:
     v = digits_block(p, t, 0, p**t).astype(np.int64)
     M = 2 * np.array(T, np.int64).reshape(t, t) % p
     return np.bincount((v @ M % p * v).sum(axis=1) % p, minlength=p)
+
+
+def extend(p, L, XL, prefixes, cand):
+    """Yield (block, mask), block a run of the partial bases `prefixes`
+    (rows of line indices) and mask[k, c] whether line cand[c] is
+    orthogonal under X to every row of block[k] (oracle._line_forms);
+    each block tests at most oracle._CHUNK (prefix, candidate) pairs."""
+    C = XL[cand].T
+    step = max(1, oracle._CHUNK // len(cand))
+    for lo in range(0, len(prefixes), step):
+        block = prefixes[lo : lo + step]
+        yield block, (L[block] @ C % p == 0).all(axis=1)
+
+
+def orthogonal_bases(p, L, XL, sets) -> int:
+    """The number of bases with row r in sets[r] (line indices) and every
+    two rows orthogonal under X: partial bases grow one row at a time,
+    keeping only the candidates orthogonal to every earlier row (extend),
+    and the last row is counted, not kept."""
+    if len(sets) == 1:
+        return len(sets[0])
+    prefixes = sets[0][:, None]
+    for cand in sets[1:-1]:
+        if not len(prefixes):
+            return 0
+        grown = []
+        for block, ok in extend(p, L, XL, prefixes, cand):
+            k, c = np.nonzero(ok)
+            grown.append(np.column_stack([block[k], cand[c]]))
+        prefixes = np.concatenate(grown)
+    return sum(int(np.count_nonzero(ok)) for _, ok in extend(p, L, XL, prefixes, sets[-1]))
+
+
+def iso_subspaces(ctx, X, j: int) -> int:
+    """The j-dimensional totally isotropic subspaces of X, one dimension
+    at a time: pivot pattern by pattern, only the isotropic members of
+    each row set (oracle._row_set) are kept, and partial bases grow from
+    the top row down (orthogonal_bases). No budget is charged."""
+    X = sym_matrix(ctx, X)
+    p, t = ctx.p, len(X)
+    if j == 0 or j == t:
+        return int(j == 0 or not any(map(any, X)))
+    L, XL, zero = oracle._line_forms(ctx, X)
+    total = 0
+    for pivots in combinations(range(t), j):
+        sets = []  # the isotropic members of each row set
+        for r, lead in enumerate(pivots):
+            s = oracle._row_set(p, t, lead, pivots[r + 1 :])
+            sets.append(s[zero[s]])
+            if not len(sets[-1]):  # no basis of this pattern is isotropic
+                break
+        else:
+            total += orthogonal_bases(p, L, XL, sets)
+    return total
 
 
 def mu(p: int, t: int, s: int) -> int:

@@ -302,6 +302,7 @@ _CACHES = {
     "isogauss.oracle._row_set",
     "isogauss.oracle._family_rows",
     "isogauss.oracle._line_forms",
+    "isogauss.oracle._walk",
     "isogauss.cli._zero_gaps",
     "isogauss.cli._zero_tail",
 }

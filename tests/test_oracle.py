@@ -659,22 +659,23 @@ def _family_keys():
 
 
 def test_subspace_family_budget_and_cache(ctx3, monkeypatch):
-    # [4, 2]_3 = 130 planes in F_3^4
+    # [4, 1]_3 = 40 lines and [4, 2]_3 = 130 planes in F_3^4
     I4 = canonical_matrix(ctx3, FormClass(4, 4, SQ))
 
     def no_table(*args):
         raise AssertionError("a refused count must build no table")
 
-    # iso charges the planes before it builds any line table
+    # iso charges the lines and the planes, every level its walk builds,
+    # before it builds any line table or reads its walk
     clear_caches()
     with monkeypatch.context() as m:
-        for name in ("_lines", "_row_set", "_line_forms"):
+        for name in ("_lines", "_row_set", "_line_forms", "_walk"):
             m.setattr(oracle, name, no_table)
         with pytest.raises(BudgetExceeded) as e:
-            iso_subspaces_bf(ctx3, I4, 2, Budget(max_terms=129))
-    assert (e.value.needed, e.value.limit) == (130, 129)
+            iso_subspaces_bf(ctx3, I4, 2, Budget(max_terms=169))
+    assert (e.value.needed, e.value.limit) == (170, 169)
     assert not _family_keys()
-    assert iso_subspaces_bf(ctx3, I4, 2, Budget(max_terms=130)) == counts.iso_count(
+    assert iso_subspaces_bf(ctx3, I4, 2, Budget(max_terms=170)) == counts.iso_count(
         ctx3, FormClass(4, 4, SQ), 2
     )
     assert (3, 4, 2) not in _family_keys()  # iso reads no family
@@ -701,6 +702,7 @@ def test_subspace_family_budget_and_cache(ctx3, monkeypatch):
     assert subspace_census(ctx3, X, 2) == subspace_census(ctx3, C, 2)
     clear_caches()
     assert not _family_keys() and not oracle._line_forms.cache_keys()
+    assert not oracle._walk.cache_keys()
     with pytest.raises(AssertionError, match="no bases"):
         subspace_census(ctx3, X, 2)
     # iso counts from cold caches with no family at all
@@ -742,19 +744,19 @@ def _hyperbolic(t):
 
 @pytest.mark.parametrize("p, t", [(3, 4), (5, 3)])
 def test_iso_tests_fewer_pairs_than_j_per_subspace(p, t, monkeypatch):
-    # every (prefix, candidate) pair tested at the orthogonality step
-    # (_extend) is the prefix of a different basis: at most
-    # (j - 1) [t, j]_p pairs
+    # every (candidate, basis) pair tested at the orthogonality step
+    # (_orthogonal) while the walk builds level k + 1 is the basis of a
+    # different (k + 1)-dimensional subspace: at most [t, k + 1]_p pairs
+    # per level, and so at most (j - 1) [t, j]_p when j follows j - 1
     ctx = prime_context(p)
     seen = []
-    extend = oracle._extend
+    orthogonal = oracle._orthogonal
 
-    def spy(*args):
-        for block, ok in extend(*args):
-            seen.append(ok.shape)  # (prefixes in the block, candidates)
-            yield block, ok
+    def spy(p, L, C, block):
+        seen.append((len(C), *block.shape))  # (candidates, rows, bases in the block)
+        return orthogonal(p, L, C, block)
 
-    monkeypatch.setattr(oracle, "_extend", spy)
+    monkeypatch.setattr(oracle, "_orthogonal", spy)
     forms = (_zero(t), _hyperbolic(t))
     got = {}
     for chunk in (_CHUNK, 7):
@@ -765,14 +767,90 @@ def test_iso_tests_fewer_pairs_than_j_per_subspace(p, t, monkeypatch):
                 seen.clear()
                 n = iso_subspaces_bf(ctx, X, j)
                 assert got.setdefault((X, j), n) == n
-                tested = sum(b * c for b, c in seen)
-                assert tested <= max(j - 1, 0) * oracle._subspace_count(p, t, j), (X, j)
-                assert all(b == 1 or b * c <= chunk for b, c in seen)
+                for k in range(1, t):
+                    level = sum(c * b for c, rows, b in seen if rows == k)
+                    assert level <= oracle._subspace_count(p, t, k + 1), (X, j, k)
+                tested = sum(c * b for c, _, b in seen)
+                if chunk == _CHUNK:  # the walk is kept, so each call builds one level
+                    assert tested <= max(j - 1, 0) * oracle._subspace_count(p, t, j), (X, j)
+                assert all(b == 1 or c * b <= chunk for c, _, b in seen)
                 if X == _zero(t) and 1 < j < t:
                     assert tested  # the spy sees the step
     for j in range(t + 1):
         assert got[_zero(t), j] == oracle._subspace_count(p, t, j)
         assert got[forms[1], j] == counts.iso_count(ctx, classify(ctx, forms[1]), j)
+
+
+def _iso_all(ctx, X, count):
+    return [count(ctx, X, j) for j in range(len(X) + 1)]
+
+
+@pytest.mark.parametrize("p, t", [(3, 5), (5, 4), (7, 3)])
+def test_walk_equals_the_per_dimension_reference_on_every_class(p, t):
+    # the upward walk against the per-dimension walk it replaced
+    # (reference.iso_subspaces), at every j, on each class's canonical
+    # form and on a congruent form off the diagonal
+    ctx = prime_context(p)
+    rng = random.Random(13 * p + t)
+    for c in all_classes(t):
+        C = canonical_matrix(ctx, c)
+        for X in (C, _congruent(ctx, C, rng)):
+            want = _iso_all(ctx, X, reference.iso_subspaces)
+            assert _iso_all(ctx, X, iso_subspaces_bf) == want, (X,)
+
+
+def test_walk_equals_the_reference_on_random_forms():
+    # 300 seeded symmetric forms at p in {3, 5, 7} and t <= 5: every
+    # other one uniform, the rest congruent to a diagonal form of a
+    # drawn rank, so degenerate forms of every rank are included
+    rng = random.Random(7919)
+    ranks = set()
+    for i in range(300):
+        p, t = rng.choice((3, 5, 7)), rng.randint(1, 5)
+        ctx = prime_context(p)
+        if i % 2:
+            X = _random_form(rng, p, t)
+        else:
+            r = rng.randint(0, t)
+            D = tuple(
+                tuple(rng.randrange(1, p) if a == b < r else 0 for b in range(t)) for a in range(t)
+            )
+            X = _congruent(ctx, D, rng)
+        ranks.add((t, classify(ctx, X).d))
+        assert _iso_all(ctx, X, iso_subspaces_bf) == _iso_all(ctx, X, reference.iso_subspaces), (p, X)
+    assert {(t, r) for t in range(1, 6) for r in range(t + 1)} <= ranks
+
+
+def test_the_kept_walk_resumes_in_any_order_and_a_refused_call_reads_none(monkeypatch):
+    # one walk is kept, for the last form: j descending, two forms of one
+    # size interleaved, and a j past the budget between two that fit,
+    # which is refused before the kept walk is read or grown
+    ctx = prime_context(3)
+    rng = random.Random(5)
+    A = _hyperbolic(5)
+    B = _congruent(ctx, canonical_matrix(ctx, FormClass(5, 3, NONSQ)), rng)
+    want = {X: _iso_all(ctx, X, reference.iso_subspaces) for X in (A, B)}
+    clear_caches()
+    assert [iso_subspaces_bf(ctx, A, j) for j in range(5, -1, -1)] == want[A][::-1]
+    for j in range(6):
+        for X in (A, B):
+            assert iso_subspaces_bf(ctx, X, j) == want[X][j], (X, j)
+    clear_caches()
+    fits = Budget(sum(oracle._subspace_count(3, 5, k) for k in (1, 2)))
+    assert iso_subspaces_bf(ctx, A, 2, fits) == want[A][2]
+    walk = oracle._walk(ctx, A)
+    counts, level, info = list(walk[0]), walk[1], oracle._walk.cache_info()
+    with monkeypatch.context() as m:
+        for name in ("_walk", "_line_forms", "_prepend", "_lines", "_row_set"):
+            m.setattr(oracle, name, _no_table)
+        with pytest.raises(BudgetExceeded) as e:
+            iso_subspaces_bf(ctx, A, 3, fits)
+    assert e.value.needed == fits.max_terms + oracle._subspace_count(3, 5, 3)
+    assert oracle._walk.cache_info() == info
+    assert walk[0] == counts and walk[1] is level
+    assert iso_subspaces_bf(ctx, A, 1, fits) == want[A][1]
+    assert iso_subspaces_bf(ctx, A, 3) == want[A][3]
+    assert walk[0] == want[A][:4] and oracle._walk.cache_info().misses == info.misses
 
 
 @pytest.mark.parametrize("p, t", [(3, 5), (5, 4), (7, 3)])
@@ -876,7 +954,8 @@ def test_forms_are_exact_in_int64(p, monkeypatch):
 
 @pytest.mark.parametrize("p", sorted(_BOUNDARY_SIZES))
 def test_orthogonality_is_exact_in_int64(p, monkeypatch):
-    # the orthogonality mask of _extend against Python integers; past
+    # the orthogonality mask of the walk's step (_orthogonal) against
+    # Python integers, on bases of one row and of two; past
     # t (p-1)^2 <= 2^63 - 1 both subspace counts refuse with
     # CapExceeded, whatever the budget, after its charge and before any
     # table is built
@@ -898,19 +977,21 @@ def test_orthogonality_is_exact_in_int64(p, monkeypatch):
         L, XL, _ = oracle._line_forms(ctx, X)
         lines = L.tolist()
         n = len(lines)
-        # v orthogonal to u, which t >= 2 has: the block [u, u] takes it,
+        # v orthogonal to u, which t >= 2 has: the basis [u, u] takes it,
         # [u, w] not unless w is orthogonal to it too, so the mask needs
         # every row
         u, w = rng.randrange(n), rng.randrange(n)
         v = next((v for v in range(n) if _q(X, lines[u], lines[v], p) == 0), u)
         block = [[u, u], [u, w]] + [[rng.randrange(n) for _ in range(2)] for _ in range(3)]
         cand = [v] + [rng.randrange(n) for _ in range(4)] + [n - 1]
-        ((_, ok),) = oracle._extend(p, L, XL, np.array(block), np.array(cand))
+        ok = oracle._orthogonal(p, L, XL[cand], np.array(block).T)  # a basis per column
         want = [
             [all(_q(X, lines[b], lines[c], p) == 0 for b in rows) for c in cand]
             for rows in block
         ]
-        assert ok.tolist() == want and (want[0][0] or t == 1)
+        assert ok.T.tolist() == want and (want[0][0] or t == 1)
+        ok = oracle._orthogonal(p, L, XL[cand], np.array(block)[:, :1].T)  # top rows alone
+        assert ok.T.tolist() == [[_q(X, lines[rows[0]], lines[c], p) == 0 for c in cand] for rows in block]
 
 
 def test_weighted_class_sums_use_neither_rep_count_nor_group_orders(monkeypatch):
@@ -1169,7 +1250,8 @@ def test_every_budget_message_is_pinned(ctx3, monkeypatch):
     cases = [
         (lambda b: gauss_untwisted_bf(ctx3, I2, I2, b), 10, "matrix enumeration needs 81 terms"),
         (lambda b: rep_star_bf(ctx3, I3, ((1,),), b), 26, "vector enumeration needs 27 terms"),
-        (lambda b: iso_subspaces_bf(ctx3, Z4, 2, b), 5, "subspace enumeration needs 130 terms"),
+        # [4, 1]_3 + [4, 2]_3: the lines and the planes of the walk
+        (lambda b: iso_subspaces_bf(ctx3, Z4, 2, b), 5, "subspace enumeration needs 170 terms"),
         # rep_count_bf charges its frontiers: the root row and the 4
         # one-column rows it spawns (5), then those 4 as the next frontier (9)
         (lambda b: rep_count_bf(ctx3, I2, I2, budget=b), 1, "representation count needs 5 terms"),
