@@ -595,10 +595,10 @@ def _row_set(p: int, t: int, lead: int, later) -> np.ndarray:
 
 def _echelon_blocks(p: int, t: int, ell: int):
     """One row of ell line indices (see _lines) per reduced-row-echelon
-    basis of an ell-dimensional subspace of F_p^t, pivot pattern by
-    pattern, each the Cartesian product of its row sets (_row_set), the
-    first row varying slowest: in column-major blocks of at most _CHUNK
-    rows, in the narrowest unsigned dtype that holds every line index.
+    basis of an ell-dimensional subspace of F_p^t, pattern by pattern,
+    each the product of its row sets (_row_set), the first row slowest:
+    column-major blocks of at most _CHUNK rows, so each row position is
+    contiguous, in the narrowest unsigned dtype for every line index.
     """
     dt = np.min_scalar_type((p**t - 1) // (p - 1) - 1)  # the index of the last line
     for pivots in combinations(range(t), ell):
